@@ -29,7 +29,6 @@ __all__ = [
     "EmptyInput",
     "SingletonMoA",
     "InsufficientClasses",
-    "InsufficientSamples",
     "load_smiles_pool",
     "generate_synthetic",
     "write_dataset",
@@ -38,6 +37,7 @@ __all__ = [
     "split_query_gallery",
     "prepare_split",
     "pk_sample",
+    "pk_groups",
     "pk_sample_indices",
     "choose_pk",
     "read_kv",
@@ -91,12 +91,6 @@ class SingletonMoA(ValueError):
 
 class InsufficientClasses(ValueError):
     pass
-
-
-class InsufficientSamples(ValueError):
-    def __init__(self, label: int) -> None:
-        self.label = label
-        super().__init__(f"class {label} has too few samples for the requested K")
 
 
 @dataclass
@@ -362,31 +356,38 @@ def prepare_split(samples: list[Sample], ratio: float = 0.8, seed: int = 0, labe
     return DatasetSplit(train=train, test=test, query=query, gallery=gallery)
 
 
-def pk_sample_indices(train: list[Sample], p: int, k: int, label_kind: str, seed: int, step: int) -> np.ndarray:
-    """Positions of a P-class, K-per-class batch, deterministic in (seed, step)."""
+def pk_groups(labels) -> dict[int, np.ndarray]:
+    """Positions of each label in ``labels``, ascending, keyed by label in sorted order."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.ndim != 1:
+        raise ValueError("labels must be a 1-D sequence")
+    order = np.argsort(labels, kind="stable")
+    keys, starts = np.unique(labels[order], return_index=True)
+    return {int(key): members for key, members in zip(keys, np.split(order, starts[1:]))}
+
+
+def pk_sample_indices(groups: dict[int, np.ndarray], p: int, k: int, seed: int, step: int) -> np.ndarray:
+    """Positions of a P-class, K-per-class batch, deterministic in (seed, step).
+
+    ``groups`` comes from ``pk_groups`` and is built once per label array.
+    """
     if p < 1 or k < 1:
         raise ValueError("P and K must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 17, step]))
-    groups: dict[int, list[int]] = {}
-    for i, s in enumerate(train):
-        groups.setdefault(_label_of(s, label_kind), []).append(i)
-    eligible = sorted(label for label, members in groups.items() if len(members) >= k)
+    eligible = [label for label, members in groups.items() if members.size >= k]
     if len(eligible) < p:
         raise InsufficientClasses(f"need {p} classes with >= {k} samples, found {len(eligible)}")
-    chosen = rng.choice(np.array(eligible), size=p, replace=False)
-    out: list[int] = []
-    for label in chosen:
-        members = groups[int(label)]
-        if len(members) < k:
-            raise InsufficientSamples(int(label))
-        picks = rng.choice(np.array(members), size=k, replace=False)
-        out.extend(int(i) for i in picks)
-    return np.array(out, dtype=np.int64)
+    picks = []
+    for c in rng.choice(len(eligible), size=p, replace=False):
+        members = groups[eligible[c]]
+        picks.append(members[rng.choice(members.size, size=k, replace=False)])
+    return np.concatenate(picks)
 
 
 def pk_sample(train: list[Sample], p: int, k: int, label_kind: str, seed: int, step: int) -> list[Sample]:
     """P distinct classes, K samples each, deterministic in (seed, step)."""
-    return [train[i] for i in pk_sample_indices(train, p, k, label_kind, seed, step)]
+    groups = pk_groups([_label_of(s, label_kind) for s in train])
+    return [train[i] for i in pk_sample_indices(groups, p, k, seed, step)]
 
 
 def choose_pk(batch_size: int, num_classes: int) -> tuple[int, int]:

@@ -33,3 +33,7 @@ class LabelOutOfRange(IndexError):
         self.label = label
         self.num_classes = num_classes
         super().__init__(f"label {label} out of range for {num_classes} classes")
+
+
+class DegenerateBatch(ValueError):
+    """A batch label has no positive or no negative for triplet mining."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import LabelOutOfRange, NonFiniteValue, ShapeMismatch
+from .errors import DegenerateBatch, LabelOutOfRange
 
 __all__ = [
     "DegenerateBatch",
@@ -34,10 +34,6 @@ __all__ = [
     "classification_ce",
     "total_loss",
 ]
-
-
-class DegenerateBatch(ValueError):
-    """A batch label has no positive or no negative for triplet mining."""
 
 
 class NonFiniteComponent(ArithmeticError):
@@ -75,56 +71,15 @@ def similarity(s: ad.Tensor, v: ad.Tensor, temperature: float | ad.Tensor = 0.07
     trainable inverse-temperature can be passed as a 0-d tensor holding
     log(1/tau).
     """
-    if s.shape != v.shape or len(s.shape) != 2:
-        raise ShapeMismatch("similarity", (s.shape, v.shape))
-    raw = ad.matmul(ad.l2_normalize_rows(s), ad.transpose(ad.l2_normalize_rows(v)))
+    sv = ad.cosine_logits(s, v, temperature)
     if isinstance(temperature, ad.Tensor):
-        sv = ad.mul(raw, ad.exp(temperature))
-        tau = float(np.exp(-temperature.data))
-    else:
-        if temperature <= 0:
-            raise ValueError(f"temperature must be positive, got {temperature}")
-        sv = ad.scale(raw, 1.0 / temperature)
-        tau = float(temperature)
-    return SimilarityMatrix(sv=sv, temperature=tau)
-
-
-def _soft_ce(sv: ad.Tensor, targets: np.ndarray, direction: str) -> ad.Tensor:
-    """Bidirectional soft-target cross-entropy against a 0/1 target matrix."""
-    if targets.shape != sv.shape:
-        raise ShapeMismatch("soft_ce", (sv.shape, targets.shape))
-    terms = []
-    if direction in ("both", "row"):
-        row_t = targets / targets.sum(axis=1, keepdims=True)
-        picked = ad.sum_(ad.mul(ad.row_log_softmax(sv), ad.constant(row_t)))
-        terms.append(ad.scale(picked, -1.0 / sv.shape[0]))
-    if direction in ("both", "col"):
-        col_t = (targets / targets.sum(axis=0, keepdims=True)).T
-        picked = ad.sum_(ad.mul(ad.row_log_softmax(ad.transpose(sv)), ad.constant(col_t)))
-        terms.append(ad.scale(picked, -1.0 / sv.shape[1]))
-    if not terms:
-        raise ValueError(f"direction must be 'both', 'row' or 'col', got {direction!r}")
-    if len(terms) == 1:
-        return terms[0]
-    return ad.scale(ad.add(terms[0], terms[1]), 0.5)
+        return SimilarityMatrix(sv=sv, temperature=float(np.exp(-temperature.data)))
+    return SimilarityMatrix(sv=sv, temperature=float(temperature))
 
 
 def msc_loss(sim: SimilarityMatrix, sup: SupervisionPair, direction: str = "both") -> ad.Tensor:
     """Alignment loss: soft CE against the self target plus the class target."""
-    return ad.add(_soft_ce(sim.sv, sup.m_self, direction), _soft_ce(sim.sv, sup.m_class, direction))
-
-
-def _mine_hard(dists: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batch-hard indices: farthest positive, nearest negative per anchor."""
-    b = labels.size
-    same = labels[:, None] == labels[None, :]
-    pos_mask = same & ~np.eye(b, dtype=bool)
-    neg_mask = ~same
-    if not pos_mask.any(axis=1).all() or not neg_mask.any(axis=1).all():
-        raise DegenerateBatch("every anchor needs at least one positive and one negative")
-    hard_pos = np.where(pos_mask, dists, -np.inf).argmax(axis=1)
-    hard_neg = np.where(neg_mask, dists, np.inf).argmin(axis=1)
-    return hard_pos, hard_neg
+    return ad.soft_target_ce(sim.sv, (sup.m_self, sup.m_class), direction)
 
 
 def hard_triplet_loss(features: ad.Tensor, labels, margin: float = 0.3) -> ad.Tensor:
@@ -133,18 +88,7 @@ def hard_triplet_loss(features: ad.Tensor, labels, margin: float = 0.3) -> ad.Te
     Distances are squared Euclidean; mining happens outside the graph, the
     hinge differentiates through the selected pairs only.
     """
-    labels = np.asarray(labels)
-    dists = ad.pairwise_sq_dists(features, features)
-    hard_pos, hard_neg = _mine_hard(dists.data, labels)
-    b = labels.size
-    pos_sel = np.zeros((b, b))
-    neg_sel = np.zeros((b, b))
-    pos_sel[np.arange(b), hard_pos] = 1.0
-    neg_sel[np.arange(b), hard_neg] = 1.0
-    pos_d = ad.sum_(ad.mul(dists, ad.constant(pos_sel)), axis=1)
-    neg_d = ad.sum_(ad.mul(dists, ad.constant(neg_sel)), axis=1)
-    hinge = ad.relu(ad.add(ad.sub(pos_d, neg_d), ad.constant(margin)))
-    return ad.mean(hinge)
+    return ad.batch_hard_triplet(features, labels, margin)
 
 
 @dataclass
@@ -172,9 +116,7 @@ def center_loss(features: ad.Tensor, labels, state: CenterState) -> ad.Tensor:
     """Half the summed squared distance of each feature to its class center."""
     labels = np.asarray(labels, dtype=np.int64)
     _check_labels(labels, state.num_classes)
-    picked = ad.gather_rows(ad.constant(state.centers), labels)
-    diff = ad.sub(features, picked)
-    return ad.scale(ad.sum_(ad.mul(diff, diff)), 0.5)
+    return ad.half_sq_error(features, state.centers[labels])
 
 
 def update_centers(state: CenterState, features: np.ndarray, labels) -> CenterState:
@@ -186,10 +128,15 @@ def update_centers(state: CenterState, features: np.ndarray, labels) -> CenterSt
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     _check_labels(labels, state.num_classes)
-    for c in np.unique(labels):
-        members = features[labels == c]
-        delta = (state.centers[c] - members).sum(axis=0) / (1.0 + members.shape[0])
-        state.centers[c] = state.centers[c] - state.alpha * delta
+    # One scatter over the flattened centers: add.at adds each class's rows
+    # in batch order, as a per-class loop would.
+    sums = np.zeros_like(state.centers)
+    cells = labels[:, None] * state.centers.shape[1] + np.arange(state.centers.shape[1])
+    np.add.at(sums.reshape(-1), cells.reshape(-1), (state.centers[labels] - features).reshape(-1))
+    counts = np.bincount(labels, minlength=state.num_classes)
+    present = counts > 0
+    delta = sums[present] / (1.0 + counts[present])[:, None]
+    state.centers[present] = state.centers[present] - state.alpha * delta
     return state
 
 
@@ -200,8 +147,7 @@ def classification_ce(logits: ad.Tensor, labels) -> ad.Tensor:
     _check_labels(labels, k)
     onehot = np.zeros((b, k))
     onehot[np.arange(b), labels] = 1.0
-    picked = ad.sum_(ad.mul(ad.row_log_softmax(logits), ad.constant(onehot)))
-    return ad.scale(picked, -1.0 / b)
+    return ad.soft_target_ce(logits, (onehot,), "row")
 
 
 @dataclass
@@ -226,7 +172,8 @@ def total_loss(components: dict[str, ad.Tensor | None], weights: LossWeights) ->
     tensors; None entries (e.g. a disabled branch) contribute nothing.
     """
     report: dict[str, float] = {}
-    total: ad.Tensor | None = None
+    terms: list[ad.Tensor] = []
+    coefficients: list[float] = []
     for name in ("msc", "triplet", "center", "cls"):
         comp = components.get(name)
         if comp is None:
@@ -236,9 +183,8 @@ def total_loss(components: dict[str, ad.Tensor | None], weights: LossWeights) ->
         if not np.isfinite(value):
             raise NonFiniteComponent(name)
         report[name] = value
-        term = ad.scale(comp, getattr(weights, name))
-        total = term if total is None else ad.add(total, term)
-    if total is None:
-        total = ad.constant(0.0)
+        terms.append(comp)
+        coefficients.append(getattr(weights, name))
+    total = ad.weighted_sum(terms, coefficients) if terms else ad.constant(0.0)
     report["total"] = float(total.data)
     return total, report

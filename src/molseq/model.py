@@ -138,8 +138,8 @@ def pool_frames(frames: np.ndarray) -> np.ndarray:
 
 
 def _mlp(x: ad.Tensor, leaves, prefix: str, activation) -> ad.Tensor:
-    h = activation(ad.add(ad.matmul(x, leaves[f"{prefix}.w1"]), leaves[f"{prefix}.b1"]))
-    return ad.add(ad.matmul(h, leaves[f"{prefix}.w2"]), leaves[f"{prefix}.b2"])
+    h = activation(ad.linear(x, leaves[f"{prefix}.w1"], leaves[f"{prefix}.b1"]))
+    return ad.linear(h, leaves[f"{prefix}.w2"], leaves[f"{prefix}.b2"])
 
 
 class MoleculeEncoder:
@@ -212,7 +212,7 @@ class ClassifierHead:
     def forward(self, embedding: ad.Tensor, leaves: dict[str, ad.Tensor]) -> ad.Tensor:
         if embedding.shape[-1] != self.in_dim:
             raise ShapeMismatch("classify", (embedding.shape, (self.in_dim,)))
-        return ad.add(ad.matmul(embedding, leaves["head.w"]), leaves["head.b"])
+        return ad.linear(embedding, leaves["head.w"], leaves["head.b"])
 
 
 @dataclass

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .data import DatasetSplit, Sample, choose_pk, pk_sample_indices, read_kv, split_query_gallery
+from .data import DatasetSplit, Sample, choose_pk, pk_groups, pk_sample_indices, read_kv, split_query_gallery
 from .errors import ShapeMismatch
 from .losses import (
     CenterState,
@@ -278,6 +278,7 @@ def run_stage(config: TrainConfig, data: DatasetSplit, init: Checkpoint | None =
     train_pooled = _pooled(train)
     test_pooled = _pooled(test)
     stage_labels = _labels(train, label_kind)
+    groups = pk_groups(stage_labels)
     class_labels = stage_labels if config.class_matrix_labels == "stage" else _labels(train, "moa")
     counts = None
     if config.use_molecule_branch:
@@ -329,7 +330,7 @@ def run_stage(config: TrainConfig, data: DatasetSplit, init: Checkpoint | None =
 
     for epoch in range(1, config.epochs + 1):
         for _ in range(steps_per_epoch):
-            idx = pk_sample_indices(train, config.batch_p, config.batch_k, label_kind, config.seed, step)
+            idx = pk_sample_indices(groups, config.batch_p, config.batch_k, config.seed, step)
             batch_labels = stage_labels[idx]
             leaves = model.params.as_leaves()
             v_emb = model.sequence.forward(train_pooled[idx], leaves)
@@ -494,7 +495,7 @@ def _triplet_safe(rng: np.random.Generator, b: int, d: int):
 
 
 def gradient_check_suite(eps: float = 1e-5) -> list[tuple[str, float]]:
-    """Central finite-difference checks for every loss and both encoders."""
+    """Central finite-difference checks for every loss, both encoders and the head."""
     rng = np.random.default_rng(20240917)
     b, d = 4, 8
     labels = np.array([0, 0, 1, 1])
@@ -528,61 +529,52 @@ def gradient_check_suite(eps: float = 1e-5) -> list[tuple[str, float]]:
         ad.finite_difference_check(lambda l: classification_ce(l[0], cls_labels), [logits0], eps),
     ))
 
-    # Both encoders, checked through a fixed scalar projection of their output.
-    vocab_size, token_dim, hidden, out_dim = 9, 4, 5, 6
+    # The shipped encoders and head, wired through a Model and checked via a
+    # fixed scalar projection of their output.
+    vocab_size, token_dim, hidden, out_dim, frame_dim = 9, 4, 5, 6, 4
+    model = Model(ModelConfig(vocab_size=vocab_size, frame_dim=frame_dim, num_classes=2, embed_dim=out_dim,
+                              token_dim=token_dim, mol_hidden=hidden, seq_hidden=hidden))
+    mol_names = ("mol.emb", "mol.w1", "mol.b1", "mol.w2", "mol.b2")
+    seq_names = ("seq.w1", "seq.b1", "seq.w2", "seq.b2")
     ids = np.array([[2, 3, 3, 0, 0], [4, 5, 6, 7, 0], [8, 2, 0, 0, 0], [5, 5, 5, 5, 5]])
     counts = token_count_matrix(ids, vocab_size)
-    proj = rng.normal(size=(out_dim, 1))
-    mol_shapes = [(vocab_size, token_dim), (token_dim, hidden), (hidden,), (hidden, out_dim), (out_dim,)]
-    mol_params = [rng.normal(scale=0.5, size=s) for s in mol_shapes]
+    proj = ad.constant(rng.normal(size=(out_dim, 1)))
+    mol_params = [rng.normal(scale=0.5, size=model.params[n].value.shape) for n in mol_names]
 
     def f_mol(leaves):
-        names = ("mol.emb", "mol.w1", "mol.b1", "mol.w2", "mol.b2")
-        lv = dict(zip(names, leaves))
-        pooled = ad.matmul(ad.constant(counts), lv["mol.emb"])
-        h = ad.tanh(ad.add(ad.matmul(pooled, lv["mol.w1"]), lv["mol.b1"]))
-        out = ad.add(ad.matmul(h, lv["mol.w2"]), lv["mol.b2"])
-        return ad.sum_(ad.matmul(out, ad.constant(proj)))
+        s_emb = model.molecule.forward_counts(counts, dict(zip(mol_names, leaves)))
+        return ad.sum_(ad.matmul(s_emb, proj))
 
     checks.append(("molecule_encoder", ad.finite_difference_check(f_mol, mol_params, eps)))
 
-    frame_dim = 4
     pooled_frames = rng.normal(size=(b, 2 * frame_dim))
-    seq_shapes = [(2 * frame_dim, hidden), (hidden,), (hidden, out_dim), (out_dim,)]
-    seq_params = [rng.normal(scale=0.5, size=s) for s in seq_shapes]
+    seq_params = [rng.normal(scale=0.5, size=model.params[n].value.shape) for n in seq_names]
 
     def f_seq(leaves):
-        w1, b1, w2, b2 = leaves
-        h = ad.relu(ad.add(ad.matmul(ad.constant(pooled_frames), w1), b1))
-        out = ad.add(ad.matmul(h, w2), b2)
-        return ad.sum_(ad.matmul(out, ad.constant(proj)))
+        return ad.sum_(ad.matmul(model.sequence.forward(pooled_frames, dict(zip(seq_names, leaves))), proj))
 
     checks.append(("sequence_encoder", ad.finite_difference_check(f_seq, seq_params, eps)))
 
     # Full model composed with the weighted total loss.
-    head_params = [rng.normal(scale=0.5, size=(out_dim, 2)), rng.normal(scale=0.5, size=(2,))]
+    head_names = ("head.w", "head.b")
+    head_params = [rng.normal(scale=0.5, size=model.params[n].value.shape) for n in head_names]
     tri_feats_fix, _ = _triplet_safe(rng, b, out_dim)
+    full_names = mol_names + seq_names + head_names
     full_params = mol_params + seq_params + head_params
     full_weights = LossWeights()
     full_state = CenterState(centers=rng.normal(size=(2, out_dim)))
 
     def f_full(leaves):
-        m = leaves[:5]
-        s = leaves[5:9]
-        h = leaves[9:]
-        names = ("mol.emb", "mol.w1", "mol.b1", "mol.w2", "mol.b2")
-        lv = dict(zip(names, m))
-        pooled = ad.matmul(ad.constant(counts), lv["mol.emb"])
-        s_emb = ad.add(ad.matmul(ad.tanh(ad.add(ad.matmul(pooled, lv["mol.w1"]), lv["mol.b1"])), lv["mol.w2"]), lv["mol.b2"])
-        hh = ad.relu(ad.add(ad.matmul(ad.constant(pooled_frames), s[0]), s[1]))
-        v_emb = ad.add(ad.add(ad.matmul(hh, s[2]), s[3]), ad.constant(tri_feats_fix))
-        logits = ad.add(ad.matmul(v_emb, h[0]), h[1])
+        lv = dict(zip(full_names, leaves))
+        s_emb = model.molecule.forward_counts(counts, lv)
+        # A fixed offset keeps the triplet mining clear of ties.
+        v_emb = ad.add(model.sequence.forward(pooled_frames, lv), ad.constant(tri_feats_fix))
         sim = similarity(s_emb, v_emb, 0.07)
         components = {
             "msc": msc_loss(sim, build_supervision(labels)),
             "triplet": hard_triplet_loss(v_emb, labels, 0.3),
             "center": center_loss(v_emb, labels, full_state),
-            "cls": classification_ce(logits, labels),
+            "cls": classification_ce(model.head.forward(v_emb, lv), labels),
         }
         return total_loss(components, full_weights)[0]
 

@@ -3,6 +3,7 @@ import pytest
 
 from molseq import autodiff as ad
 from molseq.errors import NonFiniteValue, NonScalarLoss, RepeatedBackward, ShapeMismatch
+from molseq.train import _triplet_safe
 
 
 def leaf(values):
@@ -139,6 +140,149 @@ class TestBackward:
             ad.gather_rows(ad.constant(np.zeros((2, 2))), np.array([2]))
 
 
+class TestFusedMatchesComposed:
+    """Each fused node equals, bit for bit, the primitive graph it replaces."""
+
+    @staticmethod
+    def grads(build, values):
+        leaves = [leaf(v) for v in values]
+        out = build(leaves)
+        ad.backward(out)
+        return out.data, [l.grad for l in leaves]
+
+    def assert_same(self, fused, composed, values):
+        out_f, grads_f = self.grads(fused, values)
+        out_c, grads_c = self.grads(composed, values)
+        assert np.array_equal(out_f, out_c)
+        for gf, gc in zip(grads_f, grads_c):
+            assert np.array_equal(gf, gc)
+
+    def test_linear(self, rng):
+        values = [rng.normal(size=(5, 4)), rng.normal(size=(4, 3)), rng.normal(size=(3,)), rng.normal(size=(5, 3))]
+        self.assert_same(lambda l: ad.sum_(ad.mul(ad.linear(l[0], l[1], l[2]), l[3])),
+                         lambda l: ad.sum_(ad.mul(ad.add(ad.matmul(l[0], l[1]), l[2]), l[3])), values)
+
+    @staticmethod
+    def composed_cosine(s, v, temperature):
+        raw = ad.matmul(ad.l2_normalize_rows(s), ad.transpose(ad.l2_normalize_rows(v)))
+        if isinstance(temperature, ad.Tensor):
+            return ad.mul(raw, ad.exp(temperature))
+        return ad.scale(raw, 1.0 / temperature)
+
+    def test_cosine_logits(self, rng):
+        values = [rng.normal(size=(6, 5)), rng.normal(size=(6, 5)), rng.normal(size=(6, 6))]
+        self.assert_same(lambda l: ad.sum_(ad.mul(ad.cosine_logits(l[0], l[1], 0.07), l[2])),
+                         lambda l: ad.sum_(ad.mul(self.composed_cosine(l[0], l[1], 0.07), l[2])), values)
+        values.append(np.array(np.log(1 / 0.07)))
+        self.assert_same(lambda l: ad.sum_(ad.mul(ad.cosine_logits(l[0], l[1], l[3]), l[2])),
+                         lambda l: ad.sum_(ad.mul(self.composed_cosine(l[0], l[1], l[3]), l[2])), values)
+
+    def test_cosine_logits_reports_guarded_rows(self):
+        s = np.array([[3.0, 4.0], [0.0, 0.0], [1.0, 0.0]])
+        v = np.array([[1.0, 1.0], [2.0, 0.0], [0.0, 0.0]])
+        assert ad.cosine_logits(ad.constant(s), ad.constant(v), 1.0).guarded_rows == (1, 2)
+
+    @staticmethod
+    def composed_soft_ce(x, targets, direction):
+        total = None
+        for t in targets:
+            terms = []
+            if direction in ("both", "row"):
+                row_t = t / t.sum(axis=1, keepdims=True)
+                terms.append(ad.scale(ad.sum_(ad.mul(ad.row_log_softmax(x), ad.constant(row_t))), -1.0 / x.shape[0]))
+            if direction in ("both", "col"):
+                col_t = (t / t.sum(axis=0, keepdims=True)).T
+                picked = ad.sum_(ad.mul(ad.row_log_softmax(ad.transpose(x)), ad.constant(col_t)))
+                terms.append(ad.scale(picked, -1.0 / x.shape[1]))
+            ce = terms[0] if len(terms) == 1 else ad.scale(ad.add(terms[0], terms[1]), 0.5)
+            total = ce if total is None else ad.add(total, ce)
+        return total
+
+    @pytest.mark.parametrize("direction", ["both", "row", "col"])
+    def test_soft_target_ce(self, rng, direction):
+        labels = rng.integers(0, 3, size=16)
+        targets = (np.eye(16), (labels[:, None] == labels[None, :]).astype(float))
+        values = [rng.normal(size=(16, 16)) * 5.0]
+        self.assert_same(lambda l: ad.soft_target_ce(l[0], targets, direction),
+                         lambda l: self.composed_soft_ce(l[0], targets, direction), values)
+
+    def test_soft_target_ce_one_hot(self, rng):
+        targets = (np.eye(5)[rng.integers(0, 5, size=12)],)
+        self.assert_same(lambda l: ad.soft_target_ce(l[0], targets),
+                         lambda l: self.composed_soft_ce(l[0], targets, "row"), [rng.normal(size=(12, 5))])
+
+    def test_batch_hard_triplet(self, rng):
+        labels = np.repeat(np.arange(4), 4)
+        values = [rng.normal(size=(16, 6))]
+
+        def composed(l):
+            dists = ad.pairwise_sq_dists(l[0], l[0])
+            pos, neg = ad._mine_batch_hard(dists.data, labels)
+            pos_sel, neg_sel = np.zeros((16, 16)), np.zeros((16, 16))
+            pos_sel[np.arange(16), pos] = 1.0
+            neg_sel[np.arange(16), neg] = 1.0
+            pos_d = ad.sum_(ad.mul(dists, ad.constant(pos_sel)), axis=1)
+            neg_d = ad.sum_(ad.mul(dists, ad.constant(neg_sel)), axis=1)
+            return ad.mean(ad.relu(ad.add(ad.sub(pos_d, neg_d), ad.constant(1.0))))
+
+        self.assert_same(lambda l: ad.batch_hard_triplet(l[0], labels, 1.0), composed, values)
+
+    def test_half_sq_error(self, rng):
+        target = rng.normal(size=(6, 3))
+
+        def composed(l):
+            diff = ad.sub(l[0], ad.constant(target))
+            return ad.scale(ad.sum_(ad.mul(diff, diff)), 0.5)
+
+        self.assert_same(lambda l: ad.half_sq_error(l[0], target), composed, [rng.normal(size=(6, 3))])
+
+    def test_weighted_sum(self, rng):
+        weights = [0.3, 1.7, 0.1]
+
+        def terms(l):
+            return [ad.sum_(ad.mul(l[0], l[0])), ad.sum_(ad.tanh(l[0])), ad.sum_(ad.exp(l[1]))]
+
+        def composed(l):
+            total = None
+            for term, w in zip(terms(l), weights):
+                total = ad.scale(term, w) if total is None else ad.add(total, ad.scale(term, w))
+            return total
+
+        values = [rng.normal(size=(4, 3)), rng.normal(size=(2, 2))]
+        self.assert_same(lambda l: ad.weighted_sum(terms(l), weights), composed, values)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestNonFiniteGuard:
+    def test_linear_relu_tanh_skip_the_scan(self):
+        out = ad.linear(ad.constant([[1e200, 1e200]]), ad.constant(np.full((2, 2), 1e200)), ad.constant([0.0, 0.0]))
+        mixed = ad.linear(out, ad.constant([[1.0], [-1.0]]), ad.constant([0.0]))
+        assert np.isinf(out.data).all() and np.isnan(mixed.data).all()
+        assert np.isinf(ad.relu(out).data).all()
+        assert np.isnan(ad.tanh(mixed).data).all()
+
+    def test_fused_loss_node_raises(self):
+        inf_rows = ad.linear(ad.constant([[1e200], [1e200]]), ad.constant([[1e200, 1.0]]), ad.constant([0.0, 0.0]))
+        with pytest.raises(NonFiniteValue):
+            ad.half_sq_error(inf_rows, np.zeros((2, 2)))
+        with pytest.raises(NonFiniteValue):
+            ad.soft_target_ce(inf_rows, (np.eye(2),), "both")
+
+
+# Fixed inputs for the fused loss nodes.
+CLASS_TARGET = np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 1.0, 1.0]])
+ONE_HOT = np.eye(3)[[0, 2, 1, 0]]
+ZERO_FIRST_ROW = np.vstack([np.zeros(4), np.ones((2, 4))])
+TRIPLET_FEATS, TRIPLET_LABELS = _triplet_safe(np.random.default_rng(7), 8, 4)
+CENTER_TARGET = np.arange(12.0).reshape(4, 3) / 7.0
+
+
+def _alignment(direction):
+    return lambda l: ad.soft_target_ce(l[0], (np.eye(4), CLASS_TARGET), direction)
+
+
+# name -> (scalar function of the leaves, leaf shapes); an ndarray in place
+# of a shape is used as that leaf's value as is.
 FD_CASES = {
     "matmul": (lambda l: ad.sum_(ad.matmul(l[0], l[1])), [(3, 4), (4, 2)]),
     "add_row": (lambda l: ad.sum_(ad.mul(ad.add(l[0], l[1]), l[0])), [(3, 4), (4,)]),
@@ -158,13 +302,33 @@ FD_CASES = {
     "gather": (lambda l: ad.sum_(ad.mul(ad.gather_rows(l[0], np.array([1, 1, 0])), ad.gather_rows(l[0], np.array([2, 0, 2])))), [(3, 4)]),
     "transpose": (lambda l: ad.sum_(ad.matmul(ad.transpose(l[0]), l[0])), [(3, 4)]),
     "scale": (lambda l: ad.scale(ad.sum_(l[0]), -2.5), [(3, 3)]),
+    "linear": (lambda l: ad.sum_(ad.mul(ad.linear(l[0], l[1], l[2]), l[3])), [(3, 4), (4, 2), (2,), (3, 2)]),
+    "cosine_logits_float": (
+        lambda l: ad.sum_(ad.mul(ad.cosine_logits(l[0], l[1], 0.5), l[2])), [(3, 4), (3, 4), (3, 3)]),
+    "cosine_logits_tensor": (
+        lambda l: ad.sum_(ad.mul(ad.cosine_logits(l[0], l[1], l[2]), l[3])), [(3, 4), (3, 4), (), (3, 3)]),
+    "cosine_logits_guarded_row": (
+        lambda l: ad.sum_(ad.mul(ad.cosine_logits(ad.mul(l[0], ZERO_FIRST_ROW), ad.mul(l[1], ZERO_FIRST_ROW), 0.5),
+                                 l[2])),
+        [(3, 4), (3, 4), (3, 3)]),
+    "soft_target_ce_both": (_alignment("both"), [(4, 4)]),
+    "soft_target_ce_row": (_alignment("row"), [(4, 4)]),
+    "soft_target_ce_col": (_alignment("col"), [(4, 4)]),
+    "soft_target_ce_one_hot": (lambda l: ad.soft_target_ce(l[0], (ONE_HOT,)), [(4, 3)]),
+    "batch_hard_triplet": (lambda l: ad.batch_hard_triplet(l[0], TRIPLET_LABELS, 0.3), [TRIPLET_FEATS]),
+    "half_sq_error": (lambda l: ad.half_sq_error(l[0], CENTER_TARGET), [(4, 3)]),
+    "weighted_sum": (
+        lambda l: ad.weighted_sum([ad.sum_(ad.mul(l[0], l[0])), ad.sum_(ad.tanh(l[1])), ad.sum_(l[0])],
+                                  [0.5, -1.5, 2.0]),
+        [(3, 2), (2, 2)]),
 }
 
 
 @pytest.mark.parametrize("name", sorted(FD_CASES))
 def test_op_gradients_match_finite_differences(name, rng):
     fn, shapes = FD_CASES[name]
-    params = [rng.normal(size=s) + (2.0 if name == "log" else 0.0) for s in shapes]
+    params = [s if isinstance(s, np.ndarray) else rng.normal(size=s) + (2.0 if name == "log" else 0.0)
+              for s in shapes]
     assert ad.finite_difference_check(fn, params) <= 1e-5
 
 

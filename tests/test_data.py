@@ -262,15 +262,44 @@ class TestPkSampling:
             counts[s.drug_label] = counts.get(s.drug_label, 0) + 1
         assert sorted(counts.values()) == [3, 3] and len(counts) == 2
 
+    @staticmethod
+    def drug_groups(samples):
+        return dp.pk_groups([s.drug_label for s in samples])
+
     def test_deterministic_in_seed_and_step(self, tiny_split):
-        a = dp.pk_sample_indices(tiny_split.train, 2, 3, "drug", seed=1, step=5)
-        b = dp.pk_sample_indices(tiny_split.train, 2, 3, "drug", seed=1, step=5)
-        c = dp.pk_sample_indices(tiny_split.train, 2, 3, "drug", seed=1, step=6)
+        groups = self.drug_groups(tiny_split.train)
+        a = dp.pk_sample_indices(groups, 2, 3, seed=1, step=5)
+        b = dp.pk_sample_indices(groups, 2, 3, seed=1, step=5)
+        c = dp.pk_sample_indices(groups, 2, 3, seed=1, step=6)
         assert (a == b).all()
         assert not (a == c).all()
 
+    @staticmethod
+    def loop_pk_sample_indices(train, p, k, label_kind, seed, step):
+        """Reference: class groups rebuilt from the sample list on every call."""
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 17, step]))
+        groups = {}
+        for i, s in enumerate(train):
+            groups.setdefault(s.drug_label if label_kind == "drug" else s.moa_label, []).append(i)
+        eligible = sorted(label for label, members in groups.items() if len(members) >= k)
+        chosen = rng.choice(np.array(eligible), size=p, replace=False)
+        return np.concatenate([rng.choice(np.array(groups[int(c)]), size=k, replace=False) for c in chosen])
+
+    @pytest.mark.parametrize("p,k,label_kind", [(2, 3, "drug"), (4, 2, "drug"), (2, 5, "moa")])
+    def test_same_draws_as_per_sample_grouping(self, tiny_split, p, k, label_kind):
+        labels = [s.drug_label if label_kind == "drug" else s.moa_label for s in tiny_split.train]
+        groups = dp.pk_groups(labels)
+        for seed, step in [(0, 0), (1, 5), (7, 123), (3, 10_000)]:
+            expected = self.loop_pk_sample_indices(tiny_split.train, p, k, label_kind, seed, step)
+            assert dp.pk_sample_indices(groups, p, k, seed, step).tolist() == expected.tolist()
+
+    def test_groups_keyed_by_sorted_label_with_ascending_positions(self):
+        groups = dp.pk_groups([2, 0, 2, 1, 0])
+        assert list(groups) == [0, 1, 2]
+        assert [members.tolist() for members in groups.values()] == [[1, 4], [3], [0, 2]]
+
     def test_no_replacement_within_batch(self, tiny_split):
-        idx = dp.pk_sample_indices(tiny_split.train, 4, 4, "drug", seed=2, step=3)
+        idx = dp.pk_sample_indices(self.drug_groups(tiny_split.train), 4, 4, seed=2, step=3)
         assert len(set(idx.tolist())) == len(idx)
 
     def test_triplet_preconditions_hold(self, tiny_split):

@@ -307,6 +307,30 @@ class TestUpdateCenters:
             assert after <= before + 1e-12
 
 
+def loop_update_centers(centers, features, labels, alpha):
+    """Reference: one class at a time, members summed in batch order."""
+    centers = centers.copy()
+    for c in np.unique(labels):
+        members = features[labels == c]
+        delta = (centers[c] - members).sum(axis=0) / (1.0 + members.shape[0])
+        centers[c] = centers[c] - alpha * delta
+    return centers
+
+
+class TestUpdateCentersMatchesLoop:
+    @given(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=6),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_bitwise_equal_to_per_class_loop(self, batch, num_classes, seed):
+        rng = np.random.default_rng(seed)
+        centers = rng.normal(size=(num_classes, 5)) * 3.0
+        features = rng.normal(size=(batch, 5)) * 3.0
+        labels = rng.integers(0, num_classes, size=batch)
+        expected = loop_update_centers(centers, features, labels, 0.35)
+        state = ls.update_centers(ls.CenterState(centers=centers.copy(), alpha=0.35), features, labels)
+        assert np.array_equal(state.centers, expected)
+
+
 class TestClassificationCe:
     def test_confident_correct(self):
         logits = tensor([[50.0, 0.0], [0.0, 50.0]])

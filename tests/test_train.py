@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 from dataclasses import replace
 
+from molseq import autodiff as ad
 from molseq import train as tr
-from molseq.errors import ShapeMismatch
+from molseq.errors import NonFiniteValue, ShapeMismatch
 from molseq.model import Model, ModelConfig
 
 
@@ -175,10 +178,56 @@ class TestRunStage:
         assert "align.log_inv_temp" in result.model.params
         assert result.model.params["align.log_inv_temp"].value != pytest.approx(np.log(1 / 0.07))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("use_molecule_branch", [True, False])
+    def test_overflowing_parameter_raises_before_backward(self, tiny_split, monkeypatch, use_molecule_branch):
+        # linear skips the non-finite scan; the loss nodes behind it must not.
+        ckpt = tr._checkpoint_of(tr.run_stage(tiny_config(epochs=1), tiny_split))
+        ckpt.parameters["seq.w1"] = np.full_like(ckpt.parameters["seq.w1"], 1e308)
+        backward_calls = []
+        monkeypatch.setattr(ad, "backward", backward_calls.append)
+        cfg = tiny_config(use_molecule_branch=use_molecule_branch)
+        with pytest.raises(NonFiniteValue):
+            tr.run_stage(cfg, tiny_split, init=ckpt, init_prefixes=("seq.",))
+        assert backward_calls == []
+
     def test_moa_class_matrix_flag(self, tiny_split):
         cfg = tiny_config(class_matrix_labels="moa", epochs=2)
         result = tr.run_stage(cfg, tiny_split)
         assert len(result.loss_log) > 0
+
+
+class TestGoldenBits:
+    """Loss and metric logs of a short pipeline, pinned to the bit.
+
+    The digests were recorded with the training step built from primitive
+    ops only (matmul, add, l2_normalize_rows, row_log_softmax, ...), before
+    the fused nodes existed.  Any change to the arithmetic or to the order
+    in which gradients are accumulated changes them.  They depend on
+    numpy's and the BLAS library's floating-point paths (recorded with
+    numpy 2.4 and OpenBLAS 0.3, x86-64).
+    """
+
+    GOLDEN = {
+        "default": "6d5e7bce2c4fdfe5699bf255ab6ab3259e9d8d6649b9051a5d875f9aa6c661c8",
+        "temperature_trainable": "229137f0114728e49590ba20e607b54acb693ed3fe4e9d36c2d3a4fdda2dc1f4",
+        "msc_direction_row": "9fe572fbf3f99225fa31cda51643ddbdc951f0ee7bf6a228f9d4d3837be5120e",
+        "msc_direction_col": "6698616b24974e495b8f5f4dd1ec6555bc1f5b3fb990429527259280a1a84ae5",
+        "class_matrix_moa": "ac794134c1fc41b08a86967ff70e7f6a3d9c320defd16a5bf6648d0e87615a5e",
+    }
+    OVERRIDES = {
+        "default": {},
+        "temperature_trainable": dict(temperature_trainable=True),
+        "msc_direction_row": dict(msc_direction="row"),
+        "msc_direction_col": dict(msc_direction="col"),
+        "class_matrix_moa": dict(class_matrix_labels="moa"),
+    }
+
+    @pytest.mark.parametrize("variant", sorted(GOLDEN))
+    def test_pipeline_logs_match_golden_digest(self, tiny_split, variant):
+        result = tr.run_pipeline(tiny_split, tiny_config(**self.OVERRIDES[variant]))
+        text = "".join(st.loss_csv() + st.metrics_csv() for st in (result.warmup, result.pretrain, result.finetune))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.GOLDEN[variant]
 
 
 class TestStrategiesAndPipeline:
