@@ -11,12 +11,9 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import data as dp
 from . import train as tr
-from .metrics import accuracy, evaluate_retrieval
-from .model import load_checkpoint, pool_frames
+from .model import load_checkpoint
 from .smiles import SmilesError, canonical_smiles, tokenize
 from .train import GRAD_TOLERANCE, TrainConfig, gradient_check_suite, load_config
 
@@ -50,29 +47,11 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.ckpt)
-    config = TrainConfig(**ckpt.extra_config) if ckpt.extra_config else TrainConfig()
+    config = TrainConfig.from_json(ckpt.extra_config)
     split = _load_split(args.data, config)
-    model = ckpt.build_model()
-    label_kind = config.label_kind
-    if label_kind == "moa":
-        query, gallery = split.query, split.gallery
-    else:
-        query, gallery = dp.split_query_gallery(split.test, config.seed, label_kind)
-
-    def labels(samples):
-        return np.array([s.drug_label if label_kind == "drug" else s.moa_label for s in samples])
-
-    def embed(samples):
-        return model.sequence_embeddings(np.stack([pool_frames(s.frames) for s in samples]))
-
-    result = evaluate_retrieval(embed(query), labels(query), embed(gallery), labels(gallery))
-    leaves = model.params.as_leaves()
-    test_pooled = np.stack([pool_frames(s.frames) for s in split.test])
-    logits = model.head.forward(model.encode_pooled(test_pooled, leaves), leaves).data
-    acc = accuracy(logits, labels(split.test))
-    line = f"{acc!r},{result.rank1!r},{result.rank5!r},{result.rank10!r},{result.map!r}"
-    print("accuracy,rank1,rank5,rank10,map")
-    print(line)
+    row, result = tr.evaluate(ckpt.build_model(), tr.eval_set(split, config.label_kind, config.seed))
+    print(",".join(tr.METRIC_COLUMNS))
+    print(",".join(repr(row[c]) for c in tr.METRIC_COLUMNS))
     cmc_path = Path(args.cmc_out) if args.cmc_out else Path(args.ckpt).with_name("cmc.csv")
     cmc_path.write_text("rank,cmc\n" + "".join(f"{k + 1},{v!r}\n" for k, v in enumerate(result.cmc)))
     print(f"cmc written to {cmc_path}")

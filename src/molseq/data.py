@@ -36,7 +36,7 @@ __all__ = [
     "split_train_test",
     "split_query_gallery",
     "prepare_split",
-    "pk_sample",
+    "labels_of",
     "pk_groups",
     "pk_sample_indices",
     "choose_pk",
@@ -127,10 +127,6 @@ class SyntheticSpec:
     @property
     def num_drugs(self) -> int:
         return self.num_moas * self.drugs_per_moa
-
-    @property
-    def num_samples(self) -> int:
-        return self.num_drugs * self.samples_per_drug
 
     def validate(self) -> None:
         if min(self.num_moas, self.drugs_per_moa, self.samples_per_drug, self.T, self.f) < 1:
@@ -286,6 +282,11 @@ def load_manifest(dataset_dir) -> list[Sample]:
             frames = _read_frames(feature_file)
         except ValueError as exc:
             raise SchemaError(lineno, str(exc)) from None
+        if frames.shape[0] == 0:
+            raise SchemaError(lineno, f"{feature_file}: no frames (T = 0)")
+        if samples and frames.shape[1] != samples[0].frames.shape[1]:
+            raise SchemaError(lineno, f"{feature_file}: frame width {frames.shape[1]} differs from "
+                                      f"{samples[0].frames.shape[1]} on earlier rows")
         samples.append(Sample(sample_id, drug_id, smiles, drug_label, moa_label, frames))
     return samples
 
@@ -322,11 +323,12 @@ def split_train_test(samples: list[Sample], ratio: float = 0.8, seed: int = 0, d
     return [samples[i] for i in sorted(train_idx, key=key)], [samples[i] for i in sorted(test_idx, key=key)]
 
 
-def _label_of(sample: Sample, label_kind: str) -> int:
+def labels_of(samples: list[Sample], label_kind: str) -> np.ndarray:
+    """The samples' drug or MoA labels as an int64 array."""
     if label_kind == "drug":
-        return sample.drug_label
+        return np.array([s.drug_label for s in samples], dtype=np.int64)
     if label_kind == "moa":
-        return sample.moa_label
+        return np.array([s.moa_label for s in samples], dtype=np.int64)
     raise ValueError(f"label_kind must be 'drug' or 'moa', got {label_kind!r}")
 
 
@@ -336,8 +338,8 @@ def split_query_gallery(test: list[Sample], seed: int = 0, label_kind: str = "mo
         raise EmptyInput("empty test set")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 13]))
     groups: dict[int, list[int]] = {}
-    for i, s in enumerate(test):
-        groups.setdefault(_label_of(s, label_kind), []).append(i)
+    for i, label in enumerate(labels_of(test, label_kind).tolist()):
+        groups.setdefault(label, []).append(i)
     query_idx = set()
     for label in sorted(groups):
         members = groups[label]
@@ -382,12 +384,6 @@ def pk_sample_indices(groups: dict[int, np.ndarray], p: int, k: int, seed: int, 
         members = groups[eligible[c]]
         picks.append(members[rng.choice(members.size, size=k, replace=False)])
     return np.concatenate(picks)
-
-
-def pk_sample(train: list[Sample], p: int, k: int, label_kind: str, seed: int, step: int) -> list[Sample]:
-    """P distinct classes, K samples each, deterministic in (seed, step)."""
-    groups = pk_groups([_label_of(s, label_kind) for s in train])
-    return [train[i] for i in pk_sample_indices(groups, p, k, seed, step)]
 
 
 def choose_pk(batch_size: int, num_classes: int) -> tuple[int, int]:

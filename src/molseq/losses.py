@@ -160,10 +160,6 @@ class LossWeights:
     cls: float = 1.0
     margin: float = 0.3
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "LossWeights":
-        return cls(**data)
-
 
 def total_loss(components: dict[str, ad.Tensor | None], weights: LossWeights) -> tuple[ad.Tensor, dict[str, float]]:
     """Weighted sum of the loss terms plus an unweighted per-term report.

@@ -2,8 +2,7 @@
 
 Queries and gallery are disjoint by construction of the split protocol, so
 no self-match filtering happens here.  Ranking is by descending cosine
-similarity with ties broken by ascending gallery index; a Euclidean mode
-exists for ablation.
+similarity with ties broken by ascending gallery index.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ class QueryLabelAbsent(ValueError):
 
 @dataclass
 class RetrievalResult:
-    ranked_indices: list[np.ndarray]
     average_precisions: np.ndarray  # [Q]
     cmc: np.ndarray  # [max_rank], non-decreasing in [0, 1]
     rank1: float
@@ -33,16 +31,20 @@ class RetrievalResult:
     rank10: float
     map: float
 
-    def rank_k(self, k: int) -> float:
-        return float(self.cmc[min(k, len(self.cmc)) - 1])
-
 
 def _normalize(embs: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(embs, axis=1, keepdims=True)
     return embs / np.maximum(norms, 1e-12)
 
 
-def rank_gallery(query_emb: np.ndarray, gallery_embs: np.ndarray, measure: str = "cosine") -> np.ndarray:
+def _rank(gallery_unit: np.ndarray, query_emb: np.ndarray) -> np.ndarray:
+    """Rows of the L2-normalized gallery best-first for one query embedding."""
+    scores = gallery_unit @ _normalize(query_emb[None, :])[0]
+    # Stable argsort of the negated scores: ties fall back to index order.
+    return np.argsort(-scores, kind="stable")
+
+
+def rank_gallery(query_emb: np.ndarray, gallery_embs: np.ndarray) -> np.ndarray:
     """Gallery indices ranked best-first for one query embedding."""
     query_emb = np.asarray(query_emb, dtype=np.float64)
     gallery_embs = np.asarray(gallery_embs, dtype=np.float64)
@@ -50,14 +52,7 @@ def rank_gallery(query_emb: np.ndarray, gallery_embs: np.ndarray, measure: str =
         raise ShapeMismatch("rank_gallery", (query_emb.shape, gallery_embs.shape))
     if gallery_embs.shape[0] < 1:
         raise ShapeMismatch("rank_gallery", (gallery_embs.shape,))
-    if measure == "cosine":
-        scores = _normalize(gallery_embs) @ _normalize(query_emb[None, :])[0]
-        # Stable argsort of the negated scores: ties fall back to index order.
-        return np.argsort(-scores, kind="stable")
-    if measure == "euclidean":
-        d = np.linalg.norm(gallery_embs - query_emb[None, :], axis=1)
-        return np.argsort(d, kind="stable")
-    raise ValueError(f"measure must be 'cosine' or 'euclidean', got {measure!r}")
+    return _rank(_normalize(gallery_embs), query_emb)
 
 
 def evaluate_retrieval(
@@ -66,7 +61,6 @@ def evaluate_retrieval(
     gallery_embs: np.ndarray,
     gallery_labels,
     max_rank: int = 20,
-    measure: str = "cosine",
 ) -> RetrievalResult:
     """Standard retrieval scoring over the full ranked gallery.
 
@@ -78,20 +72,20 @@ def evaluate_retrieval(
     gallery_embs = np.asarray(gallery_embs, dtype=np.float64)
     q_labels = np.asarray(query_labels)
     g_labels = np.asarray(gallery_labels)
-    if query_embs.shape[0] != q_labels.size or gallery_embs.shape[0] != g_labels.size:
+    if (query_embs.ndim != 2 or gallery_embs.ndim != 2 or gallery_embs.shape[1] != query_embs.shape[1]
+            or query_embs.shape[0] != q_labels.size or gallery_embs.shape[0] != g_labels.size):
         raise ShapeMismatch("evaluate_retrieval", (query_embs.shape, gallery_embs.shape))
     num_g = gallery_embs.shape[0]
     max_rank = min(max_rank, num_g)
     gallery_label_set = set(g_labels.tolist())
+    gallery_unit = _normalize(gallery_embs)
 
-    ranked_all: list[np.ndarray] = []
     aps = np.zeros(q_labels.size)
     first_hit = np.zeros(q_labels.size, dtype=np.int64)
     for qi in range(q_labels.size):
         if q_labels[qi] not in gallery_label_set:
             raise QueryLabelAbsent(q_labels[qi])
-        order = rank_gallery(query_embs[qi], gallery_embs, measure)
-        ranked_all.append(order)
+        order = _rank(gallery_unit, query_embs[qi])
         matches = (g_labels[order] == q_labels[qi]).astype(np.float64)
         cum = np.cumsum(matches)
         precisions = cum / np.arange(1, num_g + 1)
@@ -101,7 +95,6 @@ def evaluate_retrieval(
     ranks = np.arange(1, max_rank + 1)
     cmc = (first_hit[None, :] <= ranks[:, None]).mean(axis=1)
     result = RetrievalResult(
-        ranked_indices=ranked_all,
         average_precisions=aps,
         cmc=cmc,
         rank1=float(cmc[0]),

@@ -160,11 +160,6 @@ class MoleculeEncoder:
         params.add("mol.w2", _uniform(rng, (self.hidden_dim, self.out_dim), self.hidden_dim))
         params.add("mol.b2", _uniform(rng, (self.out_dim,), self.hidden_dim))
 
-    def forward(self, token_ids: np.ndarray, leaves: dict[str, ad.Tensor]) -> ad.Tensor:
-        counts = token_count_matrix(token_ids, self.vocab_size)
-        pooled = ad.matmul(ad.constant(counts), leaves["mol.emb"])
-        return _mlp(pooled, leaves, "mol", ad.tanh)
-
     def forward_counts(self, counts: np.ndarray, leaves: dict[str, ad.Tensor]) -> ad.Tensor:
         pooled = ad.matmul(ad.constant(counts), leaves["mol.emb"])
         return _mlp(pooled, leaves, "mol", ad.tanh)
@@ -256,28 +251,9 @@ class Model:
         self.head = ClassifierHead(config.embed_dim, config.num_classes)
         self.head.register(self.params, rng)
 
-    def encode_molecule(self, token_ids, leaves: dict[str, ad.Tensor] | None = None) -> ad.Tensor:
-        if self.molecule is None:
-            raise RuntimeError("model was built without a molecule encoder")
-        leaves = leaves if leaves is not None else self.params.as_leaves()
-        return self.molecule.forward(np.asarray(token_ids), leaves)
-
-    def encode_sequence(self, frames, leaves: dict[str, ad.Tensor] | None = None) -> ad.Tensor:
-        """Single sample: frames [T,f] -> embedding tensor [1,d]."""
-        leaves = leaves if leaves is not None else self.params.as_leaves()
-        return self.sequence.forward(pool_frames(frames), leaves)
-
-    def encode_pooled(self, pooled, leaves: dict[str, ad.Tensor] | None = None) -> ad.Tensor:
-        leaves = leaves if leaves is not None else self.params.as_leaves()
-        return self.sequence.forward(pooled, leaves)
-
-    def classify(self, embedding: ad.Tensor, leaves: dict[str, ad.Tensor] | None = None) -> ad.Tensor:
-        leaves = leaves if leaves is not None else self.params.as_leaves()
-        return self.head.forward(embedding, leaves)
-
     def sequence_embeddings(self, pooled: np.ndarray) -> np.ndarray:
         """Inference path: sequence embeddings only, no graph kept."""
-        return self.encode_pooled(pooled).data
+        return self.sequence.forward(pooled, self.params.as_leaves()).data
 
     def load_parameters(self, saved: dict[str, np.ndarray], prefixes: tuple[str, ...] | None = None) -> list[str]:
         """Copy saved values into matching parameters; returns loaded names."""

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .data import DatasetSplit, Sample, choose_pk, pk_groups, pk_sample_indices, read_kv, split_query_gallery
+from .data import DatasetSplit, Sample, choose_pk, labels_of, pk_groups, pk_sample_indices, read_kv, split_query_gallery
 from .errors import ShapeMismatch
 from .losses import (
     CenterState,
@@ -42,6 +42,8 @@ __all__ = [
     "sgd_step",
     "StageResult",
     "run_stage",
+    "eval_set",
+    "evaluate",
     "PipelineResult",
     "run_pipeline",
     "run_strategy",
@@ -49,6 +51,7 @@ __all__ = [
     "DEFAULT_SWEEP_WEIGHTS",
     "gradient_check_suite",
     "GRAD_TOLERANCE",
+    "METRIC_COLUMNS",
 ]
 
 STAGES = ("pretrain_drug", "finetune_moa")
@@ -58,6 +61,8 @@ STRATEGIES = ("S1", "S2", "S3")
 DEFAULT_SWEEP_WEIGHTS = [0.01, 0.02, 0.04, 0.06, 0.08, 0.1, 0.3, 0.5, 0.7, 0.9]
 
 GRAD_TOLERANCE = 1e-5
+
+METRIC_COLUMNS = ("accuracy", "rank1", "rank5", "rank10", "map")
 
 
 class ConfigError(ValueError):
@@ -137,6 +142,23 @@ class TrainConfig:
     def to_json(self) -> dict:
         return dataclasses.asdict(self)
 
+    @classmethod
+    def from_json(cls, data: dict) -> "TrainConfig":
+        """Inverse of ``to_json``; unknown keys are rejected."""
+        for key in data:
+            _config_type(key)
+        return cls(**data)
+
+
+_CONFIG_TYPES = {f.name: type(f.default) for f in dataclasses.fields(TrainConfig)}
+_CONFIG_TYPES["freeze_molecule_encoder"] = bool
+
+
+def _config_type(key: str) -> type:
+    if key not in _CONFIG_TYPES:
+        raise ConfigError(f"unknown config key {key!r}")
+    return _CONFIG_TYPES[key]
+
 
 def _parse_bool(key: str, value: str) -> bool:
     low = value.lower()
@@ -149,14 +171,9 @@ def _parse_bool(key: str, value: str) -> bool:
 
 def load_config(path) -> TrainConfig:
     """Flat key=value config; unknown keys are rejected."""
-    defaults = TrainConfig()
-    types = {f.name: type(getattr(defaults, f.name)) for f in dataclasses.fields(TrainConfig)}
-    types["freeze_molecule_encoder"] = bool
     config = TrainConfig()
     for key, value in read_kv(path).items():
-        if key not in types:
-            raise ConfigError(f"unknown config key {key!r}")
-        kind = types[key]
+        kind = _config_type(key)
         try:
             if kind is bool:
                 parsed = _parse_bool(key, value)
@@ -215,11 +232,9 @@ class StageResult:
         return "\n".join(lines) + "\n"
 
     def metrics_csv(self) -> str:
-        lines = ["epoch,accuracy,rank1,rank5,rank10,map"]
+        lines = ["epoch," + ",".join(METRIC_COLUMNS)]
         for row in self.history:
-            lines.append(
-                str(row["epoch"]) + "," + ",".join(_fmt(row[c]) for c in ("accuracy", "rank1", "rank5", "rank10", "map"))
-            )
+            lines.append(str(row["epoch"]) + "," + ",".join(_fmt(row[c]) for c in METRIC_COLUMNS))
         return "\n".join(lines) + "\n"
 
     def save(self, out_dir) -> None:
@@ -232,14 +247,37 @@ class StageResult:
                         centers=self.centers.centers, center_alpha=self.centers.alpha)
 
 
-def _labels(samples: list[Sample], kind: str) -> np.ndarray:
-    if kind == "drug":
-        return np.array([s.drug_label for s in samples], dtype=np.int64)
-    return np.array([s.moa_label for s in samples], dtype=np.int64)
-
-
 def _pooled(samples: list[Sample]) -> np.ndarray:
     return np.stack([pool_frames(s.frames) for s in samples])
+
+
+def eval_set(data: DatasetSplit, label_kind: str, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Pooled features and labels of the query, gallery and test samples.
+
+    MoA evaluation reuses the query/gallery split made at preparation time;
+    otherwise one query per class is drawn from the test set.
+    """
+    if label_kind == "moa" and data.query:
+        query, gallery = data.query, data.gallery
+    else:
+        query, gallery = split_query_gallery(data.test, seed, label_kind)
+    return [(_pooled(samples), labels_of(samples, label_kind)) for samples in (query, gallery, data.test)]
+
+
+def evaluate(model: Model, inputs: list[tuple[np.ndarray, np.ndarray]]) -> tuple[dict, RetrievalResult]:
+    """Retrieval over sequence embeddings and head accuracy on ``eval_set`` inputs.
+
+    Returns the metrics row, keyed by ``METRIC_COLUMNS``, and the retrieval result.
+    """
+    (query, query_labels), (gallery, gallery_labels), (test, test_labels) = inputs
+    leaves = model.params.as_leaves()
+    q_emb = model.sequence.forward(query, leaves).data
+    g_emb = model.sequence.forward(gallery, leaves).data
+    result = evaluate_retrieval(q_emb, query_labels, g_emb, gallery_labels)
+    logits = model.head.forward(model.sequence.forward(test, leaves), leaves).data
+    row = {"accuracy": accuracy(logits, test_labels), "rank1": result.rank1, "rank5": result.rank5,
+           "rank10": result.rank10, "map": result.map}
+    return row, result
 
 
 def run_stage(config: TrainConfig, data: DatasetSplit, init: Checkpoint | None = None,
@@ -252,7 +290,7 @@ def run_stage(config: TrainConfig, data: DatasetSplit, init: Checkpoint | None =
         raise ValueError("run_stage needs non-empty train and test sets")
 
     vocab = init.vocabulary if init is not None else build_vocabulary(sorted({s.smiles for s in train + test}))
-    all_stage_labels = np.concatenate([_labels(train, label_kind), _labels(test, label_kind)])
+    all_stage_labels = labels_of(train + test, label_kind)
     num_classes = int(all_stage_labels.max()) + 1
     frame_dim = train[0].frames.shape[1]
 
@@ -276,24 +314,14 @@ def run_stage(config: TrainConfig, data: DatasetSplit, init: Checkpoint | None =
 
     # Per-sample features are fixed; precompute them once.
     train_pooled = _pooled(train)
-    test_pooled = _pooled(test)
-    stage_labels = _labels(train, label_kind)
+    stage_labels = labels_of(train, label_kind)
     groups = pk_groups(stage_labels)
-    class_labels = stage_labels if config.class_matrix_labels == "stage" else _labels(train, "moa")
+    class_labels = stage_labels if config.class_matrix_labels == "stage" else labels_of(train, "moa")
     counts = None
     if config.use_molecule_branch:
         ids = np.array([encode_tokens(s.smiles, vocab, config.max_tokens) for s in train])
         counts = token_count_matrix(ids, vocab.size)
-
-    # Query/gallery follow the stage's label kind; the MoA-level split made
-    # at preparation time is reused as-is for fine-tuning.
-    if label_kind == "moa" and data.query:
-        query, gallery = data.query, data.gallery
-    else:
-        query, gallery = split_query_gallery(test, config.seed, label_kind)
-    query_pooled, gallery_pooled = _pooled(query), _pooled(gallery)
-    query_labels, gallery_labels = _labels(query, label_kind), _labels(gallery, label_kind)
-    test_labels = _labels(test, label_kind)
+    eval_inputs = eval_set(data, label_kind, config.seed)
 
     # Centers start at the initial model's per-class mean embeddings; a zero
     # start would make the center term an enormous pull toward the origin at
@@ -310,23 +338,6 @@ def run_stage(config: TrainConfig, data: DatasetSplit, init: Checkpoint | None =
     history: list[dict] = []
     retrieval: RetrievalResult | None = None
     step = 0
-
-    def evaluate(epoch: int) -> RetrievalResult:
-        leaves = model.params.as_leaves()
-        q_emb = model.sequence.forward(query_pooled, leaves).data
-        g_emb = model.sequence.forward(gallery_pooled, leaves).data
-        result = evaluate_retrieval(q_emb, query_labels, g_emb, gallery_labels)
-        t_emb = model.sequence.forward(test_pooled, leaves)
-        logits = model.head.forward(t_emb, leaves).data
-        history.append({
-            "epoch": epoch,
-            "accuracy": accuracy(logits, test_labels),
-            "rank1": result.rank1,
-            "rank5": result.rank5,
-            "rank10": result.rank10,
-            "map": result.map,
-        })
-        return result
 
     for epoch in range(1, config.epochs + 1):
         for _ in range(steps_per_epoch):
@@ -354,7 +365,8 @@ def run_stage(config: TrainConfig, data: DatasetSplit, init: Checkpoint | None =
             loss_log.append(report)
             step += 1
         if epoch % config.eval_every == 0 or epoch == config.epochs:
-            retrieval = evaluate(epoch)
+            row, retrieval = evaluate(model, eval_inputs)
+            history.append({"epoch": epoch, **row})
 
     result = StageResult(config=config, model=model, vocab=vocab, centers=centers,
                          history=history, loss_log=loss_log, retrieval=retrieval)
@@ -377,15 +389,11 @@ def _checkpoint_of(result: StageResult) -> Checkpoint:
 
 def _fit_pk(config: TrainConfig, data: DatasetSplit, label_kind: str) -> TrainConfig:
     """Adjust (P, K) to the dataset's class count, keeping P*K fixed."""
-    num_classes = len({_label_of_kind(s, label_kind) for s in data.train})
+    num_classes = np.unique(labels_of(data.train, label_kind)).size
     p, k = choose_pk(config.batch_size, num_classes)
     if (p, k) == (config.batch_p, config.batch_k):
         return config
     return replace(config, batch_p=p, batch_k=k)
-
-
-def _label_of_kind(sample: Sample, kind: str) -> int:
-    return sample.drug_label if kind == "drug" else sample.moa_label
 
 
 @dataclass

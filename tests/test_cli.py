@@ -2,7 +2,7 @@ import pytest
 
 from molseq.cli import main
 from molseq.data import load_manifest
-from molseq.model import load_checkpoint
+from molseq.model import load_checkpoint, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +55,28 @@ class TestTrainEval:
         cmc_file = out / "cmc.csv"
         assert cmc_file.exists()
         assert cmc_file.read_text().splitlines()[0] == "rank,cmc"
+
+    @pytest.mark.parametrize("stage", ["pretrain_drug", "finetune_moa"])
+    def test_eval_reproduces_final_metrics_row(self, dataset_dir, train_config, tmp_path, capsys, stage):
+        config = tmp_path / "stage.cfg"
+        config.write_text(train_config.read_text() + f"stage={stage}\n")
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(config), "--data", str(dataset_dir), "--out", str(out)]) == 0
+        assert main(["eval", "--ckpt", str(out / "checkpoint.npz"), "--data", str(dataset_dir)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        history = (out / "metric_history.csv").read_text().splitlines()
+        assert printed[-3] == history[0].split(",", 1)[1]
+        assert printed[-2] == history[-1].split(",", 1)[1]
+
+    def test_unknown_checkpoint_config_key_fails(self, dataset_dir, train_config, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(train_config), "--data", str(dataset_dir), "--out", str(out)]) == 0
+        ckpt = load_checkpoint(out / "checkpoint.npz")
+        save_checkpoint(out / "checkpoint.npz", ckpt.build_model(), ckpt.vocabulary,
+                        extra_config={**ckpt.extra_config, "bogus": 1})
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", str(out / "checkpoint.npz"), "--data", str(dataset_dir)]) == 1
+        assert "bogus" in capsys.readouterr().err
 
     def test_train_with_init(self, dataset_dir, train_config, tmp_path):
         first = tmp_path / "first"

@@ -185,6 +185,20 @@ class TestManifestErrors:
         with pytest.raises(dp.SchemaError):
             dp.load_manifest(root)
 
+    def test_zero_frames(self, tmp_path):
+        root = self._write(tmp_path, ["a,d0,CCO,0,0,frames/a.bin", "b,d0,CCO,0,0,frames/b.bin"])
+        dp._write_frames(root / "frames" / "b.bin", np.zeros((0, 3)))
+        with pytest.raises(dp.SchemaError) as err:
+            dp.load_manifest(root)
+        assert err.value.line == 2
+
+    def test_frame_width_differs_from_earlier_rows(self, tmp_path):
+        root = self._write(tmp_path, ["a,d0,CCO,0,0,frames/a.bin", "", "b,d0,CCO,0,0,frames/b.bin"])
+        dp._write_frames(root / "frames" / "b.bin", np.zeros((2, 4)))
+        with pytest.raises(dp.SchemaError) as err:
+            dp.load_manifest(root)
+        assert err.value.line == 3
+
 
 class TestSplitTrainTest:
     def test_single_drug_ratio(self):
@@ -253,9 +267,26 @@ class TestQueryGallery:
         assert [s.sample_id for s in a[0]] == [s.sample_id for s in b[0]]
 
 
+class TestLabelsOf:
+    def test_drug_and_moa(self, tiny_split):
+        for kind, attr in (("drug", "drug_label"), ("moa", "moa_label")):
+            labels = dp.labels_of(tiny_split.test, kind)
+            assert labels.dtype == np.int64
+            assert labels.tolist() == [getattr(s, attr) for s in tiny_split.test]
+
+    def test_unknown_kind(self, tiny_split):
+        with pytest.raises(ValueError, match="label_kind"):
+            dp.labels_of(tiny_split.test, "target")
+
+
 class TestPkSampling:
+    @staticmethod
+    def pk_batch(samples, p, k, label_kind, seed, step):
+        groups = dp.pk_groups(dp.labels_of(samples, label_kind))
+        return [samples[i] for i in dp.pk_sample_indices(groups, p, k, seed, step)]
+
     def test_shape_and_composition(self, tiny_split):
-        batch = dp.pk_sample(tiny_split.train, 2, 3, "drug", seed=0, step=0)
+        batch = self.pk_batch(tiny_split.train, 2, 3, "drug", seed=0, step=0)
         assert len(batch) == 6
         counts = {}
         for s in batch:
@@ -304,7 +335,7 @@ class TestPkSampling:
 
     def test_triplet_preconditions_hold(self, tiny_split):
         for step in range(20):
-            batch = dp.pk_sample(tiny_split.train, 2, 2, "moa", seed=3, step=step)
+            batch = self.pk_batch(tiny_split.train, 2, 2, "moa", seed=3, step=step)
             labels = [s.moa_label for s in batch]
             for lab in labels:
                 assert labels.count(lab) >= 2
@@ -312,12 +343,12 @@ class TestPkSampling:
 
     def test_insufficient_classes(self, tiny_split):
         with pytest.raises(dp.InsufficientClasses):
-            dp.pk_sample(tiny_split.train, 99, 2, "drug", seed=0, step=0)
+            self.pk_batch(tiny_split.train, 99, 2, "drug", seed=0, step=0)
 
     def test_full_scale_batch(self):
         spec = dp.SyntheticSpec(num_moas=8, drugs_per_moa=4, samples_per_drug=8, T=2, f=3, seed=9)
         samples = dp.generate_synthetic(spec)
-        batch = dp.pk_sample(samples, 16, 4, "drug", seed=0, step=0)
+        batch = self.pk_batch(samples, 16, 4, "drug", seed=0, step=0)
         assert len(batch) == 64
 
 

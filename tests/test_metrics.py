@@ -61,11 +61,6 @@ class TestRankGallery:
             g = rng.normal(size=(20, 8))
             assert (mt.rank_gallery(q, g) == brute_rank(q, g)).all()
 
-    def test_euclidean_mode(self):
-        g = np.array([[0.0, 0.0], [5.0, 5.0], [1.0, 1.0]])
-        order = mt.rank_gallery(np.array([0.9, 0.9]), g, measure="euclidean")
-        assert order.tolist() == [2, 0, 1]
-
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             mt.rank_gallery(np.zeros(3), np.zeros((4, 2)))

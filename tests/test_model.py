@@ -16,6 +16,19 @@ def small_model(seed=0, include_molecule=True, num_classes=3):
     ))
 
 
+def encode_ids(model, ids):
+    counts = md.token_count_matrix(np.asarray(ids), model.config.vocab_size)
+    return model.molecule.forward_counts(counts, model.params.as_leaves())
+
+
+def encode_frames(model, frames):
+    return model.sequence.forward(md.pool_frames(frames), model.params.as_leaves())
+
+
+def classify(model, embedding):
+    return model.head.forward(embedding, model.params.as_leaves())
+
+
 class TestTokenCounts:
     def test_all_padding(self):
         with pytest.raises(md.AllPadding):
@@ -35,19 +48,19 @@ class TestTokenCounts:
 class TestMoleculeEncoder:
     def test_identical_ids_any_length(self):
         model = small_model()
-        one = model.encode_molecule([[3]]).data
-        many = model.encode_molecule([[3, 3, 3, 3, 3]]).data
+        one = encode_ids(model, [[3]]).data
+        many = encode_ids(model, [[3, 3, 3, 3, 3]]).data
         assert (one == many).all()
 
     def test_trailing_pads_are_ignored(self):
         model = small_model()
-        bare = model.encode_molecule([[2, 5, 7]]).data
-        padded = model.encode_molecule([[2, 5, 7, 0, 0, 0]]).data
+        bare = encode_ids(model, [[2, 5, 7]]).data
+        padded = encode_ids(model, [[2, 5, 7, 0, 0, 0]]).data
         assert (bare == padded).all()
 
     def test_output_shape_and_finite(self):
         model = small_model()
-        out = model.encode_molecule([[2, 3, 4], [5, 6, 0]])
+        out = encode_ids(model, [[2, 3, 4], [5, 6, 0]])
         assert out.shape == (2, 6)
         assert np.isfinite(out.data).all()
 
@@ -90,13 +103,13 @@ class TestSequenceEncoder:
 
     def test_encode_shape_and_finite(self, rng):
         model = small_model()
-        out = model.encode_sequence(rng.normal(size=(16, 4)))
+        out = encode_frames(model, rng.normal(size=(16, 4)))
         assert out.shape == (1, 6)
         assert np.isfinite(out.data).all()
 
     def test_wide_embedding_shape_contract(self, rng):
         model = md.Model(md.ModelConfig(vocab_size=4, frame_dim=8, num_classes=2, embed_dim=2048, seed=0))
-        out = model.encode_sequence(rng.normal(size=(3, 8)))
+        out = encode_frames(model, rng.normal(size=(3, 8)))
         assert out.shape == (1, 2048)
 
 
@@ -106,25 +119,25 @@ class TestClassifierHead:
         model.params["head.w"].value = np.zeros((6, 3))
         model.params["head.b"].value = np.zeros(3)
         emb = ad.constant(rng.normal(size=(4, 6)))
-        assert (model.classify(emb).data == 0).all()
+        assert (classify(model, emb).data == 0).all()
 
     def test_identity_weights_pass_through(self, rng):
         model = md.Model(md.ModelConfig(vocab_size=4, frame_dim=4, num_classes=6, embed_dim=6, seed=0))
         model.params["head.w"].value = np.eye(6)
         model.params["head.b"].value = np.zeros(6)
         emb = rng.normal(size=(2, 6))
-        np.testing.assert_array_equal(model.classify(ad.constant(emb)).data, emb)
+        np.testing.assert_array_equal(classify(model, ad.constant(emb)).data, emb)
 
     def test_softmax_of_logits_sums_to_one(self, rng):
         model = small_model()
-        logits = model.classify(ad.constant(rng.normal(size=(5, 6))))
+        logits = classify(model, ad.constant(rng.normal(size=(5, 6))))
         probs = ad.row_softmax(logits).data
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
     def test_dimension_mismatch(self):
         model = small_model()
         with pytest.raises(ShapeMismatch):
-            model.classify(ad.constant(np.zeros((2, 7))))
+            classify(model, ad.constant(np.zeros((2, 7))))
 
 
 class TestFreezing:
