@@ -251,6 +251,7 @@ def load_manifest(dataset_dir) -> list[Sample]:
     samples: list[Sample] = []
     drug_info: dict[str, tuple[str, int, int]] = {}
     label_moa: dict[int, int] = {}
+    canonical: dict[str, str] = {}  # raw SMILES -> canonical; a drug's rows share one
     for lineno, raw in enumerate(manifest.read_text().splitlines(), start=1):
         if not raw.strip():
             continue
@@ -264,10 +265,12 @@ def load_manifest(dataset_dir) -> list[Sample]:
             raise SchemaError(lineno, "labels must be integers") from None
         if drug_label < 0 or moa_label < 0:
             raise SchemaError(lineno, "labels must be non-negative")
-        try:
-            smiles = canonical_smiles(smiles)
-        except SmilesError as exc:
-            raise SmilesRecordError(lineno, exc) from exc
+        if smiles not in canonical:
+            try:
+                canonical[smiles] = canonical_smiles(smiles)
+            except SmilesError as exc:
+                raise SmilesRecordError(lineno, exc) from exc
+        smiles = canonical[smiles]
         info = (smiles, drug_label, moa_label)
         if drug_id in drug_info and drug_info[drug_id] != info:
             raise InconsistentDrug(drug_id, f"line {lineno} disagrees with an earlier record")

@@ -144,10 +144,12 @@ class TrainConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> "TrainConfig":
-        """Inverse of ``to_json``; unknown keys are rejected."""
+        """Inverse of ``to_json``; unknown keys and invalid values are rejected."""
         for key in data:
             _config_type(key)
-        return cls(**data)
+        config = cls(**data)
+        config.validate()
+        return config
 
 
 _CONFIG_TYPES = {f.name: type(f.default) for f in dataclasses.fields(TrainConfig)}

@@ -78,6 +78,16 @@ class TestTrainEval:
         assert main(["eval", "--ckpt", str(out / "checkpoint.npz"), "--data", str(dataset_dir)]) == 1
         assert "bogus" in capsys.readouterr().err
 
+    def test_invalid_checkpoint_stage_fails(self, dataset_dir, train_config, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(train_config), "--data", str(dataset_dir), "--out", str(out)]) == 0
+        ckpt = load_checkpoint(out / "checkpoint.npz")
+        save_checkpoint(out / "checkpoint.npz", ckpt.build_model(), ckpt.vocabulary,
+                        extra_config={**ckpt.extra_config, "stage": "pretrain_moa"})
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", str(out / "checkpoint.npz"), "--data", str(dataset_dir)]) == 1
+        assert "stage must be one of" in capsys.readouterr().err
+
     def test_train_with_init(self, dataset_dir, train_config, tmp_path):
         first = tmp_path / "first"
         assert main(["train", "--config", str(train_config), "--data", str(dataset_dir),

@@ -130,6 +130,21 @@ class TestManifestRoundTrip:
         sample = dp.load_manifest(root)[0]
         assert sample.smiles == sk.canonical_smiles("CCO")
 
+    def test_each_distinct_smiles_canonicalized_once(self, tiny_samples, tmp_path, monkeypatch):
+        dp.write_dataset(tiny_samples, tmp_path / "ds")
+        calls = []
+
+        def counting(smiles):
+            calls.append(smiles)
+            return sk.canonical_smiles(smiles)
+
+        monkeypatch.setattr(dp, "canonical_smiles", counting)
+        loaded = dp.load_manifest(tmp_path / "ds")
+        distinct = {s.smiles for s in tiny_samples}
+        assert len(loaded) > len(distinct)
+        assert sorted(calls) == sorted(distinct)
+        assert [s.smiles for s in loaded] == [s.smiles for s in tiny_samples]
+
 
 class TestManifestErrors:
     def _write(self, tmp_path, lines, with_frames=("a", "b")):
@@ -173,6 +188,16 @@ class TestManifestErrors:
             dp.load_manifest(root)
         assert err.value.line == 1
         assert isinstance(err.value.cause, sk.UnclosedBranch)
+
+    def test_repeated_bad_smiles_reports_first_line(self, tmp_path):
+        root = self._write(tmp_path, [
+            "a,d0,CCO,0,0,frames/a.bin",
+            "b,d1,C(C,1,0,frames/b.bin",
+            "a,d1,C(C,1,0,frames/a.bin",
+        ])
+        with pytest.raises(dp.SmilesRecordError) as err:
+            dp.load_manifest(root)
+        assert err.value.line == 2
 
     def test_missing_feature_file(self, tmp_path):
         root = self._write(tmp_path, ["a,d0,CCO,0,0,frames/missing.bin"])

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from molseq import metrics as mt
 from molseq.errors import LabelOutOfRange, ShapeMismatch
@@ -32,6 +35,47 @@ def brute_retrieval(q_embs, q_labels, g_embs, g_labels, max_rank):
         hits.append(first)
     cmc = np.array([np.mean([h <= k for h in hits]) for k in range(1, max_rank + 1)])
     return np.array(aps), cmc
+
+
+def rank_gallery_retrieval(q_embs, q_labels, g_embs, g_labels, max_rank):
+    """Bitwise reference: a per-query loop over ``rank_gallery`` with the library's AP/CMC arithmetic."""
+    g_labels = np.asarray(g_labels)
+    num_g = g_labels.size
+    aps, first_hit = [], []
+    for query, label in zip(q_embs, q_labels):
+        matches = (g_labels[mt.rank_gallery(query, g_embs)] == label).astype(np.float64)
+        precisions = np.cumsum(matches) / np.arange(1, num_g + 1)
+        aps.append((precisions * matches).sum() / matches.sum())
+        first_hit.append(int(np.argmax(matches)) + 1)
+    max_rank = min(max_rank, num_g)
+    ranks = np.arange(1, max_rank + 1)
+    cmc = (np.array(first_hit)[None, :] <= ranks[:, None]).mean(axis=1)
+    return np.array(aps), cmc
+
+
+def assert_bitwise_reference(q_embs, q_labels, g_embs, g_labels, max_rank, result):
+    aps, cmc = rank_gallery_retrieval(q_embs, q_labels, g_embs, g_labels, max_rank)
+    assert np.array_equal(result.average_precisions, aps)
+    assert np.array_equal(result.cmc, cmc)
+    assert result.map == float(aps.mean())
+    assert result.rank1 == cmc[0]
+    assert result.rank5 == cmc[min(5, cmc.size) - 1]
+    assert result.rank10 == cmc[min(10, cmc.size) - 1]
+
+
+def evaluate_counting_fallbacks(monkeypatch, *args):
+    """``evaluate_retrieval`` plus the number of queries it ranked by the full-argsort fallback."""
+    calls = []
+    rank = mt._rank
+
+    def counting(gallery_unit, query_emb):
+        calls.append(query_emb)
+        return rank(gallery_unit, query_emb)
+
+    monkeypatch.setattr(mt, "_rank", counting)
+    result = mt.evaluate_retrieval(*args)
+    monkeypatch.setattr(mt, "_rank", rank)
+    return result, len(calls)
 
 
 class TestRankGallery:
@@ -129,6 +173,84 @@ class TestEvaluateRetrieval:
         shuffled = mt.evaluate_retrieval(q, q_labels, g[perm], g_labels[perm], max_rank=15)
         assert shuffled.map == pytest.approx(base.map, abs=1e-12)
         np.testing.assert_allclose(shuffled.cmc, base.cmc, atol=1e-12)
+
+    def test_tie_free_gallery_needs_no_fallback(self, rng, monkeypatch):
+        g = rng.normal(size=(200, 8))
+        g_labels = rng.integers(0, 5, size=200)
+        q = rng.normal(size=(20, 8))
+        q_labels = g_labels[:20]
+        result, fallbacks = evaluate_counting_fallbacks(monkeypatch, q, q_labels, g, g_labels, 20)
+        assert fallbacks == 0
+        assert_bitwise_reference(q, q_labels, g, g_labels, 20, result)
+
+    def test_duplicated_gallery_rows_fall_back(self, rng, monkeypatch):
+        base = rng.normal(size=(12, 5))
+        base_labels = rng.integers(0, 3, size=12)
+        g = np.vstack([base, base[:4], base[:4]])
+        g_labels = np.concatenate([base_labels, base_labels[:4], base_labels[:4]])
+        q = rng.normal(size=(4, 5))
+        q_labels = base_labels[:4]
+        result, fallbacks = evaluate_counting_fallbacks(monkeypatch, q, q_labels, g, g_labels, 20)
+        assert fallbacks == 4  # each query's relevant rows include an exact tie
+        assert_bitwise_reference(q, q_labels, g, g_labels, 20, result)
+
+    def test_quantized_embeddings_fall_back(self, rng, monkeypatch):
+        g = rng.integers(-2, 3, size=(40, 3)).astype(np.float64)
+        g_labels = rng.integers(0, 4, size=40)
+        q = rng.integers(-2, 3, size=(10, 3)).astype(np.float64)
+        q_labels = g_labels[:10]
+        result, fallbacks = evaluate_counting_fallbacks(monkeypatch, q, q_labels, g, g_labels, 20)
+        assert fallbacks > 0
+        assert_bitwise_reference(q, q_labels, g, g_labels, 20, result)
+
+    def test_score_one_ulp_from_relevant_falls_back(self, rng, monkeypatch):
+        g = rng.normal(size=(20, 4))
+        g_labels = np.arange(20) % 4
+        q = rng.normal(size=(1, 4))
+        q_labels = np.array([0])
+
+        def scores():
+            return mt._normalize(g) @ mt._normalize(q)[0]
+
+        # Walk row 7 (label 3) away from a copy of row 0 (label 0) until
+        # its score sits exactly one ulp from row 0's.
+        g[7] = g[0]
+        for _ in range(1000):
+            s = scores()
+            if s[7] in (np.nextafter(s[0], np.inf), np.nextafter(s[0], -np.inf)):
+                break
+            g[7, 0] = np.nextafter(g[7, 0], np.inf)
+        else:
+            pytest.fail("no gallery row one ulp from the relevant score")
+        result, fallbacks = evaluate_counting_fallbacks(monkeypatch, q, q_labels, g, g_labels, 20)
+        assert fallbacks == 1
+        assert_bitwise_reference(q, q_labels, g, g_labels, 20, result)
+
+    def test_nan_gallery_row(self, rng, monkeypatch):
+        g = rng.normal(size=(30, 4))
+        g_labels = np.arange(30) % 3
+        g[4] = np.nan  # label 1
+        q = rng.normal(size=(6, 4))
+        q_labels = np.array([0, 1, 2, 0, 1, 2])
+        result, fallbacks = evaluate_counting_fallbacks(monkeypatch, q, q_labels, g, g_labels, 20)
+        assert fallbacks == 2  # only the label-1 queries have a NaN relevant score
+        assert_bitwise_reference(q, q_labels, g, g_labels, 20, result)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_bitwise_equal_to_rank_gallery_loop(self, data):
+        g_n = data.draw(st.integers(min_value=1, max_value=60))
+        q_n = data.draw(st.integers(min_value=1, max_value=8))
+        d = data.draw(st.integers(min_value=1, max_value=6))
+        few_ints = st.integers(min_value=-2, max_value=2).map(float)
+        g = data.draw(hnp.arrays(np.float64, (g_n, d), elements=few_ints))
+        q = data.draw(hnp.arrays(np.float64, (q_n, d), elements=few_ints))
+        g_labels = data.draw(hnp.arrays(np.int64, g_n, elements=st.integers(min_value=0, max_value=3)))
+        q_labels = np.array(data.draw(st.lists(st.sampled_from(g_labels.tolist()),
+                                               min_size=q_n, max_size=q_n)))
+        max_rank = data.draw(st.integers(min_value=1, max_value=25))
+        result = mt.evaluate_retrieval(q, q_labels, g, g_labels, max_rank)
+        assert_bitwise_reference(q, q_labels, g, g_labels, max_rank, result)
 
     def test_query_label_absent(self):
         with pytest.raises(mt.QueryLabelAbsent):
