@@ -2,21 +2,21 @@
 
 The op set closes over both encoders and every training loss.  It has
 the primitive ops (matmul, broadcasted elementwise arithmetic, relu/tanh,
-log/exp, row softmax and log-softmax, sum/mean reductions, row L2
-normalization, pairwise squared distances, row gathering, scalar scaling
-and transpose) and fused nodes that the training step is built from: an
-affine layer (``linear``), temperature-scaled cosine logits, a
-soft-target cross-entropy serving both alignment directions and the
-classifier, a batch-hard triplet hinge, a half squared error against
-constant targets and a weighted sum.  Each fused backward replays the
-arithmetic, and the gradient accumulation order, of the primitive graph
-it replaces, so gradients are bitwise equal to the unfused ones.
+exp, row log-softmax, sum/mean reductions, row L2 normalization, pairwise
+squared distances, scalar scaling and transpose) and fused nodes that the
+training step is built from: an affine layer (``linear``),
+temperature-scaled cosine logits, a soft-target cross-entropy serving both
+alignment directions and the classifier, a batch-hard triplet hinge, a
+half squared error against constant targets and a weighted sum.  Each
+fused backward replays the arithmetic, and the gradient accumulation
+order, of the primitive graph it replaces, so gradients are bitwise equal
+to the unfused ones.
 
 A graph is built fresh for every evaluation and traversed exactly once by
 backward(); tensors reachable from a graph are never mutated in place.
 
 Non-finite values are caught where they can enter a graph: leaves and
-constants, log, exp, l2_normalize_rows, pairwise_sq_dists and every fused
+constants, exp, l2_normalize_rows, pairwise_sq_dists and every fused
 loss node raise NonFiniteValue.  The other ops (linear, relu, tanh and the
 remaining primitives) skip the scan; an overflow there reaches the next
 loss node, which raises before backward() runs.
@@ -39,15 +39,12 @@ __all__ = [
     "mul",
     "relu",
     "tanh",
-    "log",
     "exp",
-    "row_softmax",
     "row_log_softmax",
     "sum_",
     "mean",
     "l2_normalize_rows",
     "pairwise_sq_dists",
-    "gather_rows",
     "scale",
     "transpose",
     "linear",
@@ -57,7 +54,6 @@ __all__ = [
     "half_sq_error",
     "weighted_sum",
     "backward",
-    "reset_graph",
     "finite_difference_check",
 ]
 
@@ -110,34 +106,8 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self) -> str:
         return f"Tensor(op={self.op!r}, shape={self.shape})"
-
-    # Operator sugar; constants are wrapped on the fly.
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
 
 
 def constant(data) -> Tensor:
@@ -225,13 +195,6 @@ def tanh(x) -> Tensor:
     return _node("tanh", t, (x,), lambda g: (g * (1.0 - t * t),))
 
 
-def log(x) -> Tensor:
-    x = _as_tensor(x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.log(x.data)
-    return _node("log", out, (x,), lambda g: (g / x.data,), check_finite=True)
-
-
 def exp(x) -> Tensor:
     x = _as_tensor(x)
     e = np.exp(x.data)
@@ -243,22 +206,9 @@ def _require_2d(op: str, x: Tensor) -> None:
         raise ShapeMismatch(op, (x.shape,))
 
 
-def row_softmax(x) -> Tensor:
-    x = _as_tensor(x)
-    _require_2d("row_softmax", x)
-    # Max subtraction keeps exp() in range for temperature-scaled logits.
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=1, keepdims=True)
-
-    def bwd(g):
-        return (s * (g - (g * s).sum(axis=1, keepdims=True)),)
-
-    return _node("row_softmax", s, (x,), bwd)
-
-
 def _log_softmax_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row log-softmax of x and its exponential (the softmax itself)."""
+    # Max subtraction keeps exp() in range for temperature-scaled logits.
     shifted = x - x.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     out = shifted - lse
@@ -356,23 +306,6 @@ def pairwise_sq_dists(x, y) -> Tensor:
     out, mask = _sq_dists(x.data, y.data)
     return _node("pairwise_sq_dists", out, (x, y), lambda g: _sq_dists_bwd(g, x.data, y.data, mask),
                  check_finite=True)
-
-
-def gather_rows(x, indices) -> Tensor:
-    x = _as_tensor(x)
-    _require_2d("gather_rows", x)
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim != 1:
-        raise ShapeMismatch("gather_rows", (x.shape, idx.shape))
-    if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
-        raise IndexError(f"gather_rows: index out of range for {x.shape[0]} rows")
-
-    def bwd(g):
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, idx, g)
-        return (gx,)
-
-    return _node("gather_rows", x.data[idx], (x,), bwd)
 
 
 def scale(x, s: float) -> Tensor:
@@ -611,13 +544,13 @@ def backward(loss: Tensor) -> None:
     """Accumulate gradients of a scalar loss into every reachable node.
 
     Each node is visited exactly once, in reverse topological order.
-    Calling backward twice on the same graph without reset_graph() is an
-    error: accumulators would silently double.
+    Calling backward twice on the same graph is an error: accumulators
+    would silently double.
     """
     if loss.data.shape != ():
         raise NonScalarLoss(f"backward requires a scalar, got shape {loss.shape}")
     if loss._backward_done:
-        raise RepeatedBackward("backward already ran on this graph; call reset_graph first")
+        raise RepeatedBackward("backward already ran on this graph; build a new graph to run it again")
     loss._backward_done = True
     order = _toposort(loss)
     loss.grad = np.ones(())
@@ -630,13 +563,6 @@ def backward(loss: Tensor) -> None:
             if g.shape != parent.shape:
                 raise ShapeMismatch(f"backward[{node.op}]", (g.shape, parent.shape))
             parent.grad = g if parent.grad is None else parent.grad + g
-
-
-def reset_graph(root: Tensor) -> None:
-    """Clear gradients and the backward flag for every node under root."""
-    for node in _toposort(root):
-        node.grad = None
-        node._backward_done = False
 
 
 def finite_difference_check(

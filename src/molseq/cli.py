@@ -60,7 +60,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_strategy(args) -> int:
     config = load_config(args.config) if args.config else TrainConfig()
-    if args.epochs:
+    if args.epochs is not None:
         config.epochs = args.epochs
     split = _load_split(args.data, config)
     report, _ = tr.run_strategy(args.id, split, config, out_dir=args.out)

@@ -143,7 +143,10 @@ class SyntheticSpec:
         for key, value in read_kv(path).items():
             if key not in fields:
                 raise ValueError(f"unknown synthetic spec key {key!r}")
-            setattr(spec, key, fields[key](value))
+            try:
+                setattr(spec, key, fields[key](value))
+            except ValueError as exc:
+                raise ValueError(f"{key}: {exc}") from None
         spec.validate()
         return spec
 
@@ -354,10 +357,11 @@ def split_query_gallery(test: list[Sample], seed: int = 0, label_kind: str = "mo
     return query, gallery
 
 
-def prepare_split(samples: list[Sample], ratio: float = 0.8, seed: int = 0, label_kind: str = "moa",
+def prepare_split(samples: list[Sample], ratio: float = 0.8, seed: int = 0,
                   drug_disjoint: bool = False) -> DatasetSplit:
+    """Train/test split plus the MoA query/gallery split of the test set."""
     train, test = split_train_test(samples, ratio, seed, drug_disjoint)
-    query, gallery = split_query_gallery(test, seed, label_kind)
+    query, gallery = split_query_gallery(test, seed, "moa")
     return DatasetSplit(train=train, test=test, query=query, gallery=gallery)
 
 

@@ -23,7 +23,7 @@ class NonScalarLoss(ValueError):
 
 
 class RepeatedBackward(RuntimeError):
-    """backward() was called twice on the same graph without a reset."""
+    """backward() was called twice on the same graph."""
 
 
 class LabelOutOfRange(IndexError):

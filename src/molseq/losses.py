@@ -158,7 +158,6 @@ class LossWeights:
     triplet: float = 1.0
     center: float = 0.1
     cls: float = 1.0
-    margin: float = 0.3
 
 
 def total_loss(components: dict[str, ad.Tensor | None], weights: LossWeights) -> tuple[ad.Tensor, dict[str, float]]:

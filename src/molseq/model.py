@@ -145,8 +145,6 @@ def _mlp(x: ad.Tensor, leaves, prefix: str, activation) -> ad.Tensor:
 class MoleculeEncoder:
     """Token embedding table + masked mean pooling + two-layer tanh MLP."""
 
-    prefix = "mol"
-
     def __init__(self, vocab_size: int, token_dim: int, hidden_dim: int, out_dim: int) -> None:
         self.vocab_size = vocab_size
         self.token_dim = token_dim
@@ -167,8 +165,6 @@ class MoleculeEncoder:
 
 class SequenceEncoder:
     """Mean/max temporal pooling + two-layer relu MLP over frame features."""
-
-    prefix = "seq"
 
     def __init__(self, frame_dim: int, hidden_dim: int, out_dim: int) -> None:
         self.frame_dim = frame_dim
@@ -193,8 +189,6 @@ class SequenceEncoder:
 
 class ClassifierHead:
     """Single affine map from the shared embedding to class logits."""
-
-    prefix = "head"
 
     def __init__(self, in_dim: int, num_classes: int) -> None:
         self.in_dim = in_dim

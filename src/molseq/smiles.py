@@ -487,26 +487,26 @@ def _write_fragment(graph: MolGraph, atoms: list[int], adj, priority: dict[int, 
         bond = "" if order == _implicit_order(graph.atoms[a], graph.atoms[b]) else _BOND_SYMBOL[order]
         return bond + (str(digit) if digit < 10 else f"%{digit:02d}")
 
+    # Explicit stack of pending atoms (int) and literal text (str), so chain
+    # length is not bounded by the recursion limit.  Atoms are written, and
+    # ring digits assigned, in the order a recursive descent would visit them.
     out: list[str] = []
-
-    def emit(a: int) -> None:
+    pending: list[int | str] = [start]
+    while pending:
+        a = pending.pop()
+        if isinstance(a, str):
+            out.append(a)
+            continue
         out.append(_atom_token(graph.atoms[a]))
         for b, order in sorted(closures[a], key=lambda t: preorder[t[0]]):
             out.append(ring_token(a, b, order))
         kids = children[a]
-        for k, b in enumerate(kids):
+        for k in range(len(kids) - 1, -1, -1):
+            b = kids[k]
             order = bond_of[(a, b)]
             bond = "" if order == _implicit_order(graph.atoms[a], graph.atoms[b]) else _BOND_SYMBOL[order]
-            if k < len(kids) - 1:
-                out.append("(")
-                out.append(bond)
-                emit(b)
-                out.append(")")
-            else:
-                out.append(bond)
-                emit(b)
-
-    emit(start)
+            # Pushed in reverse: every child but the last is a parenthesized branch.
+            pending.extend((")", b, bond, "(") if k < len(kids) - 1 else (b, bond))
     return "".join(out)
 
 

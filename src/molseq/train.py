@@ -114,8 +114,7 @@ class TrainConfig:
         return self.freeze_molecule_encoder
 
     def weights(self) -> LossWeights:
-        return LossWeights(msc=self.w_msc, triplet=self.w_triplet, center=self.w_center,
-                           cls=self.w_cls, margin=self.margin)
+        return LossWeights(msc=self.w_msc, triplet=self.w_triplet, center=self.w_center, cls=self.w_cls)
 
     def validate(self) -> None:
         if self.epochs < 1:
@@ -282,9 +281,12 @@ def evaluate(model: Model, inputs: list[tuple[np.ndarray, np.ndarray]]) -> tuple
     return row, result
 
 
-def run_stage(config: TrainConfig, data: DatasetSplit, init: Checkpoint | None = None,
-              init_prefixes: tuple[str, ...] = ("mol.", "seq."), out_dir=None) -> StageResult:
-    """One training stage over PK batches, with periodic retrieval evals."""
+def run_stage(config: TrainConfig, data: DatasetSplit, init: Checkpoint | None = None, out_dir=None) -> StageResult:
+    """One training stage over PK batches, with periodic retrieval evals.
+
+    ``init`` warm-starts the encoders: its ``mol.*`` and ``seq.*`` parameters
+    are loaded, and those the model lacks are ignored.
+    """
     config.validate()
     label_kind = config.label_kind
     train, test = data.train, data.test
@@ -310,7 +312,7 @@ def run_stage(config: TrainConfig, data: DatasetSplit, init: Checkpoint | None =
     if config.use_molecule_branch and config.temperature_trainable:
         model.params.add("align.log_inv_temp", np.array(np.log(1.0 / config.temperature)))
     if init is not None:
-        model.load_parameters(init.parameters, prefixes=init_prefixes)
+        model.load_parameters(init.parameters, prefixes=("mol.", "seq."))
     if config.resolved_freeze and config.use_molecule_branch:
         model.params.set_trainable("mol.", False)
 
@@ -389,9 +391,9 @@ def _checkpoint_of(result: StageResult) -> Checkpoint:
     )
 
 
-def _fit_pk(config: TrainConfig, data: DatasetSplit, label_kind: str) -> TrainConfig:
-    """Adjust (P, K) to the dataset's class count, keeping P*K fixed."""
-    num_classes = np.unique(labels_of(data.train, label_kind)).size
+def _fit_pk(config: TrainConfig, data: DatasetSplit) -> TrainConfig:
+    """Adjust (P, K) to the stage's class count, keeping P*K fixed."""
+    num_classes = np.unique(labels_of(data.train, config.label_kind)).size
     p, k = choose_pk(config.batch_size, num_classes)
     if (p, k) == (config.batch_p, config.batch_k):
         return config
@@ -420,7 +422,7 @@ def run_strategy(strategy: str, data: DatasetSplit, base: TrainConfig, out_dir=N
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}")
     out = Path(out_dir) if out_dir is not None else None
-    drug_cfg = _fit_pk(replace(base, stage="pretrain_drug"), data, "drug")
+    drug_cfg = _fit_pk(replace(base, stage="pretrain_drug"), data)
 
     def report_of(result: StageResult, initialization: str) -> dict:
         row = dict(result.final)
@@ -439,23 +441,20 @@ def run_strategy(strategy: str, data: DatasetSplit, base: TrainConfig, out_dir=N
         return report_of(result, "fresh"), result
     warm = run_stage(replace(drug_cfg, use_molecule_branch=False), data, out_dir=out and out / "seq_only")
     cfg = replace(drug_cfg, use_molecule_branch=True)
-    result = run_stage(cfg, data, init=_checkpoint_of(warm), init_prefixes=("seq.",),
-                       out_dir=out and out / "dual_warm")
+    result = run_stage(cfg, data, init=_checkpoint_of(warm), out_dir=out and out / "dual_warm")
     return report_of(result, "s1_warm_start"), result
 
 
 def run_pipeline(data: DatasetSplit, base: TrainConfig, out_dir=None) -> PipelineResult:
     """Full protocol: S3-style drug pretraining, then MoA fine-tuning."""
     out = Path(out_dir) if out_dir is not None else None
-    drug_cfg = _fit_pk(replace(base, stage="pretrain_drug"), data, "drug")
+    drug_cfg = _fit_pk(replace(base, stage="pretrain_drug"), data)
     warmup = run_stage(replace(drug_cfg, use_molecule_branch=False), data,
                        out_dir=out and out / "warmup")
     pretrain = run_stage(replace(drug_cfg, use_molecule_branch=True), data,
-                         init=_checkpoint_of(warmup), init_prefixes=("seq.",),
-                         out_dir=out and out / "pretrain")
-    moa_cfg = _fit_pk(replace(base, stage="finetune_moa", freeze_molecule_encoder=None), data, "moa")
-    finetune = run_stage(moa_cfg, data, init=_checkpoint_of(pretrain),
-                         init_prefixes=("mol.", "seq."), out_dir=out and out / "finetune")
+                         init=_checkpoint_of(warmup), out_dir=out and out / "pretrain")
+    moa_cfg = _fit_pk(replace(base, stage="finetune_moa", freeze_molecule_encoder=None), data)
+    finetune = run_stage(moa_cfg, data, init=_checkpoint_of(pretrain), out_dir=out and out / "finetune")
     return PipelineResult(warmup=warmup, pretrain=pretrain, finetune=finetune)
 
 

@@ -19,21 +19,6 @@ class TestForward:
         with pytest.raises(ShapeMismatch):
             ad.matmul(ad.constant([[1.0, 2.0]]), ad.constant([[3.0, 4.0]]))
 
-    def test_row_softmax_symmetry(self):
-        out = ad.row_softmax(ad.constant([[0.0, 0.0]]))
-        assert out.data.tolist() == [[0.5, 0.5]]
-
-    def test_row_softmax_rows_sum_to_one(self, rng):
-        out = ad.row_softmax(ad.constant(rng.normal(size=(5, 7)) * 30))
-        np.testing.assert_allclose(out.data.sum(axis=1), 1.0, atol=1e-12)
-
-    def test_row_softmax_shift_invariance(self, rng):
-        x = rng.normal(size=(4, 6))
-        shifted = x + rng.normal(size=(4, 1))
-        a = ad.row_softmax(ad.constant(x)).data
-        b = ad.row_softmax(ad.constant(shifted)).data
-        np.testing.assert_allclose(a, b, atol=1e-12)
-
     def test_pairwise_345(self):
         out = ad.pairwise_sq_dists(ad.constant([[0.0, 0.0]]), ad.constant([[3.0, 4.0]]))
         assert out.data.tolist() == [[25.0]]
@@ -56,10 +41,6 @@ class TestForward:
         np.testing.assert_allclose(out.data[0], [0.6, 0.8])
         assert out.data[1].tolist() == [0.0, 0.0]
         assert out.guarded_rows == (1,)
-
-    def test_log_of_nonpositive_raises(self):
-        with pytest.raises(NonFiniteValue):
-            ad.log(ad.constant([0.0, 1.0]))
 
     def test_leaf_rejects_nan(self):
         with pytest.raises(NonFiniteValue):
@@ -92,16 +73,6 @@ class TestBackward:
         with pytest.raises(RepeatedBackward):
             ad.backward(loss)
 
-    def test_reset_graph_allows_rerun(self):
-        x = leaf([2.0])
-        loss = ad.sum_(ad.mul(x, x))
-        ad.backward(loss)
-        first = x.grad.copy()
-        ad.reset_graph(loss)
-        assert x.grad is None
-        ad.backward(loss)
-        assert x.grad.tolist() == first.tolist()
-
     def test_grad_accumulates_on_reuse(self):
         x = leaf([3.0])
         loss = ad.add(ad.sum_(ad.mul(x, x)), ad.sum_(x))  # x^2 + x
@@ -128,16 +99,6 @@ class TestBackward:
         ad.backward(ad.sum_(ad.add(x, b)))
         assert b.grad.tolist() == [3.0, 3.0]
         assert x.grad.tolist() == np.ones((3, 2)).tolist()
-
-    def test_gather_rows_scatter_adds(self):
-        x = leaf(np.arange(6, dtype=float).reshape(3, 2))
-        out = ad.gather_rows(x, np.array([0, 0, 2]))
-        ad.backward(ad.sum_(out))
-        assert x.grad.tolist() == [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]]
-
-    def test_gather_rows_out_of_range(self):
-        with pytest.raises(IndexError):
-            ad.gather_rows(ad.constant(np.zeros((2, 2))), np.array([2]))
 
 
 class TestFusedMatchesComposed:
@@ -290,16 +251,13 @@ FD_CASES = {
     "mul_scalar": (lambda l: ad.sum_(ad.mul(l[0], l[1])), [(3, 4), ()]),
     "relu": (lambda l: ad.sum_(ad.relu(l[0])), [(5, 5)]),
     "tanh": (lambda l: ad.sum_(ad.mul(ad.tanh(l[0]), l[0])), [(4, 3)]),
-    "log": (lambda l: ad.sum_(ad.log(ad.add(ad.mul(l[0], l[0]), ad.constant(1.0)))), [(3, 3)]),
     "exp": (lambda l: ad.sum_(ad.exp(l[0])), [(3, 3)]),
-    "row_softmax": (lambda l: ad.sum_(ad.mul(ad.row_softmax(l[0]), l[0])), [(4, 5)]),
     "row_log_softmax": (lambda l: ad.sum_(ad.mul(ad.row_log_softmax(l[0]), l[0])), [(4, 5)]),
     "sum_axis0": (lambda l: ad.sum_(ad.mul(ad.sum_(l[0], axis=0), ad.sum_(l[0], axis=0))), [(3, 4)]),
     "mean_axis1": (lambda l: ad.sum_(ad.mul(ad.mean(l[0], axis=1), ad.mean(l[0], axis=1))), [(3, 4)]),
     "mean_full": (lambda l: ad.mean(ad.mul(l[0], l[0])), [(4, 4)]),
     "l2_normalize": (lambda l: ad.sum_(ad.mul(ad.l2_normalize_rows(l[0]), l[1])), [(4, 6), (4, 6)]),
     "pairwise": (lambda l: ad.sum_(ad.mul(ad.pairwise_sq_dists(l[0], l[1]), l[2])), [(3, 4), (5, 4), (3, 5)]),
-    "gather": (lambda l: ad.sum_(ad.mul(ad.gather_rows(l[0], np.array([1, 1, 0])), ad.gather_rows(l[0], np.array([2, 0, 2])))), [(3, 4)]),
     "transpose": (lambda l: ad.sum_(ad.matmul(ad.transpose(l[0]), l[0])), [(3, 4)]),
     "scale": (lambda l: ad.scale(ad.sum_(l[0]), -2.5), [(3, 3)]),
     "linear": (lambda l: ad.sum_(ad.mul(ad.linear(l[0], l[1], l[2]), l[3])), [(3, 4), (4, 2), (2,), (3, 2)]),
@@ -327,8 +285,7 @@ FD_CASES = {
 @pytest.mark.parametrize("name", sorted(FD_CASES))
 def test_op_gradients_match_finite_differences(name, rng):
     fn, shapes = FD_CASES[name]
-    params = [s if isinstance(s, np.ndarray) else rng.normal(size=s) + (2.0 if name == "log" else 0.0)
-              for s in shapes]
+    params = [s if isinstance(s, np.ndarray) else rng.normal(size=s) for s in shapes]
     assert ad.finite_difference_check(fn, params) <= 1e-5
 
 

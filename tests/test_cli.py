@@ -113,6 +113,11 @@ class TestStrategySweep:
         assert out[0] == "strategy,rank1,map,accuracy"
         assert out[1].startswith("S1,")
 
+    def test_strategy_zero_epochs_fails(self, dataset_dir, train_config, capsys):
+        assert main(["strategy", "--id", "S1", "--data", str(dataset_dir),
+                     "--config", str(train_config), "--epochs", "0"]) == 1
+        assert "epochs must be >= 1" in capsys.readouterr().err
+
     def test_sweep_two_weights(self, dataset_dir, train_config, tmp_path, capsys):
         assert main(["sweep", "--config", str(train_config), "--weights", "0.0,0.1",
                      "--data", str(dataset_dir), "--out", str(tmp_path / "sweep")]) == 0
@@ -166,3 +171,13 @@ class TestLinewiseCommands:
         monkeypatch.setattr("sys.stdin", io.StringIO("CCO\n"))
         assert main(["tokenize"]) == 0
         assert capsys.readouterr().out.splitlines() == ["C C O"]
+
+    def test_canonicalize_chain_deeper_than_recursion_limit(self, monkeypatch, capsys):
+        import io
+
+        # Distinct charges keep the Morgan refinement to one pass.
+        atoms = ["C", "[C+]"] + [f"[C+{q}]" for q in range(2, 1500)]
+        canonical = "".join(atoms)
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"{canonical}\n{''.join(reversed(atoms))}\n"))
+        assert main(["canonicalize"]) == 0
+        assert capsys.readouterr().out.splitlines() == [canonical, canonical]

@@ -109,6 +109,12 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError):
             dp.SyntheticSpec.from_file(path)
 
+    def test_spec_bad_value_names_its_key(self, tmp_path):
+        path = tmp_path / "spec.txt"
+        path.write_text("num_moas=3\nT=abc\n")
+        with pytest.raises(ValueError, match=r"^T: invalid literal for int\(\)"):
+            dp.SyntheticSpec.from_file(path)
+
 
 class TestManifestRoundTrip:
     def test_write_then_load(self, tiny_samples, tmp_path):

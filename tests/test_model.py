@@ -128,12 +128,6 @@ class TestClassifierHead:
         emb = rng.normal(size=(2, 6))
         np.testing.assert_array_equal(classify(model, ad.constant(emb)).data, emb)
 
-    def test_softmax_of_logits_sums_to_one(self, rng):
-        model = small_model()
-        logits = classify(model, ad.constant(rng.normal(size=(5, 6))))
-        probs = ad.row_softmax(logits).data
-        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
-
     def test_dimension_mismatch(self):
         model = small_model()
         with pytest.raises(ShapeMismatch):

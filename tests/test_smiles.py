@@ -241,6 +241,45 @@ class TestCanonicalize:
         assert len(ranks) == 3 and len(set(ranks)) == 3
 
 
+def chain_graph(atoms: list[sk.Atom], bonds: list[tuple[int, int]]) -> sk.MolGraph:
+    # Bonds are appended directly: add_bond's duplicate scan is quadratic.
+    return sk.MolGraph(atoms=atoms, bonds=[sk.Bond(a, b, sk.BondOrder.SINGLE) for a, b in bonds])
+
+
+class TestLongChains:
+    """Chains far deeper than the interpreter's recursion limit."""
+
+    N = 5000
+
+    def test_linear_chain(self):
+        g = chain_graph([sk.Atom("C") for _ in range(self.N)], [(i, i + 1) for i in range(self.N - 1)])
+        assert sk.write_smiles(g) == "C" * self.N
+
+    def test_distinct_charges_canonicalize(self):
+        # Distinct charges rank every atom apart at once, so refinement is a
+        # single pass and canonicalize walks the whole chain from charge 0.
+        bonds = [(i, i + 1) for i in range(self.N - 1)]
+        expected = "C[C+]" + "".join(f"[C+{q}]" for q in range(2, self.N))
+        for charges in (range(self.N), range(self.N - 1, -1, -1)):
+            assert sk.canonicalize(chain_graph([sk.Atom("C", charge=q) for q in charges], bonds)) == expected
+
+    def test_comb_closes_each_branch(self):
+        # Backbone atom 2i carries a methyl 2i+1, which has priority over the
+        # next backbone atom 2i+2 and so is written as a branch.
+        n = self.N // 2
+        bonds = [(2 * i, 2 * i + 1) for i in range(n)] + [(2 * i, 2 * i + 2) for i in range(n - 1)]
+        g = chain_graph([sk.Atom("C") for _ in range(2 * n)], bonds)
+        assert sk.write_smiles(g) == "C(C)" * (n - 1) + "CC"
+
+    def test_branches_nest_to_full_depth(self):
+        # Backbone 0..n-1 with methyls n..2n-1: the backbone continuation has
+        # priority, so each one opens a branch that closes only at the end.
+        n = self.N // 2
+        bonds = [(i, i + 1) for i in range(n - 1)] + [(i, n + i) for i in range(n)]
+        g = chain_graph([sk.Atom("C") for _ in range(2 * n)], bonds)
+        assert sk.write_smiles(g) == "C(" * (n - 1) + "CC" + ")C" * (n - 1)
+
+
 class TestVocabulary:
     def test_single_entry(self):
         vocab = sk.build_vocabulary(["CCO"])

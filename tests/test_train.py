@@ -163,6 +163,13 @@ class TestRunStage:
             assert (fin.model.params[name].value == pre.model.params[name].value).all()
         assert not (fin.model.params["seq.w1"].value == pre.model.params["seq.w1"].value).all()
 
+    def test_sequence_only_checkpoint_warm_starts_only_seq(self, tiny_split):
+        # run_stage always loads mol.* and seq.* from init; a sequence-only
+        # stage has no mol.* to load, so only its sequence encoder carries over.
+        cfg = tiny_config(epochs=1, use_molecule_branch=False, temperature_trainable=True)
+        ckpt = tr._checkpoint_of(tr.run_stage(cfg, tiny_split))
+        assert {name.split(".")[0] for name in ckpt.parameters} == {"seq", "head"}
+
     def test_stage_files(self, tiny_split, tmp_path):
         result = tr.run_stage(tiny_config(), tiny_split, out_dir=tmp_path / "run")
         assert (tmp_path / "run" / "loss_history.csv").exists()
@@ -188,7 +195,7 @@ class TestRunStage:
         monkeypatch.setattr(ad, "backward", backward_calls.append)
         cfg = tiny_config(use_molecule_branch=use_molecule_branch)
         with pytest.raises(NonFiniteValue):
-            tr.run_stage(cfg, tiny_split, init=ckpt, init_prefixes=("seq.",))
+            tr.run_stage(cfg, tiny_split, init=ckpt)
         assert backward_calls == []
 
     def test_moa_class_matrix_flag(self, tiny_split):
@@ -267,7 +274,7 @@ class TestStrategiesAndPipeline:
     def test_pk_autofit(self, tiny_split):
         cfg = tr.TrainConfig(epochs=2, batch_p=16, batch_k=4, embed_dim=8, token_dim=4,
                              mol_hidden=8, seq_hidden=8, eval_every=2, seed=1)
-        fitted = tr._fit_pk(cfg, tiny_split, "drug")
+        fitted = tr._fit_pk(cfg, tiny_split)
         assert fitted.batch_size == 64
         assert fitted.batch_p <= 4  # only 4 drugs exist
 
