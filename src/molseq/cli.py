@@ -50,10 +50,10 @@ def _cmd_eval(args) -> int:
     config = TrainConfig.from_json(ckpt.extra_config)
     split = _load_split(args.data, config)
     row, result = tr.evaluate(ckpt.build_model(), tr.eval_set(split, config.label_kind, config.seed))
-    print(",".join(tr.METRIC_COLUMNS))
-    print(",".join(repr(row[c]) for c in tr.METRIC_COLUMNS))
+    print(tr.csv_text(tr.METRIC_COLUMNS, [row]), end="")
     cmc_path = Path(args.cmc_out) if args.cmc_out else Path(args.ckpt).with_name("cmc.csv")
-    cmc_path.write_text("rank,cmc\n" + "".join(f"{k + 1},{v!r}\n" for k, v in enumerate(result.cmc)))
+    cmc_rows = [{"rank": k + 1, "cmc": v} for k, v in enumerate(result.cmc)]
+    cmc_path.write_text(tr.csv_text(("rank", "cmc"), cmc_rows))
     print(f"cmc written to {cmc_path}")
     return 0
 
@@ -64,8 +64,7 @@ def _cmd_strategy(args) -> int:
         config.epochs = args.epochs
     split = _load_split(args.data, config)
     report, _ = tr.run_strategy(args.id, split, config, out_dir=args.out)
-    print("strategy,rank1,map,accuracy")
-    print(f"{report['strategy']},{report['rank1']!r},{report['map']!r},{report['accuracy']!r}")
+    print(tr.csv_text(("strategy", "rank1", "map", "accuracy"), [report]), end="")
     return 0
 
 
@@ -74,9 +73,7 @@ def _cmd_sweep(args) -> int:
     weights = [float(w) for w in args.weights.split(",")] if args.weights else list(tr.DEFAULT_SWEEP_WEIGHTS)
     split = _load_split(args.data, config)
     rows = tr.sweep_center_weight(config, weights, split, out_dir=args.out)
-    print("weight,rank1,map,accuracy")
-    for row in rows:
-        print(f"{row['weight']!r},{row['rank1']!r},{row['map']!r},{row['accuracy']!r}")
+    print(tr.csv_text(tr.SWEEP_COLUMNS, rows), end="")
     return 0
 
 

@@ -10,11 +10,13 @@ uint32 (T, f) followed by T*f little-endian float64 in row-major order.
 from __future__ import annotations
 
 import importlib.resources
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
+from .errors import ConfigError
 from .smiles import SmilesError, canonical_smiles
 
 __all__ = [
@@ -40,7 +42,8 @@ __all__ = [
     "pk_groups",
     "pk_sample_indices",
     "choose_pk",
-    "read_kv",
+    "parse_config",
+    "read_config",
 ]
 
 # Scale of the per-drug direction offsets inside one MoA, before the
@@ -131,38 +134,64 @@ class SyntheticSpec:
     def validate(self) -> None:
         if min(self.num_moas, self.drugs_per_moa, self.samples_per_drug, self.T, self.f) < 1:
             raise ValueError("all synthetic counts must be >= 1")
-        if self.separability < 0:
-            raise ValueError("separability must be >= 0")
+        if not (math.isfinite(self.separability) and self.separability >= 0):
+            raise ValueError("separability must be finite and >= 0")
         if not 0.0 <= self.confounding <= 1.0:
             raise ValueError("confounding must lie in [0, 1]")
 
     @classmethod
     def from_file(cls, path) -> "SyntheticSpec":
-        fields = {k: type(v) for k, v in cls().__dict__.items()}
-        spec = cls()
-        for key, value in read_kv(path).items():
-            if key not in fields:
-                raise ValueError(f"unknown synthetic spec key {key!r}")
-            try:
-                setattr(spec, key, fields[key](value))
-            except ValueError as exc:
-                raise ValueError(f"{key}: {exc}") from None
-        spec.validate()
-        return spec
+        return read_config(path, cls)
 
 
-def read_kv(path) -> dict[str, str]:
-    """Flat key=value file; blank lines and '#' comments are skipped."""
-    out: dict[str, str] = {}
-    for raw in Path(path).read_text().splitlines():
+def _parse_bool(text: str) -> bool:
+    low = text.lower()
+    if low in ("1", "true", "yes"):
+        return True
+    if low in ("0", "false", "no"):
+        return False
+    raise ValueError(f"expected a boolean, got {text!r}")
+
+
+# Keyed by annotation string; only a JSON config echo hands the optional field a None.
+_FIELD_PARSERS = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "bool": _parse_bool,
+    "bool | None": lambda text: None if text is None else _parse_bool(text),
+}
+
+
+def parse_config(cls, entries: dict):
+    """Validated ``cls`` with each ``{key: (text, where)}`` entry parsed by its field's annotated type;
+    ``where`` ends the message of a bad key or value, and fields not named keep their defaults."""
+    types = {f.name: f.type for f in fields(cls)}
+    config = cls()
+    for key, (text, where) in entries.items():
+        if key not in types:
+            raise ConfigError(f"unknown config key {key!r}{where}")
+        try:
+            setattr(config, key, _FIELD_PARSERS[types[key]](text))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{key}: {exc}{where}") from None
+    config.validate()
+    return config
+
+
+def read_config(path, cls):
+    """``cls`` from a flat key=value file; '#' comments are skipped and a repeated key's last value wins."""
+    entries: dict[str, tuple[str, str]] = {}
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        where = f" ({path} line {lineno})"
         if "=" not in line:
-            raise ValueError(f"expected key=value, got {line!r}")
+            raise ConfigError(f"expected key=value, got {line!r}{where}")
         key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
-    return out
+        entries[key.strip()] = (value.strip(), where)
+    return parse_config(cls, entries)
 
 
 def load_smiles_pool() -> list[str]:
@@ -288,8 +317,10 @@ def load_manifest(dataset_dir) -> list[Sample]:
             frames = _read_frames(feature_file)
         except ValueError as exc:
             raise SchemaError(lineno, str(exc)) from None
-        if frames.shape[0] == 0:
-            raise SchemaError(lineno, f"{feature_file}: no frames (T = 0)")
+        if frames.size == 0:
+            raise SchemaError(lineno, f"{feature_file}: empty frame array (T, f) = {frames.shape}")
+        if not np.isfinite(frames).all():
+            raise SchemaError(lineno, f"{feature_file}: frame values must be finite")
         if samples and frames.shape[1] != samples[0].frames.shape[1]:
             raise SchemaError(lineno, f"{feature_file}: frame width {frames.shape[1]} differs from "
                                       f"{samples[0].frames.shape[1]} on earlier rows")

@@ -1,4 +1,8 @@
-"""Exception types shared across the tensor engine, losses and metrics."""
+"""Exception types shared across the tensor engine, losses, metrics and config readers."""
+
+
+class ConfigError(ValueError):
+    """A config file, synthetic spec or checkpoint config echo holds a bad key or value."""
 
 
 class ShapeMismatch(ValueError):
@@ -27,12 +31,19 @@ class RepeatedBackward(RuntimeError):
 
 
 class LabelOutOfRange(IndexError):
-    """A class label exceeds the configured number of classes."""
+    """A class label lies outside ``[0, num_classes)``."""
 
     def __init__(self, label: int, num_classes: int) -> None:
         self.label = label
         self.num_classes = num_classes
         super().__init__(f"label {label} out of range for {num_classes} classes")
+
+
+def check_labels(labels, num_classes: int) -> None:
+    """Raise ``LabelOutOfRange`` naming the first label of the int array outside ``[0, num_classes)``."""
+    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
+        bad = labels[(labels < 0) | (labels >= num_classes)]
+        raise LabelOutOfRange(int(bad[0]), num_classes)
 
 
 class DegenerateBatch(ValueError):

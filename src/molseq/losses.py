@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import DegenerateBatch, LabelOutOfRange
+from .errors import DegenerateBatch, check_labels
 
 __all__ = [
     "DegenerateBatch",
@@ -107,15 +107,10 @@ class CenterState:
         return self.centers.shape[0]
 
 
-def _check_labels(labels: np.ndarray, num_classes: int) -> None:
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
-        raise LabelOutOfRange(int(labels.max()), num_classes)
-
-
 def center_loss(features: ad.Tensor, labels, state: CenterState) -> ad.Tensor:
     """Half the summed squared distance of each feature to its class center."""
     labels = np.asarray(labels, dtype=np.int64)
-    _check_labels(labels, state.num_classes)
+    check_labels(labels, state.num_classes)
     return ad.half_sq_error(features, state.centers[labels])
 
 
@@ -127,7 +122,7 @@ def update_centers(state: CenterState, features: np.ndarray, labels) -> CenterSt
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    _check_labels(labels, state.num_classes)
+    check_labels(labels, state.num_classes)
     # One scatter over the flattened centers: add.at adds each class's rows
     # in batch order, as a per-class loop would.
     sums = np.zeros_like(state.centers)
@@ -144,7 +139,7 @@ def classification_ce(logits: ad.Tensor, labels) -> ad.Tensor:
     """Mean negative log-softmax of the true class."""
     labels = np.asarray(labels, dtype=np.int64)
     b, k = logits.shape
-    _check_labels(labels, k)
+    check_labels(labels, k)
     onehot = np.zeros((b, k))
     onehot[np.arange(b), labels] = 1.0
     return ad.soft_target_ce(logits, (onehot,), "row")

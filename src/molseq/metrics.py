@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LabelOutOfRange, ShapeMismatch
+from .errors import ShapeMismatch, check_labels
 
 __all__ = ["QueryLabelAbsent", "RetrievalResult", "rank_gallery", "evaluate_retrieval", "accuracy"]
 
@@ -167,6 +167,5 @@ def accuracy(logits: np.ndarray, labels) -> float:
     labels = np.asarray(labels, dtype=np.int64)
     if logits.ndim != 2 or logits.shape[0] != labels.size:
         raise ShapeMismatch("accuracy", (logits.shape, labels.shape))
-    if labels.size and (labels.min() < 0 or labels.max() >= logits.shape[1]):
-        raise LabelOutOfRange(int(labels.max()), logits.shape[1])
+    check_labels(labels, logits.shape[1])
     return float((logits.argmax(axis=1) == labels).mean())

@@ -58,7 +58,7 @@ class NoSuchParameter(KeyError):
 
 
 class CheckpointFormatError(ValueError):
-    """Checkpoint file carries an unknown format tag."""
+    """Checkpoint file lacks its metadata, carries an unknown format tag or an unknown model config key."""
 
 
 @dataclass
@@ -309,6 +309,8 @@ class Checkpoint:
 
 def load_checkpoint(path) -> Checkpoint:
     with np.load(path, allow_pickle=False) as data:
+        if "__meta__" not in data.files:
+            raise CheckpointFormatError(f"{path}: no __meta__ entry")
         meta = json.loads(str(data["__meta__"]))
         if meta.get("format") != CHECKPOINT_TAG:
             raise CheckpointFormatError(
@@ -316,8 +318,12 @@ def load_checkpoint(path) -> Checkpoint:
             )
         parameters = {k[len("param/") :]: np.array(data[k]) for k in data.files if k.startswith("param/")}
         centers = np.array(data["centers"]) if "centers" in data.files else None
+    try:
+        model_config = ModelConfig.from_json(meta["model_config"])
+    except TypeError as exc:
+        raise CheckpointFormatError(f"{path}: model_config: {exc}") from None
     return Checkpoint(
-        model_config=ModelConfig.from_json(meta["model_config"]),
+        model_config=model_config,
         extra_config=meta.get("extra_config", {}),
         vocabulary=Vocabulary.from_json(meta["vocabulary"]),
         parameters=parameters,

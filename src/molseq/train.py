@@ -11,14 +11,16 @@ only, mirroring inference.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
-from .data import DatasetSplit, Sample, choose_pk, labels_of, pk_groups, pk_sample_indices, read_kv, split_query_gallery
-from .errors import ShapeMismatch
+from .data import (DatasetSplit, Sample, choose_pk, labels_of, parse_config, pk_groups, pk_sample_indices,
+                   read_config, split_query_gallery)
+from .errors import ConfigError, ShapeMismatch
 from .losses import (
     CenterState,
     LossWeights,
@@ -39,6 +41,7 @@ __all__ = [
     "ConfigError",
     "TrainConfig",
     "load_config",
+    "csv_text",
     "sgd_step",
     "StageResult",
     "run_stage",
@@ -63,10 +66,7 @@ DEFAULT_SWEEP_WEIGHTS = [0.01, 0.02, 0.04, 0.06, 0.08, 0.1, 0.3, 0.5, 0.7, 0.9]
 GRAD_TOLERANCE = 1e-5
 
 METRIC_COLUMNS = ("accuracy", "rank1", "rank5", "rank10", "map")
-
-
-class ConfigError(ValueError):
-    pass
+SWEEP_COLUMNS = ("weight", "rank1", "map", "accuracy")
 
 
 @dataclass
@@ -117,6 +117,10 @@ class TrainConfig:
         return LossWeights(msc=self.w_msc, triplet=self.w_triplet, center=self.w_center, cls=self.w_cls)
 
     def validate(self) -> None:
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if field.type == "float" and not math.isfinite(value):
+                raise ConfigError(f"{field.name} must be finite, got {value!r}")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if self.batch_p < 1 or self.batch_k < 2:
@@ -143,48 +147,14 @@ class TrainConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> "TrainConfig":
-        """Inverse of ``to_json``; unknown keys and invalid values are rejected."""
-        for key in data:
-            _config_type(key)
-        config = cls(**data)
-        config.validate()
-        return config
-
-
-_CONFIG_TYPES = {f.name: type(f.default) for f in dataclasses.fields(TrainConfig)}
-_CONFIG_TYPES["freeze_molecule_encoder"] = bool
-
-
-def _config_type(key: str) -> type:
-    if key not in _CONFIG_TYPES:
-        raise ConfigError(f"unknown config key {key!r}")
-    return _CONFIG_TYPES[key]
-
-
-def _parse_bool(key: str, value: str) -> bool:
-    low = value.lower()
-    if low in ("1", "true", "yes"):
-        return True
-    if low in ("0", "false", "no"):
-        return False
-    raise ConfigError(f"{key}: expected a boolean, got {value!r}")
+        """Inverse of ``to_json``: each value goes through its config-file parser, then ``validate()``."""
+        texts = {key: (None if value is None else str(value), "") for key, value in data.items()}
+        return parse_config(cls, texts)
 
 
 def load_config(path) -> TrainConfig:
     """Flat key=value config; unknown keys are rejected."""
-    config = TrainConfig()
-    for key, value in read_kv(path).items():
-        kind = _config_type(key)
-        try:
-            if kind is bool:
-                parsed = _parse_bool(key, value)
-            else:
-                parsed = kind(value)
-        except ValueError as exc:
-            raise ConfigError(f"{key}: {exc}") from None
-        setattr(config, key, parsed)
-    config.validate()
-    return config
+    return read_config(path, TrainConfig)
 
 
 def sgd_step(params, grads: dict[str, np.ndarray], lr: float, momentum: float,
@@ -202,8 +172,13 @@ def sgd_step(params, grads: dict[str, np.ndarray], lr: float, momentum: float,
         p.value = p.value - lr * v
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def csv_text(columns, rows) -> str:
+    """Header, then a line per row mapping: ints and strings via ``str``, other numbers via ``repr(float(x))``."""
+    lines = [",".join(columns)]
+    for row in rows:
+        cells = (row[c] for c in columns)
+        lines.append(",".join(str(x) if isinstance(x, (int, str)) else repr(float(x)) for x in cells))
+    return "\n".join(lines) + "\n"
 
 
 @dataclass
@@ -221,22 +196,11 @@ class StageResult:
         return self.history[-1]
 
     def loss_csv(self) -> str:
-        if self.config.use_molecule_branch:
-            header = "step,msc,triplet,center,cls,total"
-            cols = ("msc", "triplet", "center", "cls", "total")
-        else:
-            header = "step,triplet,center,cls,total"
-            cols = ("triplet", "center", "cls", "total")
-        lines = [header]
-        for row in self.loss_log:
-            lines.append(str(row["step"]) + "," + ",".join(_fmt(row[c]) for c in cols))
-        return "\n".join(lines) + "\n"
+        msc = ("msc",) if self.config.use_molecule_branch else ()
+        return csv_text(("step", *msc, "triplet", "center", "cls", "total"), self.loss_log)
 
     def metrics_csv(self) -> str:
-        lines = ["epoch," + ",".join(METRIC_COLUMNS)]
-        for row in self.history:
-            lines.append(str(row["epoch"]) + "," + ",".join(_fmt(row[c]) for c in METRIC_COLUMNS))
-        return "\n".join(lines) + "\n"
+        return csv_text(("epoch", *METRIC_COLUMNS), self.history)
 
     def save(self, out_dir) -> None:
         out = Path(out_dir)
@@ -474,10 +438,7 @@ def sweep_center_weight(base: TrainConfig, weights: list[float], data: DatasetSp
                      "accuracy": final["accuracy"]})
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-        lines = ["weight,rank1,map,accuracy"]
-        for row in rows:
-            lines.append(",".join(_fmt(row[c]) for c in ("weight", "rank1", "map", "accuracy")))
-        (out / "sweep.csv").write_text("\n".join(lines) + "\n")
+        (out / "sweep.csv").write_text(csv_text(SWEEP_COLUMNS, rows))
     return rows
 
 

@@ -1,8 +1,9 @@
 import pytest
 
 from molseq.cli import main
-from molseq.data import load_manifest
+from molseq.data import load_manifest, prepare_split
 from molseq.model import load_checkpoint, save_checkpoint
+from molseq.train import TrainConfig, eval_set, evaluate
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +89,35 @@ class TestTrainEval:
         assert main(["eval", "--ckpt", str(out / "checkpoint.npz"), "--data", str(dataset_dir)]) == 1
         assert "stage must be one of" in capsys.readouterr().err
 
+    def test_cmc_csv_holds_plain_numbers(self, dataset_dir, train_config, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(train_config), "--data", str(dataset_dir), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", str(out / "checkpoint.npz"), "--data", str(dataset_dir)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        rank1 = float(printed[1].split(",")[1])
+        lines = (out / "cmc.csv").read_text().splitlines()
+        assert lines[0] == "rank,cmc"
+        ranks = [int(line.split(",")[0]) for line in lines[1:]]
+        cmc = [float(line.split(",")[1]) for line in lines[1:]]
+        ckpt = load_checkpoint(out / "checkpoint.npz")
+        config = TrainConfig.from_json(ckpt.extra_config)
+        split = prepare_split(load_manifest(dataset_dir), ratio=config.split_ratio, seed=config.seed)
+        _, result = evaluate(ckpt.build_model(), eval_set(split, config.label_kind, config.seed))
+        assert ranks == list(range(1, len(result.cmc) + 1))
+        assert cmc == result.cmc.tolist()
+        assert cmc[0] == rank1
+
+    def test_wrong_typed_checkpoint_value_fails(self, dataset_dir, train_config, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(train_config), "--data", str(dataset_dir), "--out", str(out)]) == 0
+        ckpt = load_checkpoint(out / "checkpoint.npz")
+        save_checkpoint(out / "checkpoint.npz", ckpt.build_model(), ckpt.vocabulary,
+                        extra_config={**ckpt.extra_config, "epochs": "abc"})
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", str(out / "checkpoint.npz"), "--data", str(dataset_dir)]) == 1
+        assert "error: epochs: " in capsys.readouterr().err
+
     def test_train_with_init(self, dataset_dir, train_config, tmp_path):
         first = tmp_path / "first"
         assert main(["train", "--config", str(train_config), "--data", str(dataset_dir),
@@ -103,6 +133,15 @@ class TestTrainEval:
         assert main(["train", "--config", str(bad), "--data", str(dataset_dir),
                      "--out", str(tmp_path / "x")]) == 1
         assert "nonsense" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["margin=nan", "learning_rate=nan", "center_alpha=nan", "temperature=inf"])
+    def test_non_finite_config_value_fails(self, dataset_dir, train_config, tmp_path, capsys, line):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(train_config.read_text() + line + "\n")
+        assert main(["train", "--config", str(bad), "--data", str(dataset_dir),
+                     "--out", str(tmp_path / "x")]) == 1
+        assert f"error: {line.split('=')[0]} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
 
 class TestStrategySweep:

@@ -109,6 +109,13 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError):
             dp.SyntheticSpec.from_file(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_spec_non_finite_separability_rejected(self, tmp_path, value):
+        path = tmp_path / "spec.txt"
+        path.write_text(f"separability={value}\n")
+        with pytest.raises(ValueError, match="separability must be finite"):
+            dp.SyntheticSpec.from_file(path)
+
     def test_spec_bad_value_names_its_key(self, tmp_path):
         path = tmp_path / "spec.txt"
         path.write_text("num_moas=3\nT=abc\n")
@@ -219,6 +226,23 @@ class TestManifestErrors:
     def test_zero_frames(self, tmp_path):
         root = self._write(tmp_path, ["a,d0,CCO,0,0,frames/a.bin", "b,d0,CCO,0,0,frames/b.bin"])
         dp._write_frames(root / "frames" / "b.bin", np.zeros((0, 3)))
+        with pytest.raises(dp.SchemaError) as err:
+            dp.load_manifest(root)
+        assert err.value.line == 2
+
+    def test_zero_width_frames(self, tmp_path):
+        root = self._write(tmp_path, ["a,d0,CCO,0,0,frames/a.bin"])
+        dp._write_frames(root / "frames" / "a.bin", np.zeros((2, 0)))
+        with pytest.raises(dp.SchemaError) as err:
+            dp.load_manifest(root)
+        assert err.value.line == 1
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_frame_value(self, tmp_path, value):
+        root = self._write(tmp_path, ["a,d0,CCO,0,0,frames/a.bin", "b,d0,CCO,0,0,frames/b.bin"])
+        frames = np.zeros((2, 3))
+        frames[1, 2] = value
+        dp._write_frames(root / "frames" / "b.bin", frames)
         with pytest.raises(dp.SchemaError) as err:
             dp.load_manifest(root)
         assert err.value.line == 2

@@ -351,6 +351,11 @@ class TestClassificationCe:
         with pytest.raises(LabelOutOfRange):
             ls.classification_ce(tensor(np.zeros((2, 3))), [0, 3])
 
+    def test_negative_label_is_the_one_named(self):
+        with pytest.raises(LabelOutOfRange) as err:
+            ls.classification_ce(tensor(np.zeros((3, 3))), [0, -1, 2])
+        assert err.value.label == -1
+
     def test_gradient(self, rng):
         labels = np.array([0, 2, 1, 0])
         err = ad.finite_difference_check(lambda l: ls.classification_ce(l[0], labels), [rng.normal(size=(4, 3))])

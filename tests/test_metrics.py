@@ -283,3 +283,8 @@ class TestAccuracy:
     def test_label_out_of_range(self):
         with pytest.raises(LabelOutOfRange):
             mt.accuracy(np.zeros((1, 2)), [2])
+
+    def test_negative_label_is_the_one_named(self):
+        with pytest.raises(LabelOutOfRange) as err:
+            mt.accuracy(np.zeros((3, 3)), [0, -1, 2])
+        assert err.value.label == -1

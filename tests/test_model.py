@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -221,6 +223,24 @@ class TestCheckpoint:
         arrays["__meta__"] = np_.array(json.dumps(meta))
         np_.savez(path, **arrays)
         with pytest.raises(md.CheckpointFormatError):
+            md.load_checkpoint(path)
+
+    def test_missing_meta_fails_loudly(self, tmp_path):
+        path = tmp_path / "ckpt.npz"
+        np.savez(path, **{"param/seq.w1": np.zeros((2, 2))})
+        with pytest.raises(md.CheckpointFormatError, match="__meta__"):
+            md.load_checkpoint(path)
+
+    def test_unknown_model_config_key_fails_loudly(self, tmp_path):
+        path = tmp_path / "ckpt.npz"
+        md.save_checkpoint(path, small_model(), build_vocabulary(["CCO"]))
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        meta = json.loads(str(arrays["__meta__"]))
+        meta["model_config"]["bogus"] = 1
+        arrays["__meta__"] = np.array(json.dumps(meta))
+        np.savez(path, **arrays)
+        with pytest.raises(md.CheckpointFormatError, match="bogus"):
             md.load_checkpoint(path)
 
     def test_load_parameters_shape_mismatch(self):

@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -70,6 +71,46 @@ class TestTrainConfig:
                     dict(msc_direction="up"), dict(temperature=0.0), dict(w_center=-1.0)):
             with pytest.raises(tr.ConfigError):
                 tr.TrainConfig(**bad).validate()
+
+    @pytest.mark.parametrize("line", ["margin=nan", "learning_rate=nan", "center_alpha=nan",
+                                      "temperature=inf", "w_center=-inf"])
+    def test_non_finite_value_rejected(self, tmp_path, line):
+        path = tmp_path / "cfg.txt"
+        path.write_text(line + "\n")
+        key = line.split("=")[0]
+        with pytest.raises(tr.ConfigError, match=f"^{key} must be finite"):
+            tr.load_config(path)
+
+    @pytest.mark.parametrize("line, message", [
+        ("batch_p=x", "batch_p: invalid literal for int() with base 10: 'x'"),
+        ("temperature_trainable=maybe", "temperature_trainable: expected a boolean, got 'maybe'"),
+        ("learning_rat=0.01", "unknown config key 'learning_rat'"),
+        ("just words", "expected key=value, got 'just words'"),
+    ])
+    def test_error_names_file_and_line(self, tmp_path, line, message):
+        path = tmp_path / "cfg.txt"
+        path.write_text(f"epochs=20\n# comment\n\n{line}\nseed=1\n")
+        with pytest.raises(tr.ConfigError) as err:
+            tr.load_config(path)
+        assert str(err.value) == f"{message} ({path} line 4)"
+
+    def test_repeated_key_takes_last_value(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text("epochs=abc\nepochs=7\n")
+        assert tr.load_config(path).epochs == 7
+
+    @pytest.mark.parametrize("freeze", [None, True, False])
+    def test_json_round_trip(self, freeze):
+        cfg = tr.TrainConfig(epochs=3, learning_rate=0.1 + 0.2, temperature=1e-05, temperature_trainable=True,
+                             stage="finetune_moa", freeze_molecule_encoder=freeze, use_molecule_branch=False,
+                             msc_direction="row", split_ratio=0.7)
+        assert tr.TrainConfig.from_json(json.loads(json.dumps(cfg.to_json()))) == cfg
+
+    @pytest.mark.parametrize("key, value", [("epochs", "abc"), ("epochs", 2.5), ("epochs", None),
+                                            ("temperature_trainable", "maybe"), ("learning_rate", [0.1])])
+    def test_json_wrong_typed_value_rejected(self, key, value):
+        with pytest.raises(tr.ConfigError, match=f"^{key}: "):
+            tr.TrainConfig.from_json({**tr.TrainConfig().to_json(), key: value})
 
 
 class TestSgdStep:
