@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import importlib.resources
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -167,14 +167,18 @@ def parse_config(cls, entries: dict):
     """Validated ``cls`` with each ``{key: (text, where)}`` entry parsed by its field's annotated type;
     ``where`` ends the message of a bad key or value, and fields not named keep their defaults."""
     types = {f.name: f.type for f in fields(cls)}
-    config = cls()
+    values = {}
     for key, (text, where) in entries.items():
         if key not in types:
             raise ConfigError(f"unknown config key {key!r}{where}")
         try:
-            setattr(config, key, _FIELD_PARSERS[types[key]](text))
+            values[key] = _FIELD_PARSERS[types[key]](text)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{key}: {exc}{where}") from None
+    for f in fields(cls):
+        if f.name not in values and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"missing config key {f.name!r}")
+    config = cls(**values)
     config.validate()
     return config
 

@@ -2,7 +2,7 @@
 
 
 class ConfigError(ValueError):
-    """A config file, synthetic spec or checkpoint config echo holds a bad key or value."""
+    """A config file, synthetic spec, or a checkpoint's config echo or model config holds a bad key or value."""
 
 
 class ShapeMismatch(ValueError):

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ShapeMismatch
+from .data import parse_config
+from .errors import ConfigError, ShapeMismatch
 from .smiles import PAD_ID, Vocabulary
 
 __all__ = [
@@ -58,7 +59,7 @@ class NoSuchParameter(KeyError):
 
 
 class CheckpointFormatError(ValueError):
-    """Checkpoint file lacks its metadata, carries an unknown format tag or an unknown model config key."""
+    """Checkpoint file lacks its metadata or a metadata key, or carries an unknown format tag or a bad model config."""
 
 
 @dataclass
@@ -216,12 +217,18 @@ class ModelConfig:
     seed: int = 0
     include_molecule: bool = True
 
+    def validate(self) -> None:
+        for name in ("vocab_size", "frame_dim", "num_classes", "embed_dim", "token_dim", "mol_hidden", "seq_hidden"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+
     def to_json(self) -> dict:
         return dict(self.__dict__)
 
     @classmethod
     def from_json(cls, data: dict) -> "ModelConfig":
-        return cls(**data)
+        """Inverse of ``to_json``: each value goes through its config-file parser, then ``validate()``."""
+        return parse_config(cls, {key: (None if value is None else str(value), "") for key, value in data.items()})
 
 
 class Model:
@@ -265,29 +272,6 @@ class Model:
         return loaded
 
 
-def save_checkpoint(
-    path,
-    model: Model,
-    vocab: Vocabulary,
-    extra_config: dict | None = None,
-    centers: np.ndarray | None = None,
-    center_alpha: float | None = None,
-) -> None:
-    """Single-file checkpoint: params + vocab + config echo + center state."""
-    meta = {
-        "format": CHECKPOINT_TAG,
-        "model_config": model.config.to_json(),
-        "extra_config": extra_config or {},
-        "vocabulary": vocab.to_json(),
-        "trainable": {n: p.trainable for n, p in model.params.items()},
-        "center_alpha": center_alpha,
-    }
-    arrays = {f"param/{n}": p.value for n, p in model.params.items()}
-    if centers is not None:
-        arrays["centers"] = centers
-    np.savez(path, __meta__=np.array(json.dumps(meta)), **arrays)
-
-
 @dataclass
 class Checkpoint:
     model_config: ModelConfig
@@ -307,6 +291,22 @@ class Checkpoint:
         return model
 
 
+def save_checkpoint(path, ckpt: Checkpoint) -> None:
+    """Single-file checkpoint: params + vocab + config echo + center state."""
+    meta = {
+        "format": CHECKPOINT_TAG,
+        "model_config": ckpt.model_config.to_json(),
+        "extra_config": ckpt.extra_config,
+        "vocabulary": ckpt.vocabulary.to_json(),
+        "trainable": ckpt.trainable,
+        "center_alpha": ckpt.center_alpha,
+    }
+    arrays = {f"param/{n}": value for n, value in ckpt.parameters.items()}
+    if ckpt.centers is not None:
+        arrays["centers"] = ckpt.centers
+    np.savez(path, __meta__=np.array(json.dumps(meta)), **arrays)
+
+
 def load_checkpoint(path) -> Checkpoint:
     with np.load(path, allow_pickle=False) as data:
         if "__meta__" not in data.files:
@@ -318,9 +318,12 @@ def load_checkpoint(path) -> Checkpoint:
             )
         parameters = {k[len("param/") :]: np.array(data[k]) for k in data.files if k.startswith("param/")}
         centers = np.array(data["centers"]) if "centers" in data.files else None
+    missing = [key for key in ("model_config", "vocabulary", "trainable") if key not in meta]
+    if missing:
+        raise CheckpointFormatError(f"{path}: __meta__ has no {missing[0]!r} entry")
     try:
         model_config = ModelConfig.from_json(meta["model_config"])
-    except TypeError as exc:
+    except ConfigError as exc:
         raise CheckpointFormatError(f"{path}: model_config: {exc}") from None
     return Checkpoint(
         model_config=model_config,

@@ -147,6 +147,9 @@ class MolGraph:
 
     atoms: list[Atom] = field(default_factory=list)
     bonds: list[Bond] = field(default_factory=list)
+    # Endpoint pairs of bonds[:_keyed]; add_bond first catches up on bonds passed in or appended directly.
+    _pairs: set[tuple[int, int]] = field(default_factory=set, init=False, repr=False, compare=False)
+    _keyed: int = field(default=0, init=False, repr=False, compare=False)
 
     def add_bond(self, a: int, b: int, order: BondOrder) -> None:
         n = len(self.atoms)
@@ -154,10 +157,13 @@ class MolGraph:
             raise SmilesError(f"bond endpoint out of range: ({a}, {b})")
         if a == b:
             raise SmilesError("self-loop bond")
+        self._pairs.update((min(x.a, x.b), max(x.a, x.b)) for x in self.bonds[self._keyed:])
         key = (min(a, b), max(a, b))
-        if any((min(x.a, x.b), max(x.a, x.b)) == key for x in self.bonds):
+        if key in self._pairs:
             raise SmilesError(f"duplicate bond between atoms {a} and {b}")
         self.bonds.append(Bond(a, b, order))
+        self._pairs.add(key)
+        self._keyed = len(self.bonds)
 
     def adjacency(self) -> list[list[tuple[int, BondOrder]]]:
         adj: list[list[tuple[int, BondOrder]]] = [[] for _ in self.atoms]
@@ -347,11 +353,11 @@ def parse(smiles: str) -> MolGraph:
     return graph
 
 
-def _fragments(graph: MolGraph) -> list[list[int]]:
-    adj = graph.adjacency()
-    seen = [False] * len(graph.atoms)
+def _fragments(adj) -> list[list[int]]:
+    """Atom indices of each connected component, in order of their lowest atom."""
+    seen = [False] * len(adj)
     result = []
-    for start in range(len(graph.atoms)):
+    for start in range(len(adj)):
         if seen[start]:
             continue
         stack, comp = [start], []
@@ -405,7 +411,7 @@ def canonical_ranks(graph: MolGraph) -> list[int]:
     """Per-atom refined ranks (dense within each fragment)."""
     adj = graph.adjacency()
     out = [0] * len(graph.atoms)
-    for frag in _fragments(graph):
+    for frag in _fragments(adj):
         for a, r in _morgan_ranks(graph, frag, adj).items():
             out[a] = r
     return out
@@ -522,7 +528,7 @@ def write_smiles(graph: MolGraph, priority: list[tuple] | None = None) -> str:
         for a in range(len(graph.atoms)):
             p = priority[a]
             prio[a] = (tuple(p) if isinstance(p, tuple) else (int(p),)) + (a,)
-    pieces = [_write_fragment(graph, frag, adj, prio) for frag in _fragments(graph)]
+    pieces = [_write_fragment(graph, frag, adj, prio) for frag in _fragments(adj)]
     return ".".join(pieces)
 
 
@@ -537,12 +543,11 @@ def canonicalize(graph: MolGraph) -> str:
     if not graph.atoms:
         raise SmilesError("cannot canonicalize an empty graph")
     adj = graph.adjacency()
-    pieces = []
-    for frag in _fragments(graph):
-        ranks = _morgan_ranks(graph, frag, adj)
-        prio = {a: (ranks.get(a, 0), a) for a in range(len(graph.atoms))}
-        pieces.append(_write_fragment(graph, frag, adj, prio))
-    return ".".join(sorted(pieces))
+    fragments = _fragments(adj)
+    prio: dict[int, tuple] = {}
+    for frag in fragments:
+        prio.update((a, (r, a)) for a, r in _morgan_ranks(graph, frag, adj).items())
+    return ".".join(sorted(_write_fragment(graph, frag, adj, prio) for frag in fragments))
 
 
 def canonical_smiles(smiles: str) -> str:

@@ -189,11 +189,18 @@ class StageResult:
     centers: CenterState
     history: list[dict]
     loss_log: list[dict]
-    retrieval: RetrievalResult | None = None
 
     @property
     def final(self) -> dict:
         return self.history[-1]
+
+    @property
+    def checkpoint(self) -> Checkpoint:
+        """The stage as the record that ``save_checkpoint`` writes and ``load_checkpoint`` returns."""
+        params = self.model.params.items()
+        return Checkpoint(model_config=self.model.config, extra_config=self.config.to_json(), vocabulary=self.vocab,
+                          parameters={n: p.value for n, p in params}, trainable={n: p.trainable for n, p in params},
+                          centers=self.centers.centers, center_alpha=self.centers.alpha)
 
     def loss_csv(self) -> str:
         msc = ("msc",) if self.config.use_molecule_branch else ()
@@ -207,9 +214,7 @@ class StageResult:
         out.mkdir(parents=True, exist_ok=True)
         (out / "loss_history.csv").write_text(self.loss_csv())
         (out / "metric_history.csv").write_text(self.metrics_csv())
-        save_checkpoint(out / "checkpoint.npz", self.model, self.vocab,
-                        extra_config=self.config.to_json(),
-                        centers=self.centers.centers, center_alpha=self.centers.alpha)
+        save_checkpoint(out / "checkpoint.npz", self.checkpoint)
 
 
 def _pooled(samples: list[Sample]) -> np.ndarray:
@@ -243,6 +248,21 @@ def evaluate(model: Model, inputs: list[tuple[np.ndarray, np.ndarray]]) -> tuple
     row = {"accuracy": accuracy(logits, test_labels), "rank1": result.rank1, "rank5": result.rank5,
            "rank10": result.rank10, "map": result.map}
     return row, result
+
+
+def _objective(config: TrainConfig, model: Model, leaves, s_emb: ad.Tensor | None, v_emb: ad.Tensor, labels,
+               class_labels, centers: CenterState) -> tuple[ad.Tensor, dict[str, float]]:
+    """One batch's weighted training loss and per-term report; the alignment term, whose class
+    target comes from ``class_labels``, is added only when molecule embeddings ``s_emb`` are given."""
+    components: dict[str, ad.Tensor] = {}
+    if s_emb is not None:
+        sup = build_supervision(class_labels)
+        temp = leaves["align.log_inv_temp"] if config.temperature_trainable else config.temperature
+        components["msc"] = msc_loss(similarity(s_emb, v_emb, temp), sup, config.msc_direction)
+    components["triplet"] = hard_triplet_loss(v_emb, labels, config.margin)
+    components["center"] = center_loss(v_emb, labels, centers)
+    components["cls"] = classification_ce(model.head.forward(v_emb, leaves), labels)
+    return total_loss(components, config.weights())
 
 
 def run_stage(config: TrainConfig, data: DatasetSplit, init: Checkpoint | None = None, out_dir=None) -> StageResult:
@@ -299,12 +319,10 @@ def run_stage(config: TrainConfig, data: DatasetSplit, init: Checkpoint | None =
     init_emb = model.sequence.forward(train_pooled, model.params.as_leaves()).data
     for c in np.unique(stage_labels):
         centers.centers[c] = init_emb[stage_labels == c].mean(axis=0)
-    weights = config.weights()
     velocity: dict[str, np.ndarray] = {}
     steps_per_epoch = max(1, len(train) // config.batch_size)
     loss_log: list[dict] = []
     history: list[dict] = []
-    retrieval: RetrievalResult | None = None
     step = 0
 
     for epoch in range(1, config.epochs + 1):
@@ -313,18 +331,8 @@ def run_stage(config: TrainConfig, data: DatasetSplit, init: Checkpoint | None =
             batch_labels = stage_labels[idx]
             leaves = model.params.as_leaves()
             v_emb = model.sequence.forward(train_pooled[idx], leaves)
-            components: dict[str, ad.Tensor | None] = {}
-            if config.use_molecule_branch:
-                s_emb = model.molecule.forward_counts(counts[idx], leaves)
-                sup = build_supervision(class_labels[idx])
-                temp = leaves["align.log_inv_temp"] if config.temperature_trainable else config.temperature
-                sim = similarity(s_emb, v_emb, temp)
-                components["msc"] = msc_loss(sim, sup, config.msc_direction)
-            components["triplet"] = hard_triplet_loss(v_emb, batch_labels, config.margin)
-            components["center"] = center_loss(v_emb, batch_labels, centers)
-            logits = model.head.forward(v_emb, leaves)
-            components["cls"] = classification_ce(logits, batch_labels)
-            total, report = total_loss(components, weights)
+            s_emb = model.molecule.forward_counts(counts[idx], leaves) if config.use_molecule_branch else None
+            total, report = _objective(config, model, leaves, s_emb, v_emb, batch_labels, class_labels[idx], centers)
             ad.backward(total)
             grads = {n: t.grad for n, t in leaves.items() if t.grad is not None}
             sgd_step(model.params, grads, config.learning_rate, config.momentum, velocity)
@@ -333,26 +341,13 @@ def run_stage(config: TrainConfig, data: DatasetSplit, init: Checkpoint | None =
             loss_log.append(report)
             step += 1
         if epoch % config.eval_every == 0 or epoch == config.epochs:
-            row, retrieval = evaluate(model, eval_inputs)
-            history.append({"epoch": epoch, **row})
+            history.append({"epoch": epoch, **evaluate(model, eval_inputs)[0]})
 
     result = StageResult(config=config, model=model, vocab=vocab, centers=centers,
-                         history=history, loss_log=loss_log, retrieval=retrieval)
+                         history=history, loss_log=loss_log)
     if out_dir is not None:
         result.save(out_dir)
     return result
-
-
-def _checkpoint_of(result: StageResult) -> Checkpoint:
-    return Checkpoint(
-        model_config=result.model.config,
-        extra_config=result.config.to_json(),
-        vocabulary=result.vocab,
-        parameters={n: p.value for n, p in result.model.params.items()},
-        trainable={n: p.trainable for n, p in result.model.params.items()},
-        centers=result.centers.centers,
-        center_alpha=result.centers.alpha,
-    )
 
 
 def _fit_pk(config: TrainConfig, data: DatasetSplit) -> TrainConfig:
@@ -405,7 +400,7 @@ def run_strategy(strategy: str, data: DatasetSplit, base: TrainConfig, out_dir=N
         return report_of(result, "fresh"), result
     warm = run_stage(replace(drug_cfg, use_molecule_branch=False), data, out_dir=out and out / "seq_only")
     cfg = replace(drug_cfg, use_molecule_branch=True)
-    result = run_stage(cfg, data, init=_checkpoint_of(warm), out_dir=out and out / "dual_warm")
+    result = run_stage(cfg, data, init=warm.checkpoint, out_dir=out and out / "dual_warm")
     return report_of(result, "s1_warm_start"), result
 
 
@@ -416,9 +411,9 @@ def run_pipeline(data: DatasetSplit, base: TrainConfig, out_dir=None) -> Pipelin
     warmup = run_stage(replace(drug_cfg, use_molecule_branch=False), data,
                        out_dir=out and out / "warmup")
     pretrain = run_stage(replace(drug_cfg, use_molecule_branch=True), data,
-                         init=_checkpoint_of(warmup), out_dir=out and out / "pretrain")
+                         init=warmup.checkpoint, out_dir=out and out / "pretrain")
     moa_cfg = _fit_pk(replace(base, stage="finetune_moa", freeze_molecule_encoder=None), data)
-    finetune = run_stage(moa_cfg, data, init=_checkpoint_of(pretrain), out_dir=out and out / "finetune")
+    finetune = run_stage(moa_cfg, data, init=pretrain.checkpoint, out_dir=out and out / "finetune")
     return PipelineResult(warmup=warmup, pretrain=pretrain, finetune=finetune)
 
 
@@ -525,13 +520,12 @@ def gradient_check_suite(eps: float = 1e-5) -> list[tuple[str, float]]:
 
     checks.append(("sequence_encoder", ad.finite_difference_check(f_seq, seq_params, eps)))
 
-    # Full model composed with the weighted total loss.
+    # Full model composed with the training objective at the default config.
     head_names = ("head.w", "head.b")
     head_params = [rng.normal(scale=0.5, size=model.params[n].value.shape) for n in head_names]
     tri_feats_fix, _ = _triplet_safe(rng, b, out_dim)
     full_names = mol_names + seq_names + head_names
     full_params = mol_params + seq_params + head_params
-    full_weights = LossWeights()
     full_state = CenterState(centers=rng.normal(size=(2, out_dim)))
 
     def f_full(leaves):
@@ -539,14 +533,7 @@ def gradient_check_suite(eps: float = 1e-5) -> list[tuple[str, float]]:
         s_emb = model.molecule.forward_counts(counts, lv)
         # A fixed offset keeps the triplet mining clear of ties.
         v_emb = ad.add(model.sequence.forward(pooled_frames, lv), ad.constant(tri_feats_fix))
-        sim = similarity(s_emb, v_emb, 0.07)
-        components = {
-            "msc": msc_loss(sim, build_supervision(labels)),
-            "triplet": hard_triplet_loss(v_emb, labels, 0.3),
-            "center": center_loss(v_emb, labels, full_state),
-            "cls": classification_ce(model.head.forward(v_emb, lv), labels),
-        }
-        return total_loss(components, full_weights)[0]
+        return _objective(TrainConfig(), model, lv, s_emb, v_emb, labels, labels, full_state)[0]
 
     checks.append(("full_model_total", ad.finite_difference_check(f_full, full_params, eps)))
     return checks

@@ -1,3 +1,7 @@
+import json
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from molseq.cli import main
@@ -73,8 +77,7 @@ class TestTrainEval:
         out = tmp_path / "run"
         assert main(["train", "--config", str(train_config), "--data", str(dataset_dir), "--out", str(out)]) == 0
         ckpt = load_checkpoint(out / "checkpoint.npz")
-        save_checkpoint(out / "checkpoint.npz", ckpt.build_model(), ckpt.vocabulary,
-                        extra_config={**ckpt.extra_config, "bogus": 1})
+        save_checkpoint(out / "checkpoint.npz", replace(ckpt, extra_config={**ckpt.extra_config, "bogus": 1}))
         capsys.readouterr()
         assert main(["eval", "--ckpt", str(out / "checkpoint.npz"), "--data", str(dataset_dir)]) == 1
         assert "bogus" in capsys.readouterr().err
@@ -83,8 +86,8 @@ class TestTrainEval:
         out = tmp_path / "run"
         assert main(["train", "--config", str(train_config), "--data", str(dataset_dir), "--out", str(out)]) == 0
         ckpt = load_checkpoint(out / "checkpoint.npz")
-        save_checkpoint(out / "checkpoint.npz", ckpt.build_model(), ckpt.vocabulary,
-                        extra_config={**ckpt.extra_config, "stage": "pretrain_moa"})
+        save_checkpoint(out / "checkpoint.npz",
+                        replace(ckpt, extra_config={**ckpt.extra_config, "stage": "pretrain_moa"}))
         capsys.readouterr()
         assert main(["eval", "--ckpt", str(out / "checkpoint.npz"), "--data", str(dataset_dir)]) == 1
         assert "stage must be one of" in capsys.readouterr().err
@@ -112,8 +115,7 @@ class TestTrainEval:
         out = tmp_path / "run"
         assert main(["train", "--config", str(train_config), "--data", str(dataset_dir), "--out", str(out)]) == 0
         ckpt = load_checkpoint(out / "checkpoint.npz")
-        save_checkpoint(out / "checkpoint.npz", ckpt.build_model(), ckpt.vocabulary,
-                        extra_config={**ckpt.extra_config, "epochs": "abc"})
+        save_checkpoint(out / "checkpoint.npz", replace(ckpt, extra_config={**ckpt.extra_config, "epochs": "abc"}))
         capsys.readouterr()
         assert main(["eval", "--ckpt", str(out / "checkpoint.npz"), "--data", str(dataset_dir)]) == 1
         assert "error: epochs: " in capsys.readouterr().err
@@ -142,6 +144,37 @@ class TestTrainEval:
                      "--out", str(tmp_path / "x")]) == 1
         assert f"error: {line.split('=')[0]} must be finite" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+
+@pytest.fixture(scope="module")
+def trained_checkpoint(dataset_dir, train_config, tmp_path_factory):
+    out = tmp_path_factory.mktemp("cli-ckpt")
+    assert main(["train", "--config", str(train_config), "--data", str(dataset_dir), "--out", str(out)]) == 0
+    return out / "checkpoint.npz"
+
+
+class TestCheckpointMetadata:
+    @pytest.mark.parametrize("rewrite, message", [
+        pytest.param(lambda meta: meta.pop("vocabulary"), "__meta__ has no 'vocabulary' entry", id="no-vocabulary"),
+        pytest.param(lambda meta: meta.pop("trainable"), "__meta__ has no 'trainable' entry", id="no-trainable"),
+        pytest.param(lambda meta: meta["model_config"].pop("frame_dim"),
+                     "model_config: missing config key 'frame_dim'", id="no-model-field"),
+        pytest.param(lambda meta: meta["model_config"].update(embed_dim="abc"),
+                     "model_config: embed_dim: invalid literal for int() with base 10: 'abc'", id="wrong-type"),
+        pytest.param(lambda meta: meta["model_config"].update(seq_hidden=0),
+                     "model_config: seq_hidden must be >= 1, got 0", id="zero-size"),
+    ])
+    def test_malformed_metadata_fails_naming_the_key(self, trained_checkpoint, dataset_dir, tmp_path, capsys,
+                                                     rewrite, message):
+        with np.load(trained_checkpoint) as data:
+            arrays = {k: data[k] for k in data.files}
+        meta = json.loads(str(arrays["__meta__"]))
+        rewrite(meta)
+        path = tmp_path / "checkpoint.npz"
+        np.savez(path, **{**arrays, "__meta__": np.array(json.dumps(meta))})
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", str(path), "--data", str(dataset_dir)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
 class TestStrategySweep:

@@ -18,6 +18,13 @@ def small_model(seed=0, include_molecule=True, num_classes=3):
     ))
 
 
+def bare_checkpoint(model, vocab, **fields) -> md.Checkpoint:
+    """A model's parameters and flags as a checkpoint record with an empty config echo."""
+    return md.Checkpoint(model_config=model.config, extra_config=fields.pop("extra_config", {}), vocabulary=vocab,
+                         parameters={n: p.value for n, p in model.params.items()},
+                         trainable={n: p.trainable for n, p in model.params.items()}, **fields)
+
+
 def encode_ids(model, ids):
     counts = md.token_count_matrix(np.asarray(ids), model.config.vocab_size)
     return model.molecule.forward_counts(counts, model.params.as_leaves())
@@ -195,8 +202,8 @@ class TestCheckpoint:
         vocab = build_vocabulary(["CCO", "c1ccccc1"])
         centers = rng.normal(size=(3, 6))
         path = tmp_path / "ckpt.npz"
-        md.save_checkpoint(path, model, vocab, extra_config={"stage": "pretrain_drug"},
-                           centers=centers, center_alpha=0.5)
+        md.save_checkpoint(path, bare_checkpoint(model, vocab, extra_config={"stage": "pretrain_drug"},
+                                                 centers=centers, center_alpha=0.5))
         ckpt = md.load_checkpoint(path)
         assert ckpt.vocabulary.token_to_id == vocab.token_to_id
         assert ckpt.extra_config == {"stage": "pretrain_drug"}
@@ -211,7 +218,7 @@ class TestCheckpoint:
         model = small_model()
         vocab = build_vocabulary(["CCO"])
         path = tmp_path / "ckpt.npz"
-        md.save_checkpoint(path, model, vocab)
+        md.save_checkpoint(path, bare_checkpoint(model, vocab))
         import json
 
         import numpy as np_
@@ -233,7 +240,7 @@ class TestCheckpoint:
 
     def test_unknown_model_config_key_fails_loudly(self, tmp_path):
         path = tmp_path / "ckpt.npz"
-        md.save_checkpoint(path, small_model(), build_vocabulary(["CCO"]))
+        md.save_checkpoint(path, bare_checkpoint(small_model(), build_vocabulary(["CCO"])))
         with np.load(path) as data:
             arrays = {k: data[k] for k in data.files}
         meta = json.loads(str(arrays["__meta__"]))

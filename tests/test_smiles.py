@@ -142,6 +142,12 @@ class TestParse:
         with pytest.raises(sk.SmilesError):
             sk.parse("C12CC12")
 
+    def test_duplicate_of_constructor_bond(self):
+        graph = sk.MolGraph(atoms=[sk.Atom("C"), sk.Atom("O")], bonds=[sk.Bond(0, 1, sk.BondOrder.SINGLE)])
+        with pytest.raises(sk.SmilesError, match="duplicate bond between atoms 1 and 0"):
+            graph.add_bond(1, 0, sk.BondOrder.DOUBLE)
+        assert len(graph.bonds) == 1
+
     @pytest.mark.parametrize("bad", ["C/C=C/C", "C[C@H](N)C", "[13CH3]C"])
     def test_stereo_and_isotopes_rejected(self, bad):
         with pytest.raises(sk.StereoUnsupported):
@@ -242,8 +248,10 @@ class TestCanonicalize:
 
 
 def chain_graph(atoms: list[sk.Atom], bonds: list[tuple[int, int]]) -> sk.MolGraph:
-    # Bonds are appended directly: add_bond's duplicate scan is quadratic.
-    return sk.MolGraph(atoms=atoms, bonds=[sk.Bond(a, b, sk.BondOrder.SINGLE) for a, b in bonds])
+    graph = sk.MolGraph(atoms=atoms)
+    for a, b in bonds:
+        graph.add_bond(a, b, sk.BondOrder.SINGLE)
+    return graph
 
 
 class TestLongChains:
@@ -262,6 +270,14 @@ class TestLongChains:
         expected = "C[C+]" + "".join(f"[C+{q}]" for q in range(2, self.N))
         for charges in (range(self.N), range(self.N - 1, -1, -1)):
             assert sk.canonicalize(chain_graph([sk.Atom("C", charge=q) for q in charges], bonds)) == expected
+
+    def test_parse_permute_canonicalize(self):
+        # Parsing and relabelling add one bond at a time, so each must stay linear in the bond count.
+        text = "C[C+]" + "".join(f"[C+{q}]" for q in range(2, self.N))
+        graph = sk.parse(text)
+        assert (len(graph.atoms), len(graph.bonds)) == (self.N, self.N - 1)
+        perm = [int(i) for i in np.random.default_rng(3).permutation(self.N)]
+        assert sk.canonicalize(sk.permute_atoms(graph, perm)) == text
 
     def test_comb_closes_each_branch(self):
         # Backbone atom 2i carries a methyl 2i+1, which has priority over the

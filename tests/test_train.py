@@ -8,7 +8,7 @@ from dataclasses import replace
 from molseq import autodiff as ad
 from molseq import train as tr
 from molseq.errors import NonFiniteValue, ShapeMismatch
-from molseq.model import Model, ModelConfig
+from molseq.model import Model, ModelConfig, load_checkpoint
 
 
 def tiny_config(**overrides):
@@ -196,7 +196,7 @@ class TestRunStage:
 
     def test_frozen_molecule_encoder_bitwise_unchanged(self, tiny_split):
         pre = tr.run_stage(tiny_config(stage="pretrain_drug"), tiny_split)
-        ckpt = tr._checkpoint_of(pre)
+        ckpt = pre.checkpoint
         fin_cfg = tiny_config(stage="finetune_moa", batch_p=2, batch_k=2)
         fin = tr.run_stage(fin_cfg, tiny_split, init=ckpt)
         assert fin.config.resolved_freeze
@@ -208,7 +208,7 @@ class TestRunStage:
         # run_stage always loads mol.* and seq.* from init; a sequence-only
         # stage has no mol.* to load, so only its sequence encoder carries over.
         cfg = tiny_config(epochs=1, use_molecule_branch=False, temperature_trainable=True)
-        ckpt = tr._checkpoint_of(tr.run_stage(cfg, tiny_split))
+        ckpt = tr.run_stage(cfg, tiny_split).checkpoint
         assert {name.split(".")[0] for name in ckpt.parameters} == {"seq", "head"}
 
     def test_stage_files(self, tiny_split, tmp_path):
@@ -220,6 +220,24 @@ class TestRunStage:
         assert header == "step,msc,triplet,center,cls,total"
         assert result.metrics_csv().splitlines()[0] == "epoch,accuracy,rank1,rank5,rank10,map"
 
+    def test_saved_checkpoint_round_trips(self, tiny_split, tmp_path):
+        pre = tr.run_stage(tiny_config(epochs=2, center_alpha=0.25), tiny_split)
+        cfg = tiny_config(stage="finetune_moa", epochs=2, center_alpha=0.75)
+        result = tr.run_stage(cfg, tiny_split, init=pre.checkpoint, out_dir=tmp_path / "run")
+        saved, loaded = result.checkpoint, load_checkpoint(tmp_path / "run" / "checkpoint.npz")
+        assert loaded.model_config == saved.model_config
+        assert list(loaded.parameters) == list(saved.parameters)
+        for name, value in saved.parameters.items():
+            got = loaded.parameters[name]
+            assert (got.dtype, got.shape, got.tobytes()) == (value.dtype, value.shape, value.tobytes())
+        assert loaded.trainable == saved.trainable
+        assert {n for n, flag in loaded.trainable.items() if not flag} == {
+            "mol.emb", "mol.w1", "mol.b1", "mol.w2", "mol.b2"}
+        assert (loaded.centers.shape, loaded.centers.tobytes()) == (saved.centers.shape, saved.centers.tobytes())
+        assert loaded.center_alpha == saved.center_alpha == 0.75
+        assert loaded.extra_config == saved.extra_config == cfg.to_json()
+        assert loaded.vocabulary == saved.vocabulary == pre.vocab
+
     def test_trainable_temperature_runs(self, tiny_split):
         cfg = tiny_config(temperature_trainable=True, epochs=3)
         result = tr.run_stage(cfg, tiny_split)
@@ -230,7 +248,7 @@ class TestRunStage:
     @pytest.mark.parametrize("use_molecule_branch", [True, False])
     def test_overflowing_parameter_raises_before_backward(self, tiny_split, monkeypatch, use_molecule_branch):
         # linear skips the non-finite scan; the loss nodes behind it must not.
-        ckpt = tr._checkpoint_of(tr.run_stage(tiny_config(epochs=1), tiny_split))
+        ckpt = tr.run_stage(tiny_config(epochs=1), tiny_split).checkpoint
         ckpt.parameters["seq.w1"] = np.full_like(ckpt.parameters["seq.w1"], 1e308)
         backward_calls = []
         monkeypatch.setattr(ad, "backward", backward_calls.append)
