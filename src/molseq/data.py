@@ -315,10 +315,10 @@ def load_manifest(dataset_dir) -> list[Sample]:
             raise InconsistentDrug(drug_id, f"drug label {drug_label} maps to multiple MoA labels")
         label_moa[drug_label] = moa_label
         feature_file = root / frames_path
-        if not feature_file.exists():
-            raise MissingFeatureFile(str(feature_file))
         try:
             frames = _read_frames(feature_file)
+        except FileNotFoundError:
+            raise MissingFeatureFile(str(feature_file)) from None
         except ValueError as exc:
             raise SchemaError(lineno, str(exc)) from None
         if frames.size == 0:

@@ -59,7 +59,8 @@ class NoSuchParameter(KeyError):
 
 
 class CheckpointFormatError(ValueError):
-    """Checkpoint file lacks its metadata or a metadata key, or carries an unknown format tag or a bad model config."""
+    """Checkpoint file lacks its metadata or a metadata key, or carries an unknown format tag, a metadata
+    entry of the wrong JSON type, a bad model config or a center_alpha outside (0, 1]."""
 
 
 @dataclass
@@ -321,6 +322,13 @@ def load_checkpoint(path) -> Checkpoint:
     missing = [key for key in ("model_config", "vocabulary", "trainable") if key not in meta]
     if missing:
         raise CheckpointFormatError(f"{path}: __meta__ has no {missing[0]!r} entry")
+    for key in ("model_config", "vocabulary", "trainable"):
+        if not isinstance(meta[key], dict):
+            raise CheckpointFormatError(f"{path}: {key} must be a JSON object, found {type(meta[key]).__name__}")
+    center_alpha = meta.get("center_alpha")
+    if center_alpha is not None and (isinstance(center_alpha, bool) or not isinstance(center_alpha, (int, float))
+                                     or not 0 < center_alpha <= 1):
+        raise CheckpointFormatError(f"{path}: center_alpha must be null or a number in (0, 1], found {center_alpha!r}")
     try:
         model_config = ModelConfig.from_json(meta["model_config"])
     except ConfigError as exc:
@@ -332,5 +340,5 @@ def load_checkpoint(path) -> Checkpoint:
         parameters=parameters,
         trainable={str(k): bool(v) for k, v in meta["trainable"].items()},
         centers=centers,
-        center_alpha=meta.get("center_alpha"),
+        center_alpha=center_alpha,
     )

@@ -123,7 +123,11 @@ class BondOrder(enum.Enum):
 
 
 _BOND_ORDER = {"-": BondOrder.SINGLE, "=": BondOrder.DOUBLE, "#": BondOrder.TRIPLE, ":": BondOrder.AROMATIC}
-_BOND_SYMBOL = {v: k for k, v in _BOND_ORDER.items()}
+_BOND_SYMBOL = {order.value: symbol for symbol, order in _BOND_ORDER.items()}  # keyed by bond code
+_SINGLE, _AROMATIC_BOND = BondOrder.SINGLE, BondOrder.AROMATIC
+_SINGLE_CODE, _AROMATIC_CODE = _SINGLE.value, _AROMATIC_BOND.value
+_ATOM, _BRACKET_ATOM, _BOND, _RING_BOND = TokenKind.ATOM, TokenKind.BRACKET_ATOM, TokenKind.BOND, TokenKind.RING_BOND
+_BRANCH_OPEN, _BRANCH_CLOSE, _DOT = TokenKind.BRANCH_OPEN, TokenKind.BRANCH_CLOSE, TokenKind.DOT
 
 
 @dataclass
@@ -157,20 +161,14 @@ class MolGraph:
             raise SmilesError(f"bond endpoint out of range: ({a}, {b})")
         if a == b:
             raise SmilesError("self-loop bond")
-        self._pairs.update((min(x.a, x.b), max(x.a, x.b)) for x in self.bonds[self._keyed:])
+        if self._keyed < len(self.bonds):
+            self._pairs.update((min(x.a, x.b), max(x.a, x.b)) for x in self.bonds[self._keyed:])
         key = (min(a, b), max(a, b))
         if key in self._pairs:
             raise SmilesError(f"duplicate bond between atoms {a} and {b}")
         self.bonds.append(Bond(a, b, order))
         self._pairs.add(key)
         self._keyed = len(self.bonds)
-
-    def adjacency(self) -> list[list[tuple[int, BondOrder]]]:
-        adj: list[list[tuple[int, BondOrder]]] = [[] for _ in self.atoms]
-        for bond in self.bonds:
-            adj[bond.a].append((bond.b, bond.order))
-            adj[bond.b].append((bond.a, bond.order))
-        return adj
 
 
 def tokenize(smiles: str) -> list[Token]:
@@ -186,39 +184,40 @@ def tokenize(smiles: str) -> list[Token]:
     i, n = 0, len(smiles)
     while i < n:
         c = smiles[i]
-        if c == "[":
+        if c in _ORGANIC or c in _AROMATIC:
+            if (c == "C" or c == "B") and smiles[i : i + 2] in _TWO_LETTER:
+                tokens.append(Token(smiles[i : i + 2], _ATOM))
+                i += 2
+            else:
+                tokens.append(Token(c, _ATOM))
+                i += 1
+        elif c == "[":
             j = smiles.find("]", i + 1)
             if j < 0:
                 raise UnterminatedBracket(i)
-            tokens.append(Token(smiles[i : j + 1], TokenKind.BRACKET_ATOM))
+            tokens.append(Token(smiles[i : j + 1], _BRACKET_ATOM))
             i = j + 1
-        elif smiles[i : i + 2] in _TWO_LETTER:
-            tokens.append(Token(smiles[i : i + 2], TokenKind.ATOM))
-            i += 2
-        elif c in _ORGANIC or c in _AROMATIC:
-            tokens.append(Token(c, TokenKind.ATOM))
+        elif c.isdigit():
+            tokens.append(Token(c, _RING_BOND))
             i += 1
         elif c == "%":
             if i + 2 >= n or not (smiles[i + 1].isdigit() and smiles[i + 2].isdigit()):
                 raise UnexpectedCharacter(i, c)
-            tokens.append(Token(smiles[i : i + 3], TokenKind.RING_BOND))
+            tokens.append(Token(smiles[i : i + 3], _RING_BOND))
             i += 3
-        elif c.isdigit():
-            tokens.append(Token(c, TokenKind.RING_BOND))
-            i += 1
         elif c in _BOND_CHARS:
             # / and \ are lexed as bonds so the parser can reject them as
             # stereo markers instead of reporting a bad character.
-            tokens.append(Token(c, TokenKind.BOND))
+            tokens.append(Token(c, _BOND))
             i += 1
         elif c == "(":
-            tokens.append(Token(c, TokenKind.BRANCH_OPEN))
+            tokens.append(Token(c, _BRANCH_OPEN))
             i += 1
         elif c == ")":
-            tokens.append(Token(c, TokenKind.BRANCH_CLOSE))
+            tokens.append(Token(c, _BRANCH_CLOSE))
             i += 1
         elif c == ".":
-            tokens.append(Token(c, TokenKind.DOT))
+            tokens.append(Token(c, _DOT))
             i += 1
         else:
             raise UnexpectedCharacter(i, c)
@@ -275,47 +274,42 @@ def _parse_bracket(text: str, position: int) -> Atom:
     return Atom(element=element, aromatic=aromatic, charge=charge, h_count=h_count)
 
 
-def _implicit_order(a: Atom, b: Atom) -> BondOrder:
-    return BondOrder.AROMATIC if (a.aromatic and b.aromatic) else BondOrder.SINGLE
-
-
 def parse(smiles: str) -> MolGraph:
     """Build the molecular graph a SMILES string spells out."""
-    tokens = tokenize(smiles)
-    positions: list[int] = []
-    pos = 0
-    for tok in tokens:
-        positions.append(pos)
-        pos += len(tok.text)
-
     graph = MolGraph()
+    atoms, bonds, pairs = graph.atoms, graph.bonds, graph._pairs
     anchor: int | None = None
     pending: BondOrder | None = None
     branch_stack: list[int | None] = []
     open_rings: dict[int, tuple[int, BondOrder | None]] = {}
 
-    for tok, tok_pos in zip(tokens, positions):
-        if tok.kind in (TokenKind.ATOM, TokenKind.BRACKET_ATOM):
-            if tok.kind == TokenKind.ATOM:
-                aromatic = tok.text in _AROMATIC
-                atom = Atom(element=tok.text.capitalize() if aromatic else tok.text, aromatic=aromatic)
+    tok_pos = 0
+    for tok in tokenize(smiles):
+        kind, text = tok.kind, tok.text
+        if kind is _ATOM or kind is _BRACKET_ATOM:
+            if kind is _ATOM:
+                aromatic = text in _AROMATIC
+                atom = Atom(element=text.upper() if aromatic else text, aromatic=aromatic)
             else:
-                atom = _parse_bracket(tok.text, tok_pos)
-            graph.atoms.append(atom)
-            idx = len(graph.atoms) - 1
+                atom = _parse_bracket(text, tok_pos)
+            idx = len(atoms)
+            atoms.append(atom)
             if anchor is not None:
-                order = pending if pending is not None else _implicit_order(graph.atoms[anchor], atom)
-                graph.add_bond(anchor, idx, order)
+                if pending is None:
+                    pending = _AROMATIC_BOND if atom.aromatic and atoms[anchor].aromatic else _SINGLE
+                # A chain bond always reaches a new atom, so it is never a duplicate.
+                bonds.append(Bond(anchor, idx, pending))
+                pairs.add((anchor, idx))
             anchor = idx
             pending = None
-        elif tok.kind == TokenKind.BOND:
-            if tok.text in "/\\":
-                raise StereoUnsupported(f"directional bond {tok.text!r}", tok_pos)
+        elif kind is _BOND:
+            if text in "/\\":
+                raise StereoUnsupported(f"directional bond {text!r}", tok_pos)
             if anchor is None or pending is not None:
                 raise SmilesError("bond symbol without a preceding atom", tok_pos)
-            pending = _BOND_ORDER[tok.text]
-        elif tok.kind == TokenKind.RING_BOND:
-            digit = int(tok.text[1:]) if tok.text.startswith("%") else int(tok.text)
+            pending = _BOND_ORDER[text]
+        elif kind is _RING_BOND:
+            digit = int(text[1:]) if text[0] == "%" else int(text)
             if anchor is None:
                 raise SmilesError("ring bond digit before any atom", tok_pos)
             if digit in open_rings:
@@ -324,25 +318,32 @@ def parse(smiles: str) -> MolGraph:
                     raise UnmatchedRingBond(digit, f"ring bond {digit} closes on its own atom")
                 if pending is not None and other_order is not None and pending is not other_order:
                     raise UnmatchedRingBond(digit, f"ring bond {digit} has conflicting bond orders")
-                order = pending or other_order or _implicit_order(graph.atoms[other], graph.atoms[anchor])
-                graph.add_bond(other, anchor, order)
+                order = pending or other_order
+                if order is None:
+                    order = _AROMATIC_BOND if atoms[other].aromatic and atoms[anchor].aromatic else _SINGLE
+                key = (other, anchor) if other < anchor else (anchor, other)
+                if key in pairs:
+                    raise SmilesError(f"duplicate bond between atoms {other} and {anchor}")
+                bonds.append(Bond(other, anchor, order))
+                pairs.add(key)
             else:
                 open_rings[digit] = (anchor, pending)
             pending = None
-        elif tok.kind == TokenKind.BRANCH_OPEN:
+        elif kind is _BRANCH_OPEN:
             if anchor is None or pending is not None:
                 raise SmilesError("branch must follow an atom", tok_pos)
             branch_stack.append(anchor)
-        elif tok.kind == TokenKind.BRANCH_CLOSE:
+        elif kind is _BRANCH_CLOSE:
             if not branch_stack:
                 raise UnclosedBranch("branch close without matching open")
             if pending is not None:
                 raise SmilesError("dangling bond before branch close", tok_pos)
             anchor = branch_stack.pop()
-        elif tok.kind == TokenKind.DOT:
+        elif kind is _DOT:
             if pending is not None:
                 raise SmilesError("dangling bond before fragment separator", tok_pos)
             anchor = None
+        tok_pos += len(text)
 
     if pending is not None:
         raise SmilesError("dangling bond at end of input")
@@ -350,7 +351,18 @@ def parse(smiles: str) -> MolGraph:
         raise UnmatchedRingBond(min(open_rings))
     if branch_stack:
         raise UnclosedBranch()
+    graph._keyed = len(bonds)
     return graph
+
+
+def _coded_adjacency(graph: MolGraph) -> list[list[tuple[int, int]]]:
+    """Per atom, its (neighbor, bond code) pairs; the code is the bond order's value."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in graph.atoms]
+    for bond in graph.bonds:
+        code = bond.order.value
+        adj[bond.a].append((bond.b, code))
+        adj[bond.b].append((bond.a, code))
+    return adj
 
 
 def _fragments(adj) -> list[list[int]]:
@@ -373,46 +385,63 @@ def _fragments(adj) -> list[list[int]]:
     return result
 
 
-def _morgan_ranks(graph: MolGraph, atoms: list[int], adj) -> dict[int, int]:
-    """Iteratively refined atom ranks within one connected fragment.
+def _dense(keys: list) -> tuple[list[int], int]:
+    """Dense 0-based rank of each key among the distinct keys, and their count."""
+    rank_of = {k: r for r, k in enumerate(sorted(set(keys)))}
+    return [rank_of[k] for k in keys], len(rank_of)
+
+
+def _morgan_ranks(graph: MolGraph, atoms: list[int], adj) -> list[int]:
+    """Iteratively refined ranks of ``atoms``, one connected fragment, in its order.
 
     Starts from (element, aromatic, charge, H count, degree) and refines by
-    sorted neighbor (bond order, rank) multisets until the partition stops
+    sorted neighbor (bond code, rank) multisets until the partition stops
     splitting.  Ranks are dense, 0-based, lowest rank first.
+
+    Everything is a list indexed by an atom's position in ``atoms``, and a
+    neighbor's (bond code, rank) pair is the one int ``code * n + rank``
+    (integer invariants as in Schneider, Sayle and Landrum 2015).  This keeps
+    the order of the pair keys:
+    - every rank is below n, so ``code * n + rank`` is strictly increasing
+      in (code, rank), and sorting the ints sorts the pairs;
+    - two atoms' neighbor keys are only compared when their own ranks are
+      equal, and equal ranks imply equal degree (degree is in the initial
+      key, and a pass only splits classes), so the two sorted int tuples
+      have one length and compare element by element, as the pairs did.
+
+    A pass keys atoms by (rank, neighbor ints), so it keeps the order of
+    the old ranks and only splits classes.  When it splits none, it returns
+    the ranks it was given.  The loop therefore stops once every atom has a
+    rank of its own, or as soon as the count of ranks stops growing.
     """
-
-    def dense(keys: dict[int, tuple]) -> dict[int, int]:
-        order = {k: r for r, k in enumerate(sorted(set(keys.values())))}
-        return {a: order[keys[a]] for a in atoms}
-
-    initial = {
-        a: (
-            graph.atoms[a].element,
-            graph.atoms[a].aromatic,
-            graph.atoms[a].charge,
-            -1 if graph.atoms[a].h_count is None else graph.atoms[a].h_count,
-            len(adj[a]),
-        )
-        for a in atoms
-    }
-    ranks = dense(initial)
-    while True:
-        keys = {
-            a: (ranks[a], tuple(sorted((order.value, ranks[b]) for b, order in adj[a])))
-            for a in atoms
-        }
-        new = dense(keys)
-        if len(set(new.values())) == len(set(ranks.values())):
-            return new
-        ranks = new
+    n = len(atoms)
+    position = {a: i for i, a in enumerate(atoms)}
+    neighbors = [[(code * n, position[b]) for b, code in adj[a]] for a in atoms]
+    initial = []
+    for a in atoms:
+        atom = graph.atoms[a]
+        initial.append((atom.element, atom.aromatic, atom.charge, -1 if atom.h_count is None else atom.h_count,
+                        len(adj[a])))
+    ranks, count = _dense(initial)
+    while count < n:
+        keys = []
+        for i, pairs in enumerate(neighbors):
+            codes = [base + ranks[j] for base, j in pairs]
+            codes.sort()
+            keys.append((ranks[i], *codes))
+        new, new_count = _dense(keys)
+        if new_count == count:
+            break
+        ranks, count = new, new_count
+    return ranks
 
 
 def canonical_ranks(graph: MolGraph) -> list[int]:
     """Per-atom refined ranks (dense within each fragment)."""
-    adj = graph.adjacency()
+    adj = _coded_adjacency(graph)
     out = [0] * len(graph.atoms)
     for frag in _fragments(adj):
-        for a, r in _morgan_ranks(graph, frag, adj).items():
+        for a, r in zip(frag, _morgan_ranks(graph, frag, adj)):
             out[a] = r
     return out
 
@@ -444,55 +473,45 @@ def _atom_token(atom: Atom) -> str:
     return "".join(parts)
 
 
-def _write_fragment(graph: MolGraph, atoms: list[int], adj, priority: dict[int, tuple]) -> str:
-    """Emit one fragment as SMILES, visiting atoms in priority order."""
-    start = min(atoms, key=lambda a: priority[a])
-    children: dict[int, list[int]] = {a: [] for a in atoms}
-    closures: dict[int, list[tuple[int, BondOrder]]] = {a: [] for a in atoms}
-    bond_of: dict[tuple[int, int], BondOrder] = {}
+def _write_fragment(graph: MolGraph, atoms: list[int], adj, priority: list) -> str:
+    """Emit one fragment as SMILES, visiting atoms in priority order (lowest first)."""
+    start = min(atoms, key=priority.__getitem__)
+    # Depth-first walk from the start atom.  The stack carries the bond code
+    # from the parent, and each ring bond is met once, from its later atom.
     preorder: dict[int, int] = {}
-    visited: set[int] = set()
-    stack: list[tuple[int, int | None]] = [(start, None)]
-    ring_seen: set[tuple[int, int]] = set()
+    children: dict[int, list[tuple[int, int]]] = {}
+    closures: dict[int, list[tuple[int, int]]] = {}
+    stack = [(start, -1, 0)]
+
+    def by_priority(pair: tuple[int, int]):
+        return priority[pair[0]]
+
     while stack:
-        a, parent = stack.pop()
-        if a in visited:
+        a, parent, code = stack.pop()
+        if a in preorder:
             continue
-        visited.add(a)
         preorder[a] = len(preorder)
-        if parent is not None:
-            children[parent].append(a)
-        neighbors = sorted(((b, order) for b, order in adj[a]), key=lambda t: priority[t[0]])
-        for b, order in neighbors:
-            bond_of[(a, b)] = bond_of[(b, a)] = order
-            if b in visited:
-                key = (min(a, b), max(a, b))
-                if b != parent and key not in ring_seen:
-                    ring_seen.add(key)
-                    closures[a].append((b, order))
-                    closures[b].append((a, order))
-        # LIFO stack: push in reverse so the best-priority child is written first.
-        for b, _ in reversed(neighbors):
-            if b not in visited:
-                stack.append((b, a))
+        children[a] = []
+        if parent >= 0:
+            children[parent].append((a, code))
+        neighbors = adj[a]
+        if len(neighbors) > 1:
+            # LIFO stack: push in reverse so the best-priority child is written first.
+            neighbors = sorted(neighbors, key=by_priority, reverse=True)
+        for b, code in neighbors:
+            if b not in preorder:
+                stack.append((b, a, code))
+            elif b != parent:
+                closures.setdefault(a, []).append((b, code))
+                closures.setdefault(b, []).append((a, code))
+
+    atom_of = graph.atoms
+
+    def by_preorder(pair: tuple[int, int]) -> int:
+        return preorder[pair[0]]
 
     digit_of: dict[tuple[int, int], int] = {}
     in_use: set[int] = set()
-
-    def ring_token(a: int, b: int, order: BondOrder) -> str:
-        key = (min(a, b), max(a, b))
-        if key in digit_of:
-            digit = digit_of.pop(key)
-            in_use.discard(digit)
-        else:
-            digit = 1
-            while digit in in_use:
-                digit += 1
-            in_use.add(digit)
-            digit_of[key] = digit
-        bond = "" if order == _implicit_order(graph.atoms[a], graph.atoms[b]) else _BOND_SYMBOL[order]
-        return bond + (str(digit) if digit < 10 else f"%{digit:02d}")
-
     # Explicit stack of pending atoms (int) and literal text (str), so chain
     # length is not bounded by the recursion limit.  Atoms are written, and
     # ring digits assigned, in the order a recursive descent would visit them.
@@ -500,19 +519,34 @@ def _write_fragment(graph: MolGraph, atoms: list[int], adj, priority: dict[int, 
     pending: list[int | str] = [start]
     while pending:
         a = pending.pop()
-        if isinstance(a, str):
+        if type(a) is str:
             out.append(a)
             continue
-        out.append(_atom_token(graph.atoms[a]))
-        for b, order in sorted(closures[a], key=lambda t: preorder[t[0]]):
-            out.append(ring_token(a, b, order))
+        atom = atom_of[a]
+        out.append(_atom_token(atom))
+        if a in closures:
+            for b, code in sorted(closures[a], key=by_preorder):
+                key = (a, b) if a < b else (b, a)
+                if key in digit_of:
+                    digit = digit_of.pop(key)
+                    in_use.discard(digit)
+                else:
+                    digit = 1
+                    while digit in in_use:
+                        digit += 1
+                    in_use.add(digit)
+                    digit_of[key] = digit
+                implicit = _AROMATIC_CODE if atom.aromatic and atom_of[b].aromatic else _SINGLE_CODE
+                bond = "" if code == implicit else _BOND_SYMBOL[code]
+                out.append(bond + (str(digit) if digit < 10 else f"%{digit:02d}"))
         kids = children[a]
-        for k in range(len(kids) - 1, -1, -1):
-            b = kids[k]
-            order = bond_of[(a, b)]
-            bond = "" if order == _implicit_order(graph.atoms[a], graph.atoms[b]) else _BOND_SYMBOL[order]
+        last = len(kids) - 1
+        for k in range(last, -1, -1):
+            b, code = kids[k]
+            implicit = _AROMATIC_CODE if atom.aromatic and atom_of[b].aromatic else _SINGLE_CODE
+            bond = "" if code == implicit else _BOND_SYMBOL[code]
             # Pushed in reverse: every child but the last is a parenthesized branch.
-            pending.extend((")", b, bond, "(") if k < len(kids) - 1 else (b, bond))
+            pending.extend((")", b, bond, "(") if k < last else (b, bond))
     return "".join(out)
 
 
@@ -520,16 +554,16 @@ def write_smiles(graph: MolGraph, priority: list[tuple] | None = None) -> str:
     """Write a SMILES string for the graph; priority controls atom order."""
     if not graph.atoms:
         raise SmilesError("cannot write an empty graph")
-    adj = graph.adjacency()
+    n = len(graph.atoms)
+    adj = _coded_adjacency(graph)
     if priority is None:
-        prio = {a: (a,) for a in range(len(graph.atoms))}
+        prio: list = list(range(n))
     else:
-        prio = {}
-        for a in range(len(graph.atoms)):
+        prio = []
+        for a in range(n):
             p = priority[a]
-            prio[a] = (tuple(p) if isinstance(p, tuple) else (int(p),)) + (a,)
-    pieces = [_write_fragment(graph, frag, adj, prio) for frag in _fragments(adj)]
-    return ".".join(pieces)
+            prio.append((tuple(p) if isinstance(p, tuple) else (int(p),)) + (a,))
+    return ".".join(_write_fragment(graph, frag, adj, prio) for frag in _fragments(adj))
 
 
 def canonicalize(graph: MolGraph) -> str:
@@ -542,11 +576,13 @@ def canonicalize(graph: MolGraph) -> str:
     """
     if not graph.atoms:
         raise SmilesError("cannot canonicalize an empty graph")
-    adj = graph.adjacency()
+    n = len(graph.atoms)
+    adj = _coded_adjacency(graph)
     fragments = _fragments(adj)
-    prio: dict[int, tuple] = {}
+    prio = [0] * n
     for frag in fragments:
-        prio.update((a, (r, a)) for a, r in _morgan_ranks(graph, frag, adj).items())
+        for a, r in zip(frag, _morgan_ranks(graph, frag, adj)):
+            prio[a] = r * n + a  # orders atoms by (rank, index)
     return ".".join(sorted(_write_fragment(graph, frag, adj, prio) for frag in fragments))
 
 
@@ -570,7 +606,7 @@ def permute_atoms(graph: MolGraph, perm: list[int]) -> MolGraph:
 
 def random_smiles(graph: MolGraph, rng: np.random.Generator) -> str:
     """A random rewrite of the graph: same molecule, shuffled atom order."""
-    perm = list(rng.permutation(len(graph.atoms)))
+    perm = rng.permutation(len(graph.atoms)).tolist()
     shuffled = permute_atoms(graph, perm)
     prio = [(int(p),) for p in rng.permutation(len(graph.atoms))]
     return write_smiles(shuffled, prio)

@@ -163,6 +163,18 @@ class TestCheckpointMetadata:
                      "model_config: embed_dim: invalid literal for int() with base 10: 'abc'", id="wrong-type"),
         pytest.param(lambda meta: meta["model_config"].update(seq_hidden=0),
                      "model_config: seq_hidden must be >= 1, got 0", id="zero-size"),
+        pytest.param(lambda meta: meta.update(model_config=[]),
+                     "model_config must be a JSON object, found list", id="model-config-list"),
+        pytest.param(lambda meta: meta.update(trainable=[]),
+                     "trainable must be a JSON object, found list", id="trainable-list"),
+        pytest.param(lambda meta: meta.update(vocabulary="C"),
+                     "vocabulary must be a JSON object, found str", id="vocabulary-string"),
+        pytest.param(lambda meta: meta.update(center_alpha="x"),
+                     "center_alpha must be null or a number in (0, 1], found 'x'", id="center-alpha-string"),
+        pytest.param(lambda meta: meta.update(center_alpha=0),
+                     "center_alpha must be null or a number in (0, 1], found 0", id="center-alpha-zero"),
+        pytest.param(lambda meta: meta.update(center_alpha=float("nan")),
+                     "center_alpha must be null or a number in (0, 1], found nan", id="center-alpha-nan"),
     ])
     def test_malformed_metadata_fails_naming_the_key(self, trained_checkpoint, dataset_dir, tmp_path, capsys,
                                                      rewrite, message):

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -294,6 +296,68 @@ class TestLongChains:
         bonds = [(i, i + 1) for i in range(n - 1)] + [(i, n + i) for i in range(n)]
         g = chain_graph([sk.Atom("C") for _ in range(2 * n)], bonds)
         assert sk.write_smiles(g) == "C(" * (n - 1) + "CC" + ")C" * (n - 1)
+
+
+def sha256_lines(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+class TestCanonicalGolden:
+    """The bytes the SMILES layer writes, pinned by sha256 digests of the outputs
+    of the dict-keyed Morgan refinement and writer that the integer-keyed ones replaced."""
+
+    REWRITES = 2000
+
+    @pytest.fixture(scope="class")
+    def rewrites(self):
+        # The generator of the benchmark's stream, without its de-duplication:
+        # seed 7, stream 29, a pool molecule, then its rewrite.
+        rng = np.random.default_rng(np.random.SeedSequence([7, 29]))
+        graphs = [sk.parse(s) for s in POOL]
+        return [sk.random_smiles(graphs[int(rng.integers(len(POOL)))], rng) for _ in range(self.REWRITES)]
+
+    def test_pool_canonical_forms_and_ranks(self):
+        lines = [f"{s}\t{sk.canonical_smiles(s)}\t{' '.join(map(str, sk.canonical_ranks(sk.parse(s))))}"
+                 for s in POOL]
+        assert sha256_lines(lines) == "89048ddd2f9462ce487e8363e263386059d09363dc130d1921085e4a116faf04"
+
+    def test_random_rewrites(self, rewrites):
+        assert sha256_lines(rewrites) == "32f4c3fd2c1fc0f66a43af047f423d14aec86a7fad21689052e36db6aeb96cee"
+
+    def test_canonical_forms_of_rewrites(self, rewrites):
+        canonical = [sk.canonical_smiles(s) for s in rewrites]
+        assert sha256_lines(canonical) == "2200bbf5b76e266ea3c36315bfed62a77e8da519737a232a4139345c24b7a44d"
+
+    def test_pool_matches_benchmark_golden(self):
+        tsv = Path(__file__).resolve().parents[1] / "perfbench" / "pool_canonical.tsv"
+        golden = dict(line.split("\t") for line in tsv.read_text().splitlines())
+        assert {s: sk.canonical_smiles(s) for s in POOL} == golden
+
+
+# Single characters of the SMILES alphabet, plus whole tokens so that longer
+# valid molecules turn up as well as broken ones.
+SMILES_PIECES = list("BCNOPSFIbcnopslrH[]()%=#:/\\.@+-0123456789") + [
+    "Cl", "Br", "c1ccccc1", "[NH4+]", "[O-]", "C(=O)", "%12", "[nH]", "C1", "CC",
+]
+
+
+class TestParserFuzz:
+    """Arbitrary text either parses or fails with a SmilesError, never a raw
+    IndexError, KeyError or ValueError; whatever canonicalizes is a fixed point."""
+
+    @given(st.lists(st.sampled_from(SMILES_PIECES), max_size=30).map("".join))
+    @settings(max_examples=400, deadline=None)
+    def test_typed_errors_and_idempotent_canonical_form(self, text):
+        for step in (sk.tokenize, sk.parse):
+            try:
+                step(text)
+            except sk.SmilesError:
+                pass
+        try:
+            canon = sk.canonical_smiles(text)
+        except sk.SmilesError:
+            return
+        assert sk.canonical_smiles(canon) == canon
 
 
 class TestVocabulary:
