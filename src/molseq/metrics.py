@@ -7,11 +7,17 @@ Zheng et al. 2015 (Market-1501).
 
 ``evaluate_retrieval`` ranks only the relevant items.  AP and CMC need the
 sorted position of each gallery item that shares the query's label, not the
-whole ranking.  Queries are scored in blocks by one GEMM against the
-gallery; each block's negated scores are sorted once, and ``searchsorted``
-gives every relevant item's position.  Ones at those positions make the
-same 0/1 match row that a full stable argsort gives, and AP and CMC are
-computed from that row exactly as before, so they are equal to the bit.
+whole ranking.  The gallery indices are grouped by label once, by a stable
+argsort.  Queries are scored in blocks by one GEMM against the gallery;
+each block's negated scores are sorted once, and ``searchsorted`` gives
+every relevant item's position.  With the R positions sorted, p_1 < ... <
+p_R, row r of the block is refilled with j / (p_j + 1) at p_j and zeros
+elsewhere, and one row sum per block gives AP = sum / R; the first hit is
+p_1 + 1.  This is equal to the bit to AP from the 0/1 match row of a full
+stable argsort, for two reasons.  At a hit, ``cumsum(matches) / arange`` is
+exactly j / (p_j + 1), and times the match it is +0.0 everywhere else.
+And a row sum over a C-contiguous ``[rows, G]`` array is the same pairwise
+summation as the 1-D ``.sum()`` of that row.
 
 GEMM and the per-query GEMV of ``rank_gallery`` may sum the d products in
 different orders, so their scores can differ in the last bits.  Both are
@@ -118,10 +124,14 @@ def evaluate_retrieval(
         raise ShapeMismatch("evaluate_retrieval", (query_embs.shape, gallery_embs.shape))
     num_g, dim = gallery_embs.shape
     max_rank = min(max_rank, num_g)
-    gallery_label_set = set(g_labels.tolist())
-    for label in q_labels:
-        if label not in gallery_label_set:
-            raise QueryLabelAbsent(label)
+    # Gallery indices grouped by label; within a group they stay in index order.
+    by_label = np.argsort(g_labels, kind="stable")
+    sorted_labels = g_labels[by_label]
+    group_lo = np.searchsorted(sorted_labels, q_labels, side="left")
+    group_hi = np.searchsorted(sorted_labels, q_labels, side="right")
+    absent = np.flatnonzero(group_hi == group_lo)
+    if absent.size:
+        raise QueryLabelAbsent(q_labels[absent[0]])
     gallery_unit = _normalize(gallery_embs)
     band = 4 * (dim + 2) * np.finfo(np.float64).eps
     block = max(1, 2**17 // max(num_g, 1))  # about 1 MB of scores per block
@@ -132,20 +142,32 @@ def evaluate_retrieval(
         neg_scores = _normalize(query_embs[start:start + block]) @ gallery_unit.T
         np.negative(neg_scores, out=neg_scores)
         neg_sorted = np.sort(neg_scores, axis=1)
+        hits = []
         for row in range(neg_scores.shape[0]):
             qi = start + row
-            relevant = g_labels == q_labels[qi]
-            positions = _relevant_positions(neg_scores[row][relevant], neg_sorted[row], band)
+            members = by_label[group_lo[qi]:group_hi[qi]]
+            positions = _relevant_positions(neg_scores[row, members], neg_sorted[row], band)
             if positions is None:
-                order = _rank(gallery_unit, query_embs[qi])
-                matches = relevant[order].astype(np.float64)
+                relevant = np.zeros(num_g, dtype=bool)
+                relevant[members] = True
+                matches = relevant[_rank(gallery_unit, query_embs[qi])].astype(np.float64)
+                cum = np.cumsum(matches)
+                precisions = cum / np.arange(1, num_g + 1)
+                aps[qi] = (precisions * matches).sum() / matches.sum()
+                first_hit[qi] = int(np.argmax(matches)) + 1  # rank of the first correct item
             else:
-                matches = np.zeros(num_g)
-                matches[positions] = 1.0
-            cum = np.cumsum(matches)
-            precisions = cum / np.arange(1, num_g + 1)
-            aps[qi] = (precisions * matches).sum() / matches.sum()
-            first_hit[qi] = int(np.argmax(matches)) + 1  # rank of the first correct item
+                hits.append((row, positions))
+        # Every row's scores are read, so the block becomes the precision
+        # buffer (see the module docstring for why AP keeps its bits).
+        precisions = neg_scores
+        precisions.fill(0.0)
+        for row, positions in hits:
+            positions.sort()
+            precisions[row, positions] = np.arange(1, positions.size + 1) / (positions + 1.0)
+            first_hit[start + row] = positions[0] + 1
+        sums = precisions.sum(axis=1)
+        for row, positions in hits:
+            aps[start + row] = sums[row] / positions.size
 
     ranks = np.arange(1, max_rank + 1)
     cmc = (first_hit[None, :] <= ranks[:, None]).mean(axis=1)

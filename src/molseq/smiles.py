@@ -534,6 +534,9 @@ def _write_fragment(graph: MolGraph, atoms: list[int], adj, priority: list) -> s
                     digit = 1
                     while digit in in_use:
                         digit += 1
+                    if digit > 99:
+                        # "%100" would be read back as ring 10 followed by ring 0.
+                        raise SmilesError("more than 99 ring bonds open at once")
                     in_use.add(digit)
                     digit_of[key] = digit
                 implicit = _AROMATIC_CODE if atom.aromatic and atom_of[b].aromatic else _SINGLE_CODE

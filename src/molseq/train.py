@@ -20,10 +20,11 @@ import numpy as np
 from . import autodiff as ad
 from .data import (DatasetSplit, Sample, choose_pk, labels_of, parse_config, pk_groups, pk_sample_indices,
                    read_config, split_query_gallery)
-from .errors import ConfigError, ShapeMismatch
+from .errors import ConfigError, NonFiniteValue, ShapeMismatch
 from .losses import (
     CenterState,
     LossWeights,
+    NonFiniteComponent,
     build_supervision,
     center_loss,
     classification_ce,
@@ -269,7 +270,9 @@ def run_stage(config: TrainConfig, data: DatasetSplit, init: Checkpoint | None =
     """One training stage over PK batches, with periodic retrieval evals.
 
     ``init`` warm-starts the encoders: its ``mol.*`` and ``seq.*`` parameters
-    are loaded, and those the model lacks are ignored.
+    are loaded, and those the model lacks are ignored.  A ``NonFiniteValue``
+    or ``NonFiniteComponent`` raised by the loop leaves with ``stage`` and
+    ``step`` attributes, and both are named in its message.
     """
     config.validate()
     label_kind = config.label_kind
@@ -325,23 +328,29 @@ def run_stage(config: TrainConfig, data: DatasetSplit, init: Checkpoint | None =
     history: list[dict] = []
     step = 0
 
-    for epoch in range(1, config.epochs + 1):
-        for _ in range(steps_per_epoch):
-            idx = pk_sample_indices(groups, config.batch_p, config.batch_k, config.seed, step)
-            batch_labels = stage_labels[idx]
-            leaves = model.params.as_leaves()
-            v_emb = model.sequence.forward(train_pooled[idx], leaves)
-            s_emb = model.molecule.forward_counts(counts[idx], leaves) if config.use_molecule_branch else None
-            total, report = _objective(config, model, leaves, s_emb, v_emb, batch_labels, class_labels[idx], centers)
-            ad.backward(total)
-            grads = {n: t.grad for n, t in leaves.items() if t.grad is not None}
-            sgd_step(model.params, grads, config.learning_rate, config.momentum, velocity)
-            update_centers(centers, v_emb.data, batch_labels)
-            report["step"] = step
-            loss_log.append(report)
-            step += 1
-        if epoch % config.eval_every == 0 or epoch == config.epochs:
-            history.append({"epoch": epoch, **evaluate(model, eval_inputs)[0]})
+    try:
+        for epoch in range(1, config.epochs + 1):
+            for _ in range(steps_per_epoch):
+                idx = pk_sample_indices(groups, config.batch_p, config.batch_k, config.seed, step)
+                batch_labels = stage_labels[idx]
+                leaves = model.params.as_leaves()
+                v_emb = model.sequence.forward(train_pooled[idx], leaves)
+                s_emb = model.molecule.forward_counts(counts[idx], leaves) if config.use_molecule_branch else None
+                total, report = _objective(config, model, leaves, s_emb, v_emb, batch_labels, class_labels[idx], centers)
+                ad.backward(total)
+                grads = {n: t.grad for n, t in leaves.items() if t.grad is not None}
+                sgd_step(model.params, grads, config.learning_rate, config.momentum, velocity)
+                update_centers(centers, v_emb.data, batch_labels)
+                report["step"] = step
+                loss_log.append(report)
+                step += 1
+            if epoch % config.eval_every == 0 or epoch == config.epochs:
+                history.append({"epoch": epoch, **evaluate(model, eval_inputs)[0]})
+    except (NonFiniteValue, NonFiniteComponent) as exc:
+        # One handler around the whole loop, so a step pays nothing for it.
+        exc.stage, exc.step = config.stage, step
+        exc.args = (f"{exc.args[0]} (stage {config.stage}, step {step})", *exc.args[1:])
+        raise
 
     result = StageResult(config=config, model=model, vocab=vocab, centers=centers,
                          history=history, loss_log=loss_log)

@@ -236,6 +236,41 @@ class TestEvaluateRetrieval:
         assert fallbacks == 2  # only the label-1 queries have a NaN relevant score
         assert_bitwise_reference(q, q_labels, g, g_labels, 20, result)
 
+    def test_many_blocks_with_fallback_rows_between_fast_rows(self, rng, monkeypatch):
+        g_n, q_n, d = 30_000, 14, 4
+        block = 2**17 // g_n
+        assert q_n // block >= 3 and q_n % block  # three full blocks, then a partial one
+        g = rng.normal(size=(g_n, d))
+        g_labels = rng.choice(4, size=g_n, p=[0.5, 0.3, 0.15, 0.05])  # unequal relevant counts
+        g_labels[[10, 20_000]] = 4  # label 4: an exact tie between its two rows
+        g[20_000] = g[10]
+        g_labels[[500, 29_999]] = 5  # label 5: one NaN row
+        g[29_999] = np.nan
+        q = rng.normal(size=(q_n, d))
+        q_labels = np.array([0, 4, 1, 2, 3, 0, 5, 1, 2, 4, 3, 0, 5, 1])
+        result, fallbacks = evaluate_counting_fallbacks(monkeypatch, q, q_labels, g, g_labels, 20)
+        assert fallbacks == 4
+        assert_bitwise_reference(q, q_labels, g, g_labels, 20, result)
+
+    @pytest.mark.parametrize("q_dtype, g_dtype", [(np.int32, np.int64), (np.int64, np.int32)])
+    def test_label_dtypes_match_as_equality_does(self, rng, q_dtype, g_dtype):
+        g = rng.normal(size=(50, 3))
+        g_labels = rng.integers(0, 4, size=50).astype(g_dtype)
+        q = rng.normal(size=(6, 3))
+        q_labels = g_labels[:6].astype(q_dtype)
+        result = mt.evaluate_retrieval(q, q_labels, g, g_labels, 20)
+        assert_bitwise_reference(q, q_labels, g, g_labels, 20, result)
+
+    def test_absent_label_raises_before_scoring(self, monkeypatch):
+        def no_scoring(*args):
+            raise AssertionError("scored before the label check")
+
+        monkeypatch.setattr(mt, "_normalize", no_scoring)
+        q_labels = np.array([1, 7, 0], dtype=np.int32)
+        with pytest.raises(mt.QueryLabelAbsent) as err:
+            mt.evaluate_retrieval(np.ones((3, 2)), q_labels, np.ones((4, 2)), np.array([0, 1, 0, 2], dtype=np.int64))
+        assert err.value.label == 7
+
     @given(st.data())
     @settings(max_examples=40, deadline=None)
     def test_bitwise_equal_to_rank_gallery_loop(self, data):

@@ -298,6 +298,31 @@ class TestLongChains:
         assert sk.write_smiles(g) == "C(" * (n - 1) + "CC" + ")C" * (n - 1)
 
 
+def nested_rings(k: int) -> sk.MolGraph:
+    """A chain of 2k+2 atoms with ring bonds (i, 2k+1-i): all k are open at once when written from atom 0."""
+    n = 2 * k + 2
+    return chain_graph([sk.Atom("C") for _ in range(n)],
+                       [(i, i + 1) for i in range(n - 1)] + [(i, n - 1 - i) for i in range(k)])
+
+
+def bond_pairs(graph: sk.MolGraph) -> set[tuple[int, int]]:
+    return {(min(b.a, b.b), max(b.a, b.b)) for b in graph.bonds}
+
+
+class TestRingNumbers:
+    def test_99_open_rings_round_trip(self):
+        g = nested_rings(99)
+        text = sk.write_smiles(g)
+        assert "%99" in text
+        assert bond_pairs(sk.parse(text)) == bond_pairs(g)
+
+    def test_100_open_rings_raise(self):
+        g = nested_rings(100)
+        assert len(g.bonds) == 301
+        with pytest.raises(sk.SmilesError, match="more than 99 ring bonds"):
+            sk.write_smiles(g)
+
+
 def sha256_lines(lines) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 

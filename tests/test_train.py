@@ -257,6 +257,15 @@ class TestRunStage:
             tr.run_stage(cfg, tiny_split, init=ckpt)
         assert backward_calls == []
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_error_names_stage_and_step(self, tiny_split):
+        ckpt = tr.run_stage(tiny_config(epochs=1), tiny_split).checkpoint
+        ckpt.parameters["seq.w1"] = np.full_like(ckpt.parameters["seq.w1"], 1e308)
+        with pytest.raises(NonFiniteValue) as err:
+            tr.run_stage(tiny_config(), tiny_split, init=ckpt)
+        assert (err.value.stage, err.value.step) == ("pretrain_drug", 0)
+        assert "(stage pretrain_drug, step 0)" in str(err.value)
+
     def test_moa_class_matrix_flag(self, tiny_split):
         cfg = tiny_config(class_matrix_labels="moa", epochs=2)
         result = tr.run_stage(cfg, tiny_split)
