@@ -27,9 +27,10 @@ gamma_d = d*u/(1 - d*u) of the exact value in any summation order (Higham,
 A score difference of more than four such errors has the same sign in
 both.  So when no other gallery score lies within ``4*(d+2)*eps`` of any
 relevant score, and every relevant score is finite, the positions are
-those of today's ranking.  Otherwise that query falls back to ``_rank``
-(GEMV plus stable argsort), so exact ties, near ties and NaN scores keep
-the index-order tie-break.
+those of today's ranking.  Otherwise that query's positions come from
+``_rank`` (GEMV plus stable argsort), so exact ties, near ties and NaN
+scores keep the index-order tie-break; AP and the first hit are then
+computed from them like any other row's.
 """
 
 from __future__ import annotations
@@ -142,7 +143,7 @@ def evaluate_retrieval(
         neg_scores = _normalize(query_embs[start:start + block]) @ gallery_unit.T
         np.negative(neg_scores, out=neg_scores)
         neg_sorted = np.sort(neg_scores, axis=1)
-        hits = []
+        positions_of = []
         for row in range(neg_scores.shape[0]):
             qi = start + row
             members = by_label[group_lo[qi]:group_hi[qi]]
@@ -150,24 +151,17 @@ def evaluate_retrieval(
             if positions is None:
                 relevant = np.zeros(num_g, dtype=bool)
                 relevant[members] = True
-                matches = relevant[_rank(gallery_unit, query_embs[qi])].astype(np.float64)
-                cum = np.cumsum(matches)
-                precisions = cum / np.arange(1, num_g + 1)
-                aps[qi] = (precisions * matches).sum() / matches.sum()
-                first_hit[qi] = int(np.argmax(matches)) + 1  # rank of the first correct item
-            else:
-                hits.append((row, positions))
+                positions = np.flatnonzero(relevant[_rank(gallery_unit, query_embs[qi])])
+            positions_of.append(positions)
         # Every row's scores are read, so the block becomes the precision
         # buffer (see the module docstring for why AP keeps its bits).
         precisions = neg_scores
         precisions.fill(0.0)
-        for row, positions in hits:
+        for row, positions in enumerate(positions_of):
             positions.sort()
             precisions[row, positions] = np.arange(1, positions.size + 1) / (positions + 1.0)
-            first_hit[start + row] = positions[0] + 1
-        sums = precisions.sum(axis=1)
-        for row, positions in hits:
-            aps[start + row] = sums[row] / positions.size
+            first_hit[start + row] = positions[0] + 1  # rank of the first correct item
+        aps[start:start + len(positions_of)] = precisions.sum(axis=1) / [p.size for p in positions_of]
 
     ranks = np.arange(1, max_rank + 1)
     cmc = (first_hit[None, :] <= ranks[:, None]).mean(axis=1)

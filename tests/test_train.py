@@ -253,16 +253,9 @@ class TestRunStage:
         backward_calls = []
         monkeypatch.setattr(ad, "backward", backward_calls.append)
         cfg = tiny_config(use_molecule_branch=use_molecule_branch)
-        with pytest.raises(NonFiniteValue):
+        with pytest.raises(NonFiniteValue) as err:
             tr.run_stage(cfg, tiny_split, init=ckpt)
         assert backward_calls == []
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_non_finite_error_names_stage_and_step(self, tiny_split):
-        ckpt = tr.run_stage(tiny_config(epochs=1), tiny_split).checkpoint
-        ckpt.parameters["seq.w1"] = np.full_like(ckpt.parameters["seq.w1"], 1e308)
-        with pytest.raises(NonFiniteValue) as err:
-            tr.run_stage(tiny_config(), tiny_split, init=ckpt)
         assert (err.value.stage, err.value.step) == ("pretrain_drug", 0)
         assert "(stage pretrain_drug, step 0)" in str(err.value)
 
