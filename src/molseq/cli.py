@@ -70,7 +70,7 @@ def _cmd_strategy(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = load_config(args.config) if args.config else TrainConfig()
-    weights = [float(w) for w in args.weights.split(",")] if args.weights else list(tr.DEFAULT_SWEEP_WEIGHTS)
+    weights = [float(w) for w in args.weights.split(",")] if args.weights is not None else tr.DEFAULT_SWEEP_WEIGHTS
     split = _load_split(args.data, config)
     rows = tr.sweep_center_weight(config, weights, split, out_dir=args.out)
     print(tr.csv_text(tr.SWEEP_COLUMNS, rows), end="")
@@ -169,7 +169,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
+from . import autodiff as ad, data as dp
 from .data import (DatasetSplit, Sample, choose_pk, labels_of, parse_config, pk_groups, pk_sample_indices,
                    read_config, split_query_gallery)
 from .errors import ConfigError, NonFiniteValue, ShapeMismatch
@@ -59,7 +59,12 @@ __all__ = [
 ]
 
 STAGES = ("pretrain_drug", "finetune_moa")
-STRATEGIES = ("S1", "S2", "S3")
+_SEQ_ONLY = dict(stage="pretrain_drug", use_molecule_branch=False)
+_DUAL = dict(stage="pretrain_drug", use_molecule_branch=True)
+PIPELINE = (("warmup", _SEQ_ONLY, None), ("pretrain", _DUAL, "warmup"),
+            ("finetune", dict(stage="finetune_moa", freeze_molecule_encoder=None), "pretrain"))
+STRATEGIES = {"S1": (("seq_only", _SEQ_ONLY, None),), "S2": (("dual_fresh", _DUAL, None),),
+              "S3": (("seq_only", _SEQ_ONLY, None), ("dual_warm", _DUAL, "seq_only"))}
 
 # Center-weight schedule: 0.01, then 0.02..0.1 step 0.02, then 0.1..1.0 step 0.2.
 DEFAULT_SWEEP_WEIGHTS = [0.01, 0.02, 0.04, 0.06, 0.08, 0.1, 0.3, 0.5, 0.7, 0.9]
@@ -363,9 +368,27 @@ def _fit_pk(config: TrainConfig, data: DatasetSplit) -> TrainConfig:
     """Adjust (P, K) to the stage's class count, keeping P*K fixed."""
     num_classes = np.unique(labels_of(data.train, config.label_kind)).size
     p, k = choose_pk(config.batch_size, num_classes)
-    if (p, k) == (config.batch_p, config.batch_k):
-        return config
     return replace(config, batch_p=p, batch_k=k)
+
+
+def _run_plan(plan, data: DatasetSplit, base: TrainConfig, out_dir=None) -> dict[str, StageResult]:
+    """Run ``plan``, a sequence of (name, config overrides, name of the warm-start stage or None).
+
+    Stage ``name`` writes to ``out_dir/name``; returns the results by name.  Before any stage trains,
+    each fitted config must draw one PK batch, or ``InsufficientClasses`` names the stage.  That draw is
+    no training step, so it calls ``dp.pk_sample_indices``: ``run_stage`` calls this module's name.
+    """
+    out = Path(out_dir) if out_dir is not None else None
+    configs = {name: _fit_pk(replace(base, **overrides), data) for name, overrides, _ in plan}
+    for name, cfg in configs.items():
+        try:
+            dp.pk_sample_indices(pk_groups(labels_of(data.train, cfg.label_kind)), cfg.batch_p, cfg.batch_k, 0, 0)
+        except dp.InsufficientClasses as exc:
+            raise dp.InsufficientClasses(f"stage {name}: {exc}") from exc
+    results: dict[str, StageResult] = {}
+    for name, _, src in plan:
+        results[name] = run_stage(configs[name], data, init=src and results[src].checkpoint, out_dir=out and out / name)
+    return results
 
 
 @dataclass
@@ -388,60 +411,36 @@ def run_strategy(strategy: str, data: DatasetSplit, base: TrainConfig, out_dir=N
     Returns (report, StageResult of the last run).
     """
     if strategy not in STRATEGIES:
-        raise ValueError(f"strategy must be one of {STRATEGIES}")
-    out = Path(out_dir) if out_dir is not None else None
-    drug_cfg = _fit_pk(replace(base, stage="pretrain_drug"), data)
-
-    def report_of(result: StageResult, initialization: str) -> dict:
-        row = dict(result.final)
-        row.pop("epoch")
-        row["strategy"] = strategy
-        row["initialization"] = initialization
-        return row
-
-    if strategy == "S1":
-        cfg = replace(drug_cfg, use_molecule_branch=False)
-        result = run_stage(cfg, data, out_dir=out and out / "seq_only")
-        return report_of(result, "fresh"), result
-    if strategy == "S2":
-        cfg = replace(drug_cfg, use_molecule_branch=True)
-        result = run_stage(cfg, data, out_dir=out and out / "dual_fresh")
-        return report_of(result, "fresh"), result
-    warm = run_stage(replace(drug_cfg, use_molecule_branch=False), data, out_dir=out and out / "seq_only")
-    cfg = replace(drug_cfg, use_molecule_branch=True)
-    result = run_stage(cfg, data, init=warm.checkpoint, out_dir=out and out / "dual_warm")
-    return report_of(result, "s1_warm_start"), result
+        raise ValueError(f"strategy must be one of {tuple(STRATEGIES)}")
+    plan = STRATEGIES[strategy]
+    name, _, src = plan[-1]
+    result = _run_plan(plan, data, base, out_dir)[name]
+    row = {**result.final, "strategy": strategy, "initialization": "fresh" if src is None else "s1_warm_start"}
+    row.pop("epoch")
+    return row, result
 
 
 def run_pipeline(data: DatasetSplit, base: TrainConfig, out_dir=None) -> PipelineResult:
     """Full protocol: S3-style drug pretraining, then MoA fine-tuning."""
-    out = Path(out_dir) if out_dir is not None else None
-    drug_cfg = _fit_pk(replace(base, stage="pretrain_drug"), data)
-    warmup = run_stage(replace(drug_cfg, use_molecule_branch=False), data,
-                       out_dir=out and out / "warmup")
-    pretrain = run_stage(replace(drug_cfg, use_molecule_branch=True), data,
-                         init=warmup.checkpoint, out_dir=out and out / "pretrain")
-    moa_cfg = _fit_pk(replace(base, stage="finetune_moa", freeze_molecule_encoder=None), data)
-    finetune = run_stage(moa_cfg, data, init=pretrain.checkpoint, out_dir=out and out / "finetune")
-    return PipelineResult(warmup=warmup, pretrain=pretrain, finetune=finetune)
+    return PipelineResult(**_run_plan(PIPELINE, data, base, out_dir))
 
 
 def sweep_center_weight(base: TrainConfig, weights: list[float], data: DatasetSplit, out_dir=None):
-    """One full pipeline per center-loss weight; everything else fixed."""
+    """One full pipeline per center-loss weight, in out_dir/w<weight>; everything else fixed."""
     if not weights:
         raise ValueError("weights must be non-empty")
     if min(weights) < 0:
         raise ValueError("weights must be non-negative")
+    names = [f"w{w:g}" for w in weights]
+    if len(set(names)) < len(names):
+        raise ValueError(f"weights must give distinct directory names, got {', '.join(names)}")
     out = Path(out_dir) if out_dir is not None else None
     rows = []
-    for w in weights:
-        result = run_pipeline(data, replace(base, w_center=float(w)),
-                              out_dir=out and out / f"w{w:g}")
-        final = result.final
+    for w, name in zip(weights, names):
+        final = run_pipeline(data, replace(base, w_center=float(w)), out_dir=out and out / name).final
         rows.append({"weight": float(w), "rank1": final["rank1"], "map": final["map"],
                      "accuracy": final["accuracy"]})
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:  # the first stage made it
         (out / "sweep.csv").write_text(csv_text(SWEEP_COLUMNS, rows))
     return rows
 

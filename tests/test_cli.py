@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -146,6 +147,17 @@ class TestTrainEval:
         assert not (tmp_path / "x").exists()
 
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_run_fails_naming_stage_and_step(self, dataset_dir, train_config, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(train_config.read_text() + "learning_rate=1e300\n")
+        assert main(["train", "--config", str(bad), "--data", str(dataset_dir),
+                     "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: [^\n]*NaN or Inf \(stage pretrain_drug, step \d+\)\n", err), err
+        assert not (tmp_path / "x").exists()
+
+
 @pytest.fixture(scope="module")
 def trained_checkpoint(dataset_dir, train_config, tmp_path_factory):
     out = tmp_path_factory.mktemp("cli-ckpt")
@@ -209,6 +221,12 @@ class TestStrategySweep:
         assert out[0] == "weight,rank1,map,accuracy"
         assert len(out) == 3
         assert (tmp_path / "sweep" / "sweep.csv").exists()
+
+    def test_sweep_empty_weights_fails(self, dataset_dir, train_config, tmp_path, capsys):
+        assert main(["sweep", "--config", str(train_config), "--weights", "",
+                     "--data", str(dataset_dir), "--out", str(tmp_path / "sweep")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "sweep").exists()
 
 
 class TestGradcheckCommand:

@@ -7,6 +7,7 @@ from dataclasses import replace
 
 from molseq import autodiff as ad
 from molseq import train as tr
+from molseq.data import InsufficientClasses, SyntheticSpec, generate_synthetic, prepare_split
 from molseq.errors import NonFiniteValue, ShapeMismatch
 from molseq.model import Model, ModelConfig, load_checkpoint
 
@@ -298,6 +299,51 @@ class TestGoldenBits:
         assert hashlib.sha256(text.encode()).hexdigest() == self.GOLDEN[variant]
 
 
+def tree_digest(root, report=None) -> str:
+    """sha256 over the sorted relative paths under ``root``, each file's bytes, and ``report`` as JSON."""
+    h = hashlib.sha256()
+    for path in sorted((p for p in root.rglob("*") if p.is_file()), key=lambda p: p.relative_to(root).as_posix()):
+        data = path.read_bytes()
+        h.update(f"{path.relative_to(root).as_posix()}\0{len(data)}\0".encode())
+        h.update(data)
+    h.update(json.dumps(report, sort_keys=True).encode())
+    return h.hexdigest()
+
+
+class TestGoldenLayout:
+    """Every file the pipeline and the strategies write, with its path, pinned to the bit.
+
+    Besides the loss and metric logs, this pins the stage directory names,
+    the checkpoint bytes (parameters, centers, config echo and vocabulary)
+    and the strategy reports.  Recorded with numpy 2.4 and OpenBLAS 0.3,
+    x86-64, like ``TestGoldenBits``.
+    """
+
+    GOLDEN = {
+        "pipeline": "7a7291d5962265eaf1dcfacf80419ed52e73843f3532caac609fa9c94d7236eb",
+        "pipeline_seq_only_base_frozen": "2f214f61af5937b2f4d216fcb917ac7ee92208a565992afce7134dd7c410f274",
+        "S1": "92ead6631cc757fbdd89acd8f47d403bb595916439af9291d91819e76c183f52",
+        "S2": "331a977c8b9cf1c621757750e6d84bc76d6ff1b3adc20981fc164531fc8efce2",
+        "S3": "df1c32085d851a6a35d855a690b1dc00526d54ab3564a403d368161bbcd73634",
+        "sweep": "852166fc1d3e35bd34fd18d49de4d5db3a77fb13f733051079fcb86fe8f13b09",
+    }
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN))
+    def test_files_and_report_match_golden_digest(self, tiny_split, tmp_path, case):
+        report = None
+        if case == "pipeline":
+            tr.run_pipeline(tiny_split, tiny_config(), out_dir=tmp_path)
+        elif case == "pipeline_seq_only_base_frozen":
+            # drug stages keep the base freeze flag; fine-tuning keeps the base branch flag
+            cfg = tiny_config(use_molecule_branch=False, freeze_molecule_encoder=True)
+            tr.run_pipeline(tiny_split, cfg, out_dir=tmp_path)
+        elif case == "sweep":
+            report = tr.sweep_center_weight(tiny_config(epochs=3), [0.0, 0.25], tiny_split, out_dir=tmp_path)
+        else:
+            report, _ = tr.run_strategy(case, tiny_split, tiny_config(), out_dir=tmp_path)
+        assert tree_digest(tmp_path, report) == self.GOLDEN[case]
+
+
 class TestStrategiesAndPipeline:
     def test_s1_omits_alignment_history(self, tiny_split):
         report, result = tr.run_strategy("S1", tiny_split, tiny_config())
@@ -332,6 +378,15 @@ class TestStrategiesAndPipeline:
         for sub in ("warmup", "pretrain", "finetune"):
             assert (tmp_path / sub / "checkpoint.npz").exists()
 
+    def test_every_stage_is_checked_before_the_first_trains(self, tmp_path):
+        # MoA 3 keeps one drug: 10 training samples, too few for fine-tuning's 4 x 16 batch,
+        # while each drug stage can still draw 8 x 8.
+        samples = generate_synthetic(SyntheticSpec(num_moas=4, drugs_per_moa=3, samples_per_drug=12, T=3, f=6, seed=3))
+        split = prepare_split([s for s in samples if s.moa_label != 3 or s.drug_label == 9], ratio=0.8, seed=3)
+        with pytest.raises(InsufficientClasses, match=r"^stage finetune: need 4 classes with >= 16 samples, found 3$"):
+            tr.run_pipeline(split, tiny_config(batch_p=16, batch_k=4), out_dir=tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
     def test_pk_autofit(self, tiny_split):
         cfg = tr.TrainConfig(epochs=2, batch_p=16, batch_k=4, embed_dim=8, token_dim=4,
                              mol_hidden=8, seq_hidden=8, eval_every=2, seed=1)
@@ -352,6 +407,12 @@ class TestSweep:
     def test_single_weight(self, tiny_split):
         rows = tr.sweep_center_weight(tiny_config(epochs=2), [0.5], tiny_split)
         assert len(rows) == 1 and rows[0]["weight"] == 0.5
+
+    @pytest.mark.parametrize("weights", [[0.1, 0.10], [0.3, 0.1, 0.1000001]])
+    def test_weights_sharing_a_directory_rejected(self, tiny_split, tmp_path, weights):
+        with pytest.raises(ValueError, match="^weights must give distinct directory names"):
+            tr.sweep_center_weight(tiny_config(epochs=2), weights, tiny_split, out_dir=tmp_path / "sweep")
+        assert not (tmp_path / "sweep").exists()
 
     def test_empty_weights_rejected(self, tiny_split):
         with pytest.raises(ValueError):
