@@ -68,9 +68,20 @@ def _cmd_strategy(args) -> int:
     return 0
 
 
+def _weight_list(text: str) -> list[float]:
+    """``--weights`` as floats; a bad item is named with its position."""
+    weights = []
+    for i, item in enumerate(text.split(","), start=1):
+        try:
+            weights.append(float(item))
+        except ValueError:
+            raise ValueError(f"--weights: item {i} ({item!r}) is not a number") from None
+    return weights
+
+
 def _cmd_sweep(args) -> int:
     config = load_config(args.config) if args.config else TrainConfig()
-    weights = [float(w) for w in args.weights.split(",")] if args.weights is not None else tr.DEFAULT_SWEEP_WEIGHTS
+    weights = _weight_list(args.weights) if args.weights is not None else tr.DEFAULT_SWEEP_WEIGHTS
     split = _load_split(args.data, config)
     rows = tr.sweep_center_weight(config, weights, split, out_dir=args.out)
     print(tr.csv_text(tr.SWEEP_COLUMNS, rows), end="")

@@ -261,6 +261,8 @@ def _read_frames(path: Path) -> np.ndarray:
     if len(raw) < 8:
         raise ValueError(f"{path}: truncated frame file")
     t, f = (int(x) for x in np.frombuffer(raw[:8], dtype="<u4"))
+    if (len(raw) - 8) % 8:
+        raise ValueError(f"{path}: payload of {len(raw) - 8} bytes is not a whole number of float64 values")
     data = np.frombuffer(raw[8:], dtype="<f8")
     if data.size != t * f:
         raise ValueError(f"{path}: expected {t * f} values, found {data.size}")

@@ -8,16 +8,28 @@ Zheng et al. 2015 (Market-1501).
 ``evaluate_retrieval`` ranks only the relevant items.  AP and CMC need the
 sorted position of each gallery item that shares the query's label, not the
 whole ranking.  The gallery indices are grouped by label once, by a stable
-argsort.  Queries are scored in blocks by one GEMM against the gallery;
-each block's negated scores are sorted once, and ``searchsorted`` gives
-every relevant item's position.  With the R positions sorted, p_1 < ... <
-p_R, row r of the block is refilled with j / (p_j + 1) at p_j and zeros
-elsewhere, and one row sum per block gives AP = sum / R; the first hit is
-p_1 + 1.  This is equal to the bit to AP from the 0/1 match row of a full
-stable argsort, for two reasons.  At a hit, ``cumsum(matches) / arange`` is
-exactly j / (p_j + 1), and times the match it is +0.0 everywhere else.
-And a row sum over a C-contiguous ``[rows, G]`` array is the same pairwise
-summation as the 1-D ``.sum()`` of that row.
+argsort.  Queries are scored in blocks by one GEMM against the gallery.
+For each query, only the candidates are sorted: the negated scores x with
+x <= t = max(relevant) + band (``band`` is the near-tie width below).
+``searchsorted`` in the sorted candidates gives every relevant item's
+position.  A relevant negated score r is placed at lo = #{x < r - band}
+when hi = #{x <= r + band} is lo + 1, so only scores up to r + band are
+ever counted.  Rounding is monotone, so the computed r - band and r + band
+never exceed the computed t, which is the same sum ``_relevant_positions``
+forms for the worst relevant item.  Every dropped score is above t, so it
+counted toward neither lo nor hi, and lo and hi (hence the positions, AP
+and CMC) keep their bits.  A NaN score is never a candidate, and it sorts
+after every number, so it was never counted either; a NaN relevant score
+still sends the query to the fallback below.
+
+With the R positions sorted, p_1 < ... < p_R, row r of the block is
+refilled with j / (p_j + 1) at p_j and zeros elsewhere, and one row sum
+per block gives AP = sum / R; the first hit is p_1 + 1.  This is equal to
+the bit to AP from the 0/1 match row of a full stable argsort, for two
+reasons.  At a hit, ``cumsum(matches) / arange`` is exactly j / (p_j + 1),
+and times the match it is +0.0 everywhere else.  And a row sum over a
+C-contiguous ``[rows, G]`` array is the same pairwise summation as the 1-D
+``.sum()`` of that row.
 
 GEMM and the per-query GEMV of ``rank_gallery`` may sum the d products in
 different orders, so their scores can differ in the last bits.  Both are
@@ -75,7 +87,8 @@ def _rank(gallery_unit: np.ndarray, query_emb: np.ndarray) -> np.ndarray:
 def _relevant_positions(neg_relevant: np.ndarray, neg_sorted: np.ndarray, band: float):
     """Positions of the relevant items in the stable ranking, or None.
 
-    ``neg_sorted`` is the query's sorted negated score row.  None means a
+    ``neg_sorted`` holds the query's negated scores in sorted order; it may
+    leave out any score above ``neg_relevant.max() + band``.  None means a
     relevant score is not finite or has another score within ``band``, and
     only a stable argsort can place it.
     """
@@ -142,12 +155,16 @@ def evaluate_retrieval(
     for start in range(0, q_labels.size, block):
         neg_scores = _normalize(query_embs[start:start + block]) @ gallery_unit.T
         np.negative(neg_scores, out=neg_scores)
-        neg_sorted = np.sort(neg_scores, axis=1)
         positions_of = []
         for row in range(neg_scores.shape[0]):
             qi = start + row
             members = by_label[group_lo[qi]:group_hi[qi]]
-            positions = _relevant_positions(neg_scores[row, members], neg_sorted[row], band)
+            neg_relevant = neg_scores[row, members]
+            # Only scores up to the worst relevant one plus band can move a
+            # relevant position (see the module docstring).
+            row_scores = neg_scores[row]
+            candidates = np.sort(row_scores[row_scores <= neg_relevant.max() + band])
+            positions = _relevant_positions(neg_relevant, candidates, band)
             if positions is None:
                 relevant = np.zeros(num_g, dtype=bool)
                 relevant[members] = True

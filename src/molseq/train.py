@@ -334,23 +334,27 @@ def run_stage(config: TrainConfig, data: DatasetSplit, init: Checkpoint | None =
     step = 0
 
     try:
-        for epoch in range(1, config.epochs + 1):
-            for _ in range(steps_per_epoch):
-                idx = pk_sample_indices(groups, config.batch_p, config.batch_k, config.seed, step)
-                batch_labels = stage_labels[idx]
-                leaves = model.params.as_leaves()
-                v_emb = model.sequence.forward(train_pooled[idx], leaves)
-                s_emb = model.molecule.forward_counts(counts[idx], leaves) if config.use_molecule_branch else None
-                total, report = _objective(config, model, leaves, s_emb, v_emb, batch_labels, class_labels[idx], centers)
-                ad.backward(total)
-                grads = {n: t.grad for n, t in leaves.items() if t.grad is not None}
-                sgd_step(model.params, grads, config.learning_rate, config.momentum, velocity)
-                update_centers(centers, v_emb.data, batch_labels)
-                report["step"] = step
-                loss_log.append(report)
-                step += 1
-            if epoch % config.eval_every == 0 or epoch == config.epochs:
-                history.append({"epoch": epoch, **evaluate(model, eval_inputs)[0]})
+        # A diverging step overflows before a guard sees it; the guards raise,
+        # so numpy's own warnings would only repeat them.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for epoch in range(1, config.epochs + 1):
+                for _ in range(steps_per_epoch):
+                    idx = pk_sample_indices(groups, config.batch_p, config.batch_k, config.seed, step)
+                    batch_labels = stage_labels[idx]
+                    leaves = model.params.as_leaves()
+                    v_emb = model.sequence.forward(train_pooled[idx], leaves)
+                    s_emb = model.molecule.forward_counts(counts[idx], leaves) if config.use_molecule_branch else None
+                    total, report = _objective(config, model, leaves, s_emb, v_emb, batch_labels,
+                                               class_labels[idx], centers)
+                    ad.backward(total)
+                    grads = {n: t.grad for n, t in leaves.items() if t.grad is not None}
+                    sgd_step(model.params, grads, config.learning_rate, config.momentum, velocity)
+                    update_centers(centers, v_emb.data, batch_labels)
+                    report["step"] = step
+                    loss_log.append(report)
+                    step += 1
+                if epoch % config.eval_every == 0 or epoch == config.epochs:
+                    history.append({"epoch": epoch, **evaluate(model, eval_inputs)[0]})
     except (NonFiniteValue, NonFiniteComponent) as exc:
         # One handler around the whole loop, so a step pays nothing for it.
         exc.stage, exc.step = config.stage, step

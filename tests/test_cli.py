@@ -228,6 +228,13 @@ class TestStrategySweep:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "sweep").exists()
 
+    @pytest.mark.parametrize("weights, message", [("0.1,,0.2", "item 2 ('')"), ("0.1,abc", "item 2 ('abc')")])
+    def test_sweep_bad_weight_is_named(self, dataset_dir, train_config, tmp_path, capsys, weights, message):
+        assert main(["sweep", "--config", str(train_config), "--weights", weights,
+                     "--data", str(dataset_dir), "--out", str(tmp_path / "sweep")]) == 1
+        assert capsys.readouterr().err == f"error: --weights: {message} is not a number\n"
+        assert not (tmp_path / "sweep").exists()
+
 
 class TestGradcheckCommand:
     def test_exit_zero_and_report(self, capsys):

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from molseq import data as dp
 from molseq import smiles as sk
@@ -253,6 +256,37 @@ class TestManifestErrors:
         with pytest.raises(dp.SchemaError) as err:
             dp.load_manifest(root)
         assert err.value.line == 3
+
+    def test_payload_not_whole_float64s(self, tmp_path):
+        root = self._write(tmp_path, ["a,d0,CCO,0,0,frames/a.bin", "b,d0,CCO,0,0,frames/b.bin"])
+        path = root / "frames" / "b.bin"
+        path.write_bytes(np.array([1, 2], dtype="<u4").tobytes() + bytes(13))
+        with pytest.raises(dp.SchemaError) as err:
+            dp.load_manifest(root)
+        assert err.value.line == 2
+        assert f"{path}: payload of 13 bytes" in str(err.value)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_any_frame_bytes_load_or_raise_typed(self, tmp_path_factory, data):
+        # Header (T, f) small or huge; a payload of T*f values or not, NaN and
+        # Inf included; then bytes cut off the end or zero bytes added.
+        dim = st.integers(0, 4) | st.sampled_from([2**16, 2**31, 2**32 - 1])
+        t, f = data.draw(dim), data.draw(dim)
+        count = data.draw(st.just(min(t * f, 20)) | st.integers(0, 20))
+        elements = st.floats(-1e6, 1e6) | st.floats(width=64)
+        raw = np.array([t, f], dtype="<u4").tobytes() + data.draw(hnp.arrays("<f8", count, elements=elements)).tobytes()
+        resize = data.draw(st.just(0) | st.integers(-len(raw), 7))
+        raw = raw[:len(raw) + resize] if resize < 0 else raw + bytes(resize)
+        root = self._write(tmp_path_factory.mktemp("fuzz"), ["a,d0,CCO,0,0,frames/a.bin"])
+        (root / "frames" / "a.bin").write_bytes(raw)
+        try:
+            samples = dp.load_manifest(root)
+        except (dp.SchemaError, dp.MissingFeatureFile, dp.SmilesRecordError, dp.InconsistentDrug):
+            return
+        assert samples[0].frames.shape == (t, f)
+        assert samples[0].frames.tobytes() == raw[8:]
+        assert np.isfinite(samples[0].frames).all()
 
 
 class TestSplitTrainTest:

@@ -78,6 +78,20 @@ def evaluate_counting_fallbacks(monkeypatch, *args):
     return result, len(calls)
 
 
+def row_with_unit_first_component(target):
+    """A row [1, y] whose L2-normalized first component is exactly ``target`` in (0, 1)."""
+    def first(y):
+        return mt._normalize(np.array([[1.0, y]]))[0, 0]
+
+    lo, hi = 0.0, 1e8  # first(y) falls from 1 towards 0 as y grows
+    while np.nextafter(lo, hi) < hi:
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if first(mid) > target else (lo, mid)
+    if first(hi) != target:
+        pytest.fail(f"no row [1, y] normalizes to a first component of {target!r}")
+    return np.array([1.0, hi])
+
+
 class TestRankGallery:
     def test_query_in_gallery_ranks_first(self, rng):
         gallery = rng.normal(size=(10, 6))
@@ -250,6 +264,55 @@ class TestEvaluateRetrieval:
         q_labels = np.array([0, 4, 1, 2, 3, 0, 5, 1, 2, 4, 3, 0, 5, 1])
         result, fallbacks = evaluate_counting_fallbacks(monkeypatch, q, q_labels, g, g_labels, 20)
         assert fallbacks == 4
+        assert_bitwise_reference(q, q_labels, g, g_labels, 20, result)
+
+    def test_worst_relevant_ranked_last_keeps_every_score(self, rng, monkeypatch):
+        q = rng.normal(size=(3, 6))
+        g = rng.normal(size=(50, 6))
+        g_labels = rng.integers(0, 3, size=50)
+        g[:3] = -q  # each query's opposite scores -1, below every other row
+        q_labels = g_labels[:3]
+        for query, label in zip(q, q_labels):
+            assert g_labels[mt.rank_gallery(query, g)[-1]] == label
+        result, fallbacks = evaluate_counting_fallbacks(monkeypatch, q, q_labels, g, g_labels, 20)
+        assert fallbacks == 0
+        assert_bitwise_reference(q, q_labels, g, g_labels, 20, result)
+
+    def test_query_with_one_relevant_item(self, rng, monkeypatch):
+        g = rng.normal(size=(40, 5))
+        g_labels = np.arange(40) % 8
+        g_labels[17] = 8  # the only row of label 8
+        q = rng.normal(size=(4, 5))
+        q_labels = np.array([8, 0, 8, 3])
+        result, fallbacks = evaluate_counting_fallbacks(monkeypatch, q, q_labels, g, g_labels, 20)
+        assert fallbacks == 0
+        assert_bitwise_reference(q, q_labels, g, g_labels, 20, result)
+
+    def test_nan_non_relevant_row_keeps_the_fast_path(self, rng, monkeypatch):
+        g = rng.normal(size=(30, 4))
+        g_labels = np.arange(30) % 3
+        g[[4, 11]] = np.nan
+        g_labels[[4, 11]] = 3  # no query has label 3
+        q = rng.normal(size=(6, 4))
+        q_labels = np.array([0, 1, 2, 0, 1, 2])
+        result, fallbacks = evaluate_counting_fallbacks(monkeypatch, q, q_labels, g, g_labels, 20)
+        assert fallbacks == 0
+        assert_bitwise_reference(q, q_labels, g, g_labels, 20, result)
+
+    @pytest.mark.parametrize("offset", ["inside", "edge"])
+    def test_score_within_band_after_worst_relevant_falls_back(self, monkeypatch, offset):
+        # With the query e1 in 2-d, each score is exactly the gallery row's
+        # normalized first component, so a score can be placed to the bit.
+        q = np.array([[1.0, 0.0]])
+        g = np.array([[1.0, 0.1], [1.0, 0.5], [1.0, 1.0], [1.0, 3.0], [1.0, 5.0], [0.0, 0.0]])
+        g_labels = np.array([1, 0, 0, 1, 1, 1])
+        q_labels = np.array([0])
+        band = 4 * (2 + 2) * np.finfo(np.float64).eps
+        worst = -mt._normalize(g)[2, 0]  # negated score of the worst relevant row
+        near = worst + band if offset == "edge" else worst + band / 2
+        g[5] = row_with_unit_first_component(-near)
+        result, fallbacks = evaluate_counting_fallbacks(monkeypatch, q, q_labels, g, g_labels, 20)
+        assert fallbacks == 1
         assert_bitwise_reference(q, q_labels, g, g_labels, 20, result)
 
     @pytest.mark.parametrize("q_dtype, g_dtype", [(np.int32, np.int64), (np.int64, np.int32)])

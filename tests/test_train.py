@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -259,6 +260,14 @@ class TestRunStage:
         assert backward_calls == []
         assert (err.value.stage, err.value.step) == ("pretrain_drug", 0)
         assert "(stage pretrain_drug, step 0)" in str(err.value)
+
+    def test_diverging_stage_raises_without_numpy_warnings(self, tiny_split):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue) as err:
+                tr.run_stage(tiny_config(learning_rate=1e300), tiny_split)
+        assert (err.value.stage, err.value.step) == ("pretrain_drug", 1)
+        assert "(stage pretrain_drug, step 1)" in str(err.value)
 
     def test_moa_class_matrix_flag(self, tiny_split):
         cfg = tiny_config(class_matrix_labels="moa", epochs=2)
