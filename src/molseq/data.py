@@ -290,6 +290,7 @@ def load_manifest(dataset_dir) -> list[Sample]:
     drug_info: dict[str, tuple[str, int, int]] = {}
     label_moa: dict[int, int] = {}
     canonical: dict[str, str] = {}  # raw SMILES -> canonical; a drug's rows share one
+    line_of: dict[str, int] = {}  # sample_id -> the line that introduced it
     for lineno, raw in enumerate(manifest.read_text().splitlines(), start=1):
         if not raw.strip():
             continue
@@ -297,6 +298,9 @@ def load_manifest(dataset_dir) -> list[Sample]:
         if len(parts) != 6:
             raise SchemaError(lineno, f"expected 6 fields, found {len(parts)}")
         sample_id, drug_id, smiles, drug_label_s, moa_label_s, frames_path = [p.strip() for p in parts]
+        if sample_id in line_of:
+            raise SchemaError(lineno, f"sample_id {sample_id!r} repeats line {line_of[sample_id]}")
+        line_of[sample_id] = lineno
         try:
             drug_label, moa_label = int(drug_label_s), int(moa_label_s)
         except ValueError:

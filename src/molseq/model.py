@@ -314,17 +314,18 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointFormatError(f"{path}: no __meta__ entry")
         meta = json.loads(str(data["__meta__"]))
         if meta.get("format") != CHECKPOINT_TAG:
-            raise CheckpointFormatError(
-                f"expected format {CHECKPOINT_TAG!r}, found {meta.get('format')!r}"
-            )
+            raise CheckpointFormatError(f"{path}: expected format {CHECKPOINT_TAG!r}, found {meta.get('format')!r}")
         parameters = {k[len("param/") :]: np.array(data[k]) for k in data.files if k.startswith("param/")}
         centers = np.array(data["centers"]) if "centers" in data.files else None
-    missing = [key for key in ("model_config", "vocabulary", "trainable") if key not in meta]
-    if missing:
-        raise CheckpointFormatError(f"{path}: __meta__ has no {missing[0]!r} entry")
-    for key in ("model_config", "vocabulary", "trainable"):
+    for key in ("model_config", "extra_config", "vocabulary", "trainable"):
+        if key not in meta:
+            raise CheckpointFormatError(f"{path}: __meta__ has no {key!r} entry")
         if not isinstance(meta[key], dict):
             raise CheckpointFormatError(f"{path}: {key} must be a JSON object, found {type(meta[key]).__name__}")
+    for key, kind, what in (("vocabulary", int, "an int id"), ("trainable", bool, "true or false")):
+        for name, value in meta[key].items():
+            if type(value) is not kind:
+                raise CheckpointFormatError(f"{path}: {key}: {name!r} must be {what}, found {value!r}")
     center_alpha = meta.get("center_alpha")
     if center_alpha is not None and (isinstance(center_alpha, bool) or not isinstance(center_alpha, (int, float))
                                      or not 0 < center_alpha <= 1):
@@ -333,12 +334,26 @@ def load_checkpoint(path) -> Checkpoint:
         model_config = ModelConfig.from_json(meta["model_config"])
     except ConfigError as exc:
         raise CheckpointFormatError(f"{path}: model_config: {exc}") from None
+    try:
+        vocabulary = Vocabulary.from_json(meta["vocabulary"])
+    except ValueError as exc:
+        raise CheckpointFormatError(f"{path}: vocabulary: {exc}") from None
+    ids = set(vocabulary.token_to_id.values())
+    if len(ids) < vocabulary.size or not ids <= set(range(model_config.vocab_size)):
+        raise CheckpointFormatError(f"{path}: vocabulary: ids must be distinct and below vocab_size "
+                                    f"{model_config.vocab_size}")
+    for name, param in Model(model_config).params.items():
+        if name not in parameters:
+            raise CheckpointFormatError(f"{path}: param/{name}: missing, and model_config registers it")
+        if parameters[name].shape != param.value.shape:
+            raise CheckpointFormatError(f"{path}: param/{name}: shape {parameters[name].shape}, "
+                                        f"model_config registers {param.value.shape}")
     return Checkpoint(
         model_config=model_config,
-        extra_config=meta.get("extra_config", {}),
-        vocabulary=Vocabulary.from_json(meta["vocabulary"]),
+        extra_config=meta["extra_config"],
+        vocabulary=vocabulary,
         parameters=parameters,
-        trainable={str(k): bool(v) for k, v in meta["trainable"].items()},
+        trainable=meta["trainable"],
         centers=centers,
         center_alpha=center_alpha,
     )

@@ -10,7 +10,9 @@ graph its SMILES spells out.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,7 +54,6 @@ UNK_TOKEN = "<unk>"
 _TWO_LETTER = ("Cl", "Br")
 _ORGANIC = set("BCNOPSFI")
 _AROMATIC = set("bcnops")
-_BOND_CHARS = "-=#:/\\"
 
 
 class SmilesError(ValueError):
@@ -109,10 +110,26 @@ class TokenKind(enum.Enum):
     DOT = "dot"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     text: str
     kind: TokenKind
+
+
+# One group per TokenKind, in its order, then a catch-all: finditer never skips
+# a character, and the first catch-all match is the first lexing error.
+_TOKEN_RE = re.compile(
+    r"(Cl|Br|[BCNOPSFIbcnops])"  # atom in the organic subset
+    r"|(\[[^\]]*\])"  # bracket atom, decoded by _parse_bracket
+    r"|([-=#:/\\])"  # bond; / and \ are lexed so that parse rejects them as stereo markers
+    r"|(%\d\d|\d)"  # ring bond
+    r"|(\()|(\))|(\.)"  # branch open, branch close, dot
+    r"|(.)",
+    re.DOTALL,
+)
+_KIND_OF_GROUP = (None, *TokenKind, None)
+# A bracket atom's body after the '@' and isotope checks: element or aromatic
+# symbol, optional H count, optional charge as digits or a repeated sign.
+_BRACKET_RE = re.compile(r"([A-Z][a-z]?|[bcnops])(?:H(\d*))?(?:([+-])(\d+|\3*))?")
 
 
 class BondOrder(enum.Enum):
@@ -138,8 +155,7 @@ class Atom:
     h_count: int | None = None  # None: implicit (organic subset); int: explicit
 
 
-@dataclass(frozen=True)
-class Bond:
+class Bond(NamedTuple):
     a: int
     b: int
     order: BondOrder
@@ -181,46 +197,11 @@ def tokenize(smiles: str) -> list[Token]:
         raise UnexpectedCharacter(exc.start, smiles[exc.start]) from None
 
     tokens: list[Token] = []
-    i, n = 0, len(smiles)
-    while i < n:
-        c = smiles[i]
-        if c in _ORGANIC or c in _AROMATIC:
-            if (c == "C" or c == "B") and smiles[i : i + 2] in _TWO_LETTER:
-                tokens.append(Token(smiles[i : i + 2], _ATOM))
-                i += 2
-            else:
-                tokens.append(Token(c, _ATOM))
-                i += 1
-        elif c == "[":
-            j = smiles.find("]", i + 1)
-            if j < 0:
-                raise UnterminatedBracket(i)
-            tokens.append(Token(smiles[i : j + 1], _BRACKET_ATOM))
-            i = j + 1
-        elif c.isdigit():
-            tokens.append(Token(c, _RING_BOND))
-            i += 1
-        elif c == "%":
-            if i + 2 >= n or not (smiles[i + 1].isdigit() and smiles[i + 2].isdigit()):
-                raise UnexpectedCharacter(i, c)
-            tokens.append(Token(smiles[i : i + 3], _RING_BOND))
-            i += 3
-        elif c in _BOND_CHARS:
-            # / and \ are lexed as bonds so the parser can reject them as
-            # stereo markers instead of reporting a bad character.
-            tokens.append(Token(c, _BOND))
-            i += 1
-        elif c == "(":
-            tokens.append(Token(c, _BRANCH_OPEN))
-            i += 1
-        elif c == ")":
-            tokens.append(Token(c, _BRANCH_CLOSE))
-            i += 1
-        elif c == ".":
-            tokens.append(Token(c, _DOT))
-            i += 1
-        else:
-            raise UnexpectedCharacter(i, c)
+    for m in _TOKEN_RE.finditer(smiles):
+        kind = _KIND_OF_GROUP[m.lastindex]
+        if kind is None:
+            raise UnterminatedBracket(m.start()) if m[0] == "[" else UnexpectedCharacter(m.start(), m[0])
+        tokens.append(Token(m[0], kind))
     return tokens
 
 
@@ -229,49 +210,22 @@ def _parse_bracket(text: str, position: int) -> Atom:
     body = text[1:-1]
     if "@" in body:
         raise StereoUnsupported("chirality '@' in bracket atom", position)
-    i = 0
-    if i < len(body) and body[i].isdigit():
+    if body[:1].isdigit():
         raise StereoUnsupported("isotope label in bracket atom", position)
-    aromatic = False
-    if i < len(body) and body[i].isupper():
-        element = body[i]
-        i += 1
-        if i < len(body) and body[i].islower():
-            element += body[i]
-            i += 1
-    elif i < len(body) and body[i] in _AROMATIC:
-        element = body[i].upper()
-        aromatic = True
-        i += 1
-    else:
-        raise UnexpectedCharacter(position + 1 + i, body[i] if i < len(body) else "")
-    h_count = 0
-    if i < len(body) and body[i] == "H":
-        i += 1
-        digits = ""
-        while i < len(body) and body[i].isdigit():
-            digits += body[i]
-            i += 1
-        h_count = int(digits) if digits else 1
+    m = _BRACKET_RE.match(body)
+    if m is None:
+        raise UnexpectedCharacter(position + 1, body[:1])
+    if m.end() != len(body):
+        raise UnexpectedCharacter(position + 1 + m.end(), body[m.end()])
+    symbol, h_digits, sign, count = m.groups()
     charge = 0
-    if i < len(body) and body[i] in "+-":
-        sign = 1 if body[i] == "+" else -1
-        symbol = body[i]
-        i += 1
-        digits = ""
-        while i < len(body) and body[i].isdigit():
-            digits += body[i]
-            i += 1
-        if digits:
-            charge = sign * int(digits)
-        else:
-            charge = sign
-            while i < len(body) and body[i] == symbol:
-                charge += sign
-                i += 1
-    if i != len(body):
-        raise UnexpectedCharacter(position + 1 + i, body[i])
-    return Atom(element=element, aromatic=aromatic, charge=charge, h_count=h_count)
+    if sign:
+        charge = int(count) if count.isdigit() else len(count) + 1  # "+3", or "+" repeated
+        if sign == "-":
+            charge = -charge
+    aromatic = symbol.islower()
+    h_count = 0 if h_digits is None else int(h_digits or 1)
+    return Atom(symbol.upper() if aromatic else symbol, aromatic, charge, h_count)
 
 
 def parse(smiles: str) -> MolGraph:
@@ -284,8 +238,7 @@ def parse(smiles: str) -> MolGraph:
     open_rings: dict[int, tuple[int, BondOrder | None]] = {}
 
     tok_pos = 0
-    for tok in tokenize(smiles):
-        kind, text = tok.kind, tok.text
+    for text, kind in tokenize(smiles):
         if kind is _ATOM or kind is _BRACKET_ATOM:
             if kind is _ATOM:
                 aromatic = text in _AROMATIC
@@ -358,10 +311,10 @@ def parse(smiles: str) -> MolGraph:
 def _coded_adjacency(graph: MolGraph) -> list[list[tuple[int, int]]]:
     """Per atom, its (neighbor, bond code) pairs; the code is the bond order's value."""
     adj: list[list[tuple[int, int]]] = [[] for _ in graph.atoms]
-    for bond in graph.bonds:
-        code = bond.order.value
-        adj[bond.a].append((bond.b, code))
-        adj[bond.b].append((bond.a, code))
+    for a, b, order in graph.bonds:
+        code = order.value
+        adj[a].append((b, code))
+        adj[b].append((a, code))
     return adj
 
 
@@ -456,19 +409,12 @@ def _atom_token(atom: Atom) -> str:
     if bare_ok:
         return symbol
     parts = ["[", symbol]
-    h = 0 if atom.h_count is None else atom.h_count
-    if h == 1:
-        parts.append("H")
-    elif h > 1:
-        parts.append(f"H{h}")
-    if atom.charge == 1:
-        parts.append("+")
-    elif atom.charge == -1:
-        parts.append("-")
-    elif atom.charge > 1:
-        parts.append(f"+{atom.charge}")
-    elif atom.charge < -1:
-        parts.append(f"-{-atom.charge}")
+    h = atom.h_count or 0
+    if h > 0:
+        parts.append("H" if h == 1 else f"H{h}")
+    if atom.charge:
+        sign, size = ("+", atom.charge) if atom.charge > 0 else ("-", -atom.charge)
+        parts.append(sign if size == 1 else f"{sign}{size}")
     parts.append("]")
     return "".join(parts)
 
@@ -553,19 +499,13 @@ def _write_fragment(graph: MolGraph, atoms: list[int], adj, priority: list) -> s
     return "".join(out)
 
 
-def write_smiles(graph: MolGraph, priority: list[tuple] | None = None) -> str:
-    """Write a SMILES string for the graph; priority controls atom order."""
+def write_smiles(graph: MolGraph, priority: list[int] | None = None) -> str:
+    """Write a SMILES string for the graph, visiting atoms by (priority, index), lowest first."""
     if not graph.atoms:
         raise SmilesError("cannot write an empty graph")
     n = len(graph.atoms)
     adj = _coded_adjacency(graph)
-    if priority is None:
-        prio: list = list(range(n))
-    else:
-        prio = []
-        for a in range(n):
-            p = priority[a]
-            prio.append((tuple(p) if isinstance(p, tuple) else (int(p),)) + (a,))
+    prio = list(range(n)) if priority is None else [priority[a] * n + a for a in range(n)]
     return ".".join(_write_fragment(graph, frag, adj, prio) for frag in _fragments(adj))
 
 
@@ -602,17 +542,15 @@ def permute_atoms(graph: MolGraph, perm: list[int]) -> MolGraph:
         a = graph.atoms[old]
         atoms[new] = Atom(a.element, a.aromatic, a.charge, a.h_count)
     out = MolGraph(atoms=atoms)  # type: ignore[arg-type]
-    for bond in graph.bonds:
-        out.add_bond(perm[bond.a], perm[bond.b], bond.order)
+    for a, b, order in graph.bonds:
+        out.add_bond(perm[a], perm[b], order)
     return out
 
 
 def random_smiles(graph: MolGraph, rng: np.random.Generator) -> str:
     """A random rewrite of the graph: same molecule, shuffled atom order."""
     perm = rng.permutation(len(graph.atoms)).tolist()
-    shuffled = permute_atoms(graph, perm)
-    prio = [(int(p),) for p in rng.permutation(len(graph.atoms))]
-    return write_smiles(shuffled, prio)
+    return write_smiles(permute_atoms(graph, perm), rng.permutation(len(graph.atoms)).tolist())
 
 
 @dataclass(frozen=True)
@@ -635,7 +573,7 @@ class Vocabulary:
     def from_json(cls, data: dict[str, int]) -> "Vocabulary":
         vocab = cls(token_to_id={str(k): int(v) for k, v in data.items()})
         if vocab.token_to_id.get(PAD_TOKEN) != PAD_ID or vocab.token_to_id.get(UNK_TOKEN) != UNK_ID:
-            raise ValueError("vocabulary is missing reserved PAD/UNK ids")
+            raise ValueError(f"reserved tokens must map {PAD_TOKEN!r} to {PAD_ID} and {UNK_TOKEN!r} to {UNK_ID}")
         return vocab
 
 

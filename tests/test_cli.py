@@ -187,6 +187,22 @@ class TestCheckpointMetadata:
                      "center_alpha must be null or a number in (0, 1], found 0", id="center-alpha-zero"),
         pytest.param(lambda meta: meta.update(center_alpha=float("nan")),
                      "center_alpha must be null or a number in (0, 1], found nan", id="center-alpha-nan"),
+        pytest.param(lambda meta: meta.pop("extra_config"), "__meta__ has no 'extra_config' entry",
+                     id="no-extra-config"),
+        pytest.param(lambda meta: meta.update(extra_config=[]),
+                     "extra_config must be a JSON object, found list", id="extra-config-list"),
+        pytest.param(lambda meta: meta["vocabulary"].pop("<pad>"),
+                     "vocabulary: reserved tokens must map '<pad>' to 0 and '<unk>' to 1", id="vocabulary-no-pad"),
+        pytest.param(lambda meta: meta["vocabulary"].update(C="x"),
+                     "vocabulary: 'C' must be an int id, found 'x'", id="vocabulary-string-id"),
+        pytest.param(lambda meta: meta["vocabulary"].update(C=1.7),
+                     "vocabulary: 'C' must be an int id, found 1.7", id="vocabulary-float-id"),
+        pytest.param(lambda meta: meta["vocabulary"].update(C=meta["model_config"]["vocab_size"]),
+                     "vocabulary: ids must be distinct and below vocab_size 13", id="vocabulary-id-too-large"),
+        pytest.param(lambda meta: meta["vocabulary"].update(C=1),
+                     "vocabulary: ids must be distinct and below vocab_size 13", id="vocabulary-repeated-id"),
+        pytest.param(lambda meta: meta["trainable"].update({"seq.w1": "false"}),
+                     "trainable: 'seq.w1' must be true or false, found 'false'", id="trainable-string"),
     ])
     def test_malformed_metadata_fails_naming_the_key(self, trained_checkpoint, dataset_dir, tmp_path, capsys,
                                                      rewrite, message):
@@ -199,6 +215,32 @@ class TestCheckpointMetadata:
         capsys.readouterr()
         assert main(["eval", "--ckpt", str(path), "--data", str(dataset_dir)]) == 1
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+    @pytest.mark.parametrize("rewrite, message", [
+        pytest.param(lambda arrays: arrays.pop("param/seq.w1"),
+                     "param/seq.w1: missing, and model_config registers it", id="missing-parameter"),
+        pytest.param(lambda arrays: arrays.update({"param/seq.w1": np.zeros((2, 2))}),
+                     "param/seq.w1: shape (2, 2), model_config registers ", id="wrong-shape"),
+    ])
+    def test_bad_parameter_array_fails_naming_the_file(self, trained_checkpoint, dataset_dir, tmp_path, capsys,
+                                                       rewrite, message):
+        with np.load(trained_checkpoint) as data:
+            arrays = {k: data[k] for k in data.files}
+        rewrite(arrays)
+        path = tmp_path / "checkpoint.npz"
+        np.savez(path, **arrays)
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", str(path), "--data", str(dataset_dir)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
+
+    def test_extra_parameter_array_is_allowed(self, trained_checkpoint, dataset_dir, tmp_path, capsys):
+        with np.load(trained_checkpoint) as data:
+            arrays = {k: data[k] for k in data.files}
+        path = tmp_path / "checkpoint.npz"
+        np.savez(path, **arrays, **{"param/not.registered": np.zeros(3)})
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", str(path), "--data", str(dataset_dir)]) == 0
 
 
 class TestStrategySweep:

@@ -198,6 +198,16 @@ class TestManifestErrors:
         with pytest.raises(dp.InconsistentDrug):
             dp.load_manifest(root)
 
+    def test_repeated_sample_id(self, tmp_path):
+        root = self._write(tmp_path, [
+            "a,d0,CCO,0,0,frames/a.bin",
+            "b,d0,CCO,0,0,frames/b.bin",
+            "a,d1,CCC,1,1,frames/b.bin",
+        ])
+        with pytest.raises(dp.SchemaError, match=r"^manifest line 3: sample_id 'a' repeats line 1$") as err:
+            dp.load_manifest(root)
+        assert err.value.line == 3
+
     def test_bad_smiles(self, tmp_path):
         root = self._write(tmp_path, ["a,d0,C(C,0,0,frames/a.bin"])
         with pytest.raises(dp.SmilesRecordError) as err:

@@ -385,6 +385,81 @@ class TestParserFuzz:
         assert sk.canonical_smiles(canon) == canon
 
 
+# Each input's outcome through tokenize and parse: the error's class, column
+# and message, or the atoms as (element, aromatic, charge, H count).
+LEXER_TABLE = [
+    ("", ("UnexpectedCharacter", 0, "unexpected character (column 0)")),
+    ("C\nC", ("UnexpectedCharacter", 1, "unexpected character '\\n' (column 1)")),
+    ("C\tC", ("UnexpectedCharacter", 1, "unexpected character '\\t' (column 1)")),
+    ("C\r", ("UnexpectedCharacter", 1, "unexpected character '\\r' (column 1)")),
+    ("C $", ("UnexpectedCharacter", 1, "unexpected character ' ' (column 1)")),
+    ("C@C", ("UnexpectedCharacter", 1, "unexpected character '@' (column 1)")),
+    ("Cé", ("UnexpectedCharacter", 1, "unexpected character 'é' (column 1)")),
+    ("?é", ("UnexpectedCharacter", 1, "unexpected character 'é' (column 1)")),
+    ("[é]", ("UnexpectedCharacter", 1, "unexpected character 'é' (column 1)")),
+    ("%", ("UnexpectedCharacter", 0, "unexpected character '%' (column 0)")),
+    ("C%1", ("UnexpectedCharacter", 1, "unexpected character '%' (column 1)")),
+    ("C%1C", ("UnexpectedCharacter", 1, "unexpected character '%' (column 1)")),
+    ("C%12%", ("UnexpectedCharacter", 4, "unexpected character '%' (column 4)")),
+    ("C]", ("UnexpectedCharacter", 1, "unexpected character ']' (column 1)")),
+    ("[C]]", ("UnexpectedCharacter", 3, "unexpected character ']' (column 3)")),
+    ("C[NH4", ("UnterminatedBracket", 1, "unterminated bracket atom (column 1)")),
+    ("[CH2", ("UnterminatedBracket", 0, "unterminated bracket atom (column 0)")),
+    ("[]", ("UnexpectedCharacter", 1, "unexpected character (column 1)")),
+    ("[x]", ("UnexpectedCharacter", 1, "unexpected character 'x' (column 1)")),
+    ("[+]", ("UnexpectedCharacter", 1, "unexpected character '+' (column 1)")),
+    ("[se]", ("UnexpectedCharacter", 2, "unexpected character 'e' (column 2)")),
+    ("[13C]", ("StereoUnsupported", 0,
+               "stereo/isotope markers are not supported (isotope label in bracket atom) (column 0)")),
+    ("[C@H]", ("StereoUnsupported", 0,
+               "stereo/isotope markers are not supported (chirality '@' in bracket atom) (column 0)")),
+    ("C/C", ("StereoUnsupported", 1, "stereo/isotope markers are not supported (directional bond '/') (column 1)")),
+    ("[CH2+3x]", ("UnexpectedCharacter", 6, "unexpected character 'x' (column 6)")),
+    ("[O-+]", ("UnexpectedCharacter", 3, "unexpected character '+' (column 3)")),
+    ("[N+-]", ("UnexpectedCharacter", 3, "unexpected character '-' (column 3)")),
+    ("[C++3]", ("UnexpectedCharacter", 4, "unexpected character '3' (column 4)")),
+    ("[NH4++]2", ("UnmatchedRingBond", None, "ring bond 2 opened but never closed")),
+    ("[O--]", [("O", False, -2, 0)]),
+    ("[O---]", [("O", False, -3, 0)]),
+    ("[Fe+2]", [("Fe", False, 2, 0)]),
+    ("[C-2]", [("C", False, -2, 0)]),
+    ("[C+0]", [("C", False, 0, 0)]),
+    ("[nH]", [("N", True, 0, 1)]),
+    ("[HH]", [("H", False, 0, 1)]),
+    ("[CH]", [("C", False, 0, 1)]),
+    ("[CH0]", [("C", False, 0, 0)]),
+    ("[CH-]", [("C", False, -1, 1)]),
+    ("[NH3+]", [("N", False, 1, 3)]),
+    ("[Cx]", [("Cx", False, 0, 0)]),
+    ("[c]", [("C", True, 0, 0)]),
+    ("Br[Br]", [("Br", False, 0, None), ("Br", False, 0, 0)]),
+    ("[N]=[N+]=[N-]", [("N", False, 0, 0), ("N", False, 1, 0), ("N", False, -1, 0)]),
+]
+
+
+class TestLexerTable:
+    """The lexer's outward behaviour: which error, at which column, with which
+    message, or which atoms each input spells."""
+
+    @pytest.mark.parametrize("text, expected", LEXER_TABLE, ids=[repr(text) for text, _ in LEXER_TABLE])
+    def test_outcome(self, text, expected):
+        try:
+            graph = sk.parse(text)
+        except sk.SmilesError as exc:
+            assert (type(exc).__name__, exc.position, str(exc)) == expected
+        else:
+            assert [(a.element, a.aromatic, a.charge, a.h_count) for a in graph.atoms] == expected
+
+    @given(st.lists(st.one_of(st.sampled_from(SMILES_PIECES), st.characters()), max_size=30).map("".join))
+    @settings(max_examples=300, deadline=None)
+    def test_any_text_lexes_to_itself_or_raises(self, text):
+        try:
+            tokens = sk.tokenize(text)
+        except sk.SmilesError:
+            return
+        assert "".join(tok.text for tok in tokens) == text
+
+
 class TestVocabulary:
     def test_single_entry(self):
         vocab = sk.build_vocabulary(["CCO"])
