@@ -15,6 +15,12 @@ to the unfused ones.
 A graph is built fresh for every evaluation and traversed exactly once by
 backward(); tensors reachable from a graph are never mutated in place.
 
+What a batch's label pattern alone fixes can be built once and passed in:
+``soft_targets`` normalizes target matrices as ``soft_target_ce`` reads
+them, and ``triplet_masks`` gives ``batch_hard_triplet`` its positive and
+negative masks.  Neither is an op, so neither is in ``__all__``; the ops
+cache nothing.
+
 Non-finite values are caught where they can enter a graph: leaves and
 constants, exp, l2_normalize_rows, pairwise_sq_dists and every fused
 loss node raise NonFiniteValue.  The other ops (linear, relu, tanh and the
@@ -24,7 +30,7 @@ loss node, which raises before backward() runs.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -383,7 +389,27 @@ def cosine_logits(s, v, temperature) -> Tensor:
     return out
 
 
-def soft_target_ce(logits, targets: Sequence[np.ndarray], direction: str = "row") -> Tensor:
+class SoftTargets(NamedTuple):
+    """Target matrices as ``soft_target_ce`` reads them, from ``soft_targets``.
+
+    ``rows`` holds each target divided by its row sums; ``cols`` holds the
+    transpose of each target divided by its column sums.  A direction that
+    is not used may be None.
+    """
+
+    rows: tuple[np.ndarray, ...] | None
+    cols: tuple[np.ndarray, ...] | None
+
+
+def soft_targets(targets: Sequence[np.ndarray], direction: str) -> SoftTargets:
+    """Normalize 0/1 target matrices for ``soft_target_ce`` in ``direction``."""
+    targets = [np.asarray(t, dtype=np.float64) for t in targets]
+    rows = tuple(t / t.sum(axis=1, keepdims=True) for t in targets) if direction != "col" else None
+    cols = tuple((t / t.sum(axis=0, keepdims=True)).T for t in targets) if direction != "row" else None
+    return SoftTargets(rows, cols)
+
+
+def soft_target_ce(logits, targets: Sequence[np.ndarray] | SoftTargets, direction: str = "row") -> Tensor:
     """Summed soft-target cross-entropies of one logit matrix against several targets.
 
     Each 0/1 target matrix is normalized into per-row ("row") or
@@ -391,29 +417,36 @@ def soft_target_ce(logits, targets: Sequence[np.ndarray], direction: str = "row"
     mean over rows (columns) of -sum(target * log_softmax).  "both" averages
     the two directions.  A one-hot target with "row" is the classification
     cross-entropy.  Each direction's log-softmax is computed once and
-    serves every target.
+    serves every target.  ``targets`` may come normalized already, as
+    ``SoftTargets``; a one-hot target is its own row distribution.
     """
     x = _as_tensor(logits)
     _require_2d("soft_target_ce", x)
-    targets = [np.asarray(t, dtype=np.float64) for t in targets]
-    for t in targets:
-        if t.shape != x.shape:
-            raise ShapeMismatch("soft_target_ce", (x.shape, t.shape))
     if direction not in ("both", "row", "col"):
         raise ValueError(f"direction must be 'both', 'row' or 'col', got {direction!r}")
-    if not targets:
-        raise ValueError("soft_target_ce needs at least one target matrix")
     rows, cols, both = direction != "col", direction != "row", direction == "both"
     m, n = x.shape
+    if not isinstance(targets, SoftTargets):
+        targets = [np.asarray(t, dtype=np.float64) for t in targets]
+        for t in targets:
+            if t.shape != x.shape:
+                raise ShapeMismatch("soft_target_ce", (x.shape, t.shape))
+        targets = soft_targets(targets, direction)
+    row_ts = (targets.rows or ()) if rows else ()
+    col_ts = (targets.cols or ()) if cols else ()
+    count = max(len(row_ts), len(col_ts))
+    if not count:
+        raise ValueError("soft_target_ce needs at least one target matrix")
+    if ((both and len(row_ts) != len(col_ts)) or any(t.shape != (m, n) for t in row_ts)
+            or any(t.shape != (n, m) for t in col_ts)):
+        raise ShapeMismatch("soft_target_ce", (x.shape, *(t.shape for t in row_ts + col_ts)))
     if rows:
         log_r, soft_r = _log_softmax_rows(x.data)
-        row_ts = [t / t.sum(axis=1, keepdims=True) for t in targets]
     if cols:
         log_c, soft_c = _log_softmax_rows(x.data.T.copy())
-        col_ts = [(t / t.sum(axis=0, keepdims=True)).T for t in targets]
 
     total = None
-    for i in range(len(targets)):
+    for i in range(count):
         terms = []
         if rows:
             terms.append((log_r * row_ts[i]).sum() * float(-1.0 / m))
@@ -428,7 +461,7 @@ def soft_target_ce(logits, targets: Sequence[np.ndarray], direction: str = "row"
         # C order gives the layout the unfused graph's (broadcast gradient *
         # target) product had, so the row sums below add in the same order.
         parts = []
-        for i in range(len(targets)):
+        for i in range(count):
             if rows:
                 parts.append(_log_softmax_rows_bwd(np.multiply(g_row, row_ts[i], order="C"), soft_r))
             if cols:
@@ -444,33 +477,44 @@ def soft_target_ce(logits, targets: Sequence[np.ndarray], direction: str = "row"
     return _node("soft_target_ce", total, (x,), bwd, check_finite=True)
 
 
-def _mine_batch_hard(dists: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batch-hard indices: farthest positive, nearest negative per anchor."""
-    b = labels.size
+def triplet_masks(labels) -> tuple[np.ndarray, np.ndarray]:
+    """Positive and negative masks of a batch's labels, for ``batch_hard_triplet``.
+
+    Raises ``DegenerateBatch`` unless every anchor has a positive and a negative.
+    """
+    labels = np.asarray(labels)
     same = labels[:, None] == labels[None, :]
-    pos_mask = same & ~np.eye(b, dtype=bool)
+    pos_mask = same & ~np.eye(labels.size, dtype=bool)
     neg_mask = ~same
     if not pos_mask.any(axis=1).all() or not neg_mask.any(axis=1).all():
         raise DegenerateBatch("every anchor needs at least one positive and one negative")
+    return pos_mask, neg_mask
+
+
+def _mine_batch_hard(dists: np.ndarray, masks: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Batch-hard indices: farthest positive, nearest negative per anchor, under ``triplet_masks``."""
+    pos_mask, neg_mask = masks
     hard_pos = np.where(pos_mask, dists, -np.inf).argmax(axis=1)
     hard_neg = np.where(neg_mask, dists, np.inf).argmin(axis=1)
     return hard_pos, hard_neg
 
 
-def batch_hard_triplet(x, labels, margin: float) -> Tensor:
+def batch_hard_triplet(x, labels, margin: float, masks: tuple[np.ndarray, np.ndarray] | None = None) -> Tensor:
     """Mean over anchors of max(0, d(a, hardest pos) - d(a, hardest neg) + margin).
 
     Distances are squared Euclidean between the rows of x.  Mining happens
     outside the graph; the hinge differentiates through the two gathered
-    distances of each anchor only.
+    distances of each anchor only.  ``masks`` may hold ``triplet_masks(labels)``
+    built once for every batch with the same label pattern.
     """
     x = _as_tensor(x)
     _require_2d("batch_hard_triplet", x)
     labels = np.asarray(labels)
-    if labels.shape != (x.shape[0],):
-        raise ShapeMismatch("batch_hard_triplet", (x.shape, labels.shape))
+    b = x.shape[0]
+    if labels.shape != (b,) or (masks is not None and any(mk.shape != (b, b) for mk in masks)):
+        raise ShapeMismatch("batch_hard_triplet", (x.shape, labels.shape, *(mk.shape for mk in masks or ())))
     dists, mask = _sq_dists(x.data, x.data)
-    hard_pos, hard_neg = _mine_batch_hard(dists, labels)
+    hard_pos, hard_neg = _mine_batch_hard(dists, triplet_masks(labels) if masks is None else masks)
     anchors = np.arange(labels.size)
     slack = dists[anchors, hard_pos] - dists[anchors, hard_neg] + margin
     active = slack > 0

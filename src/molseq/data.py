@@ -60,9 +60,11 @@ class SchemaError(ValueError):
 
 
 class InconsistentDrug(ValueError):
-    def __init__(self, drug_id: str, detail: str = "") -> None:
+    def __init__(self, drug_id: str, detail: str = "", line: int | None = None) -> None:
         self.drug_id = drug_id
-        super().__init__(f"drug {drug_id!r} has inconsistent records" + (f": {detail}" if detail else ""))
+        self.line = line
+        where = "" if line is None else f"manifest line {line}: "
+        super().__init__(f"{where}drug {drug_id!r} has inconsistent records" + (f": {detail}" if detail else ""))
 
 
 class SmilesRecordError(ValueError):
@@ -73,9 +75,11 @@ class SmilesRecordError(ValueError):
 
 
 class MissingFeatureFile(FileNotFoundError):
-    def __init__(self, path: str) -> None:
+    def __init__(self, path: str, line: int | None = None) -> None:
         self.path = path
-        super().__init__(f"frame feature file not found: {path}")
+        self.line = line
+        where = "" if line is None else f"manifest line {line}: "
+        super().__init__(f"{where}frame feature file not found: {path}")
 
 
 class PoolExhausted(ValueError):
@@ -257,6 +261,10 @@ def _write_frames(path: Path, frames: np.ndarray) -> None:
 
 
 def _read_frames(path: Path) -> np.ndarray:
+    if not path.is_file():  # reading a directory fails, and reading a pipe or a device may never end
+        if not path.exists():
+            raise FileNotFoundError(path)
+        raise ValueError(f"{path}: frames path does not name a regular file")
     raw = path.read_bytes()
     if len(raw) < 8:
         raise ValueError(f"{path}: truncated frame file")
@@ -301,12 +309,12 @@ def load_manifest(dataset_dir) -> list[Sample]:
         if sample_id in line_of:
             raise SchemaError(lineno, f"sample_id {sample_id!r} repeats line {line_of[sample_id]}")
         line_of[sample_id] = lineno
-        try:
-            drug_label, moa_label = int(drug_label_s), int(moa_label_s)
-        except ValueError:
-            raise SchemaError(lineno, "labels must be integers") from None
-        if drug_label < 0 or moa_label < 0:
-            raise SchemaError(lineno, "labels must be non-negative")
+        # Plain decimal digits only: int() would also take "1_0", "+1" and non-ASCII digits.
+        if not all(t.isascii() and t.isdigit() for t in (drug_label_s, moa_label_s)):
+            raise SchemaError(lineno, "labels must be non-negative integers written in decimal digits")
+        drug_label, moa_label = int(drug_label_s), int(moa_label_s)
+        if max(drug_label, moa_label) > np.iinfo(np.int64).max:
+            raise SchemaError(lineno, "labels must fit in int64")
         if smiles not in canonical:
             try:
                 canonical[smiles] = canonical_smiles(smiles)
@@ -315,17 +323,17 @@ def load_manifest(dataset_dir) -> list[Sample]:
         smiles = canonical[smiles]
         info = (smiles, drug_label, moa_label)
         if drug_id in drug_info and drug_info[drug_id] != info:
-            raise InconsistentDrug(drug_id, f"line {lineno} disagrees with an earlier record")
+            raise InconsistentDrug(drug_id, "disagrees with an earlier record", lineno)
         drug_info[drug_id] = info
         if drug_label in label_moa and label_moa[drug_label] != moa_label:
-            raise InconsistentDrug(drug_id, f"drug label {drug_label} maps to multiple MoA labels")
+            raise InconsistentDrug(drug_id, f"drug label {drug_label} maps to multiple MoA labels", lineno)
         label_moa[drug_label] = moa_label
         feature_file = root / frames_path
         try:
             frames = _read_frames(feature_file)
         except FileNotFoundError:
-            raise MissingFeatureFile(str(feature_file)) from None
-        except ValueError as exc:
+            raise MissingFeatureFile(str(feature_file), lineno) from None
+        except (OSError, ValueError) as exc:
             raise SchemaError(lineno, str(exc)) from None
         if frames.size == 0:
             raise SchemaError(lineno, f"{feature_file}: empty frame array (T, f) = {frames.shape}")

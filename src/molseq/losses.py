@@ -77,18 +77,25 @@ def similarity(s: ad.Tensor, v: ad.Tensor, temperature: float | ad.Tensor = 0.07
     return SimilarityMatrix(sv=sv, temperature=float(temperature))
 
 
-def msc_loss(sim: SimilarityMatrix, sup: SupervisionPair, direction: str = "both") -> ad.Tensor:
-    """Alignment loss: soft CE against the self target plus the class target."""
-    return ad.soft_target_ce(sim.sv, (sup.m_self, sup.m_class), direction)
+def msc_loss(sim: SimilarityMatrix, sup: SupervisionPair | ad.SoftTargets, direction: str = "both") -> ad.Tensor:
+    """Alignment loss: soft CE against the self target plus the class target.
+
+    ``sup`` may also be the pair already normalized for ``direction`` by
+    ``ad.soft_targets((m_self, m_class), direction)``.
+    """
+    targets = sup if isinstance(sup, ad.SoftTargets) else (sup.m_self, sup.m_class)
+    return ad.soft_target_ce(sim.sv, targets, direction)
 
 
-def hard_triplet_loss(features: ad.Tensor, labels, margin: float = 0.3) -> ad.Tensor:
+def hard_triplet_loss(features: ad.Tensor, labels, margin: float = 0.3,
+                      masks: tuple[np.ndarray, np.ndarray] | None = None) -> ad.Tensor:
     """Mean over anchors of max(0, d(A, hardest pos) - d(A, hardest neg) + margin).
 
     Distances are squared Euclidean; mining happens outside the graph, the
-    hinge differentiates through the selected pairs only.
+    hinge differentiates through the selected pairs only.  ``masks``, when
+    given, are ``ad.triplet_masks(labels)``.
     """
-    return ad.batch_hard_triplet(features, labels, margin)
+    return ad.batch_hard_triplet(features, labels, margin, masks)
 
 
 @dataclass
@@ -142,7 +149,8 @@ def classification_ce(logits: ad.Tensor, labels) -> ad.Tensor:
     check_labels(labels, k)
     onehot = np.zeros((b, k))
     onehot[np.arange(b), labels] = 1.0
-    return ad.soft_target_ce(logits, (onehot,), "row")
+    # Each one-hot row sums to exactly 1.0, so it is its own row distribution.
+    return ad.soft_target_ce(logits, ad.SoftTargets(rows=(onehot,), cols=None), "row")
 
 
 @dataclass

@@ -148,7 +148,9 @@ def evaluate_retrieval(
         raise QueryLabelAbsent(q_labels[absent[0]])
     gallery_unit = _normalize(gallery_embs)
     band = 4 * (dim + 2) * np.finfo(np.float64).eps
-    block = max(1, 2**17 // max(num_g, 1))  # about 1 MB of scores per block
+    # About 1 MB of scores per block, and at least 8 queries: one-row blocks
+    # would turn the GEMM into a GEMV that streams the gallery once per query.
+    block = max(8, 2**17 // max(num_g, 1))
 
     aps = np.zeros(q_labels.size)
     first_hit = np.zeros(q_labels.size, dtype=np.int64)

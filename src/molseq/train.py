@@ -257,18 +257,40 @@ def evaluate(model: Model, inputs: list[tuple[np.ndarray, np.ndarray]]) -> tuple
 
 
 def _objective(config: TrainConfig, model: Model, leaves, s_emb: ad.Tensor | None, v_emb: ad.Tensor, labels,
-               class_labels, centers: CenterState) -> tuple[ad.Tensor, dict[str, float]]:
-    """One batch's weighted training loss and per-term report; the alignment term, whose class
-    target comes from ``class_labels``, is added only when molecule embeddings ``s_emb`` are given."""
+               class_labels, centers: CenterState, targets: ad.SoftTargets | None = None,
+               masks: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[ad.Tensor, dict[str, float]]:
+    """One batch's weighted training loss and per-term report.
+
+    The alignment term is added only when molecule embeddings ``s_emb`` are
+    given.  Its targets are ``targets`` if given, else built from
+    ``class_labels``; the triplet's ``masks``, if not given, from ``labels``.
+    """
     components: dict[str, ad.Tensor] = {}
     if s_emb is not None:
-        sup = build_supervision(class_labels)
+        sup = build_supervision(class_labels) if targets is None else targets
         temp = leaves["align.log_inv_temp"] if config.temperature_trainable else config.temperature
         components["msc"] = msc_loss(similarity(s_emb, v_emb, temp), sup, config.msc_direction)
-    components["triplet"] = hard_triplet_loss(v_emb, labels, config.margin)
+    components["triplet"] = hard_triplet_loss(v_emb, labels, config.margin, masks)
     components["center"] = center_loss(v_emb, labels, centers)
     components["cls"] = classification_ce(model.head.forward(v_emb, leaves), labels)
     return total_loss(components, config.weights())
+
+
+def _pk_constants(config: TrainConfig) -> tuple[ad.SoftTargets | None, tuple[np.ndarray, np.ndarray]]:
+    """The alignment targets and triplet masks that every PK batch of a stage shares.
+
+    A PK batch is P runs of K equal labels, distinct between runs, so its
+    label pattern is that of ``np.repeat(np.arange(P), K)`` up to renaming,
+    and so are the targets and masks.  The targets are None without the
+    molecule branch, or when MoA labels, which vary inside a drug batch,
+    fill the class matrix.  P = 1 raises ``DegenerateBatch``.
+    """
+    pattern = np.repeat(np.arange(config.batch_p), config.batch_k)
+    targets = None
+    if config.use_molecule_branch and config.class_matrix_labels == "stage":
+        sup = build_supervision(pattern)
+        targets = ad.soft_targets((sup.m_self, sup.m_class), config.msc_direction)
+    return targets, ad.triplet_masks(pattern)
 
 
 def run_stage(config: TrainConfig, data: DatasetSplit, init: Checkpoint | None = None, out_dir=None) -> StageResult:
@@ -278,6 +300,11 @@ def run_stage(config: TrainConfig, data: DatasetSplit, init: Checkpoint | None =
     are loaded, and those the model lacks are ignored.  A ``NonFiniteValue``
     or ``NonFiniteComponent`` raised by the loop leaves with ``stage`` and
     ``step`` attributes, and both are named in its message.
+
+    What every step would rebuild the same way is built once, before the
+    loop: the alignment targets and triplet masks of the PK layout
+    (``_pk_constants``) and, when the molecule encoder is frozen, every
+    train row's molecule embedding.
     """
     config.validate()
     label_kind = config.label_kind
@@ -327,6 +354,11 @@ def run_stage(config: TrainConfig, data: DatasetSplit, init: Checkpoint | None =
     init_emb = model.sequence.forward(train_pooled, model.params.as_leaves()).data
     for c in np.unique(stage_labels):
         centers.centers[c] = init_emb[stage_labels == c].mean(axis=0)
+    targets, masks = _pk_constants(config)
+    # A frozen molecule encoder embeds each train row the same way at every step.
+    frozen_mol = None
+    if config.use_molecule_branch and config.resolved_freeze:
+        frozen_mol = model.molecule.forward_counts(counts, model.params.as_leaves()).data
     velocity: dict[str, np.ndarray] = {}
     steps_per_epoch = max(1, len(train) // config.batch_size)
     loss_log: list[dict] = []
@@ -343,9 +375,14 @@ def run_stage(config: TrainConfig, data: DatasetSplit, init: Checkpoint | None =
                     batch_labels = stage_labels[idx]
                     leaves = model.params.as_leaves()
                     v_emb = model.sequence.forward(train_pooled[idx], leaves)
-                    s_emb = model.molecule.forward_counts(counts[idx], leaves) if config.use_molecule_branch else None
+                    if frozen_mol is not None:
+                        s_emb = ad.constant(frozen_mol[idx])
+                    elif config.use_molecule_branch:
+                        s_emb = model.molecule.forward_counts(counts[idx], leaves)
+                    else:
+                        s_emb = None
                     total, report = _objective(config, model, leaves, s_emb, v_emb, batch_labels,
-                                               class_labels[idx], centers)
+                                               class_labels[idx], centers, targets, masks)
                     ad.backward(total)
                     grads = {n: t.grad for n, t in leaves.items() if t.grad is not None}
                     sgd_step(model.params, grads, config.learning_rate, config.momentum, velocity)

@@ -178,7 +178,7 @@ class TestFusedMatchesComposed:
 
         def composed(l):
             dists = ad.pairwise_sq_dists(l[0], l[0])
-            pos, neg = ad._mine_batch_hard(dists.data, labels)
+            pos, neg = ad._mine_batch_hard(dists.data, ad.triplet_masks(labels))
             pos_sel, neg_sel = np.zeros((16, 16)), np.zeros((16, 16))
             pos_sel[np.arange(16), pos] = 1.0
             neg_sel[np.arange(16), neg] = 1.0

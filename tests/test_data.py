@@ -162,6 +162,23 @@ class TestManifestRoundTrip:
         assert [s.smiles for s in loaded] == [s.smiles for s in tiny_samples]
 
 
+# Manifest fields: well-formed values, the loader's edge cases, and printable junk.
+JUNK = st.text(st.characters(min_codepoint=32, max_codepoint=126, exclude_characters=","), max_size=8)
+LABELS = st.sampled_from(["0", "1", "2", "007", " 3 ", "1_0", "+1", "-1", "1.0", "", "x", "\u0663", "\u00b2",
+                          "9223372036854775807", "9223372036854775808", "99999999999999999999"])
+SMILES = st.sampled_from(["CCO", "OCC", "c1ccccc1", "[Na+].[Cl-]", "C(C", "C1CC", "Q", ""])
+FRAME_PATHS = st.sampled_from(["frames/a.bin", "frames/b.bin", "frames/missing.bin", "", " ", ".", "frames",
+                               "frames/a.bin/x", "/dev/null", "x" * 300])
+
+
+@st.composite
+def manifest_lines(draw):
+    fields = [draw(st.sampled_from(["a", "b", "c"]) | JUNK), draw(st.sampled_from(["d0", "d1"]) | JUNK),
+              draw(SMILES | JUNK), draw(LABELS | JUNK), draw(LABELS | JUNK), draw(FRAME_PATHS | JUNK)]
+    count = draw(st.sampled_from([6, 6, 6, 5, 7]))
+    return ",".join((fields + ["extra"])[:count])
+
+
 class TestManifestErrors:
     def _write(self, tmp_path, lines, with_frames=("a", "b")):
         root = tmp_path / "ds"
@@ -297,6 +314,50 @@ class TestManifestErrors:
         assert samples[0].frames.shape == (t, f)
         assert samples[0].frames.tobytes() == raw[8:]
         assert np.isfinite(samples[0].frames).all()
+
+    @given(st.lists(manifest_lines(), min_size=1, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_any_lines_load_or_raise_typed_naming_the_line(self, tmp_path_factory, lines):
+        root = self._write(tmp_path_factory.mktemp("lines"), lines)
+        try:
+            samples = dp.load_manifest(root)
+        except (dp.SchemaError, dp.MissingFeatureFile, dp.SmilesRecordError, dp.InconsistentDrug) as err:
+            assert 1 <= err.line <= len(lines)
+            assert f"manifest line {err.line}: " in str(err)
+            return
+        rows = [line.split(",") for line in lines]
+        assert len(samples) == len(rows)
+        for sample, row in zip(samples, rows):
+            assert (sample.drug_label, sample.moa_label) == (int(row[3]), int(row[4]))
+            assert row[3].strip().isdigit() and row[4].strip().isdigit()
+        assert dp.labels_of(samples, "drug").tolist() == [s.drug_label for s in samples]
+
+    @pytest.mark.parametrize("line, detail", [
+        ("a,d0,CCO,0,0,", "does not name a regular file"),
+        ("a,d0,CCO,0,0,frames", "does not name a regular file"),
+        ("a,d0,CCO,1_0,0,frames/a.bin", "decimal digits"),
+        ("a,d0,CCO,0,+1,frames/a.bin", "decimal digits"),
+        ("a,d0,CCO,99999999999999999999,0,frames/a.bin", "fit in int64"),
+    ])
+    def test_bad_field_is_a_schema_error_naming_the_line(self, tmp_path, line, detail):
+        root = self._write(tmp_path, ["b,d1,CCC,1,1,frames/b.bin", line])
+        with pytest.raises(dp.SchemaError, match=r"^manifest line 2: ") as err:
+            dp.load_manifest(root)
+        assert err.value.line == 2 and detail in str(err.value)
+
+    def test_largest_int64_label_loads(self, tmp_path):
+        root = self._write(tmp_path, ["a,d0,CCO,9223372036854775807,0,frames/a.bin"])
+        samples = dp.load_manifest(root)
+        assert dp.labels_of(samples, "drug").tolist() == [np.iinfo(np.int64).max]
+
+    def test_missing_file_and_inconsistent_drug_name_the_line(self, tmp_path):
+        root = self._write(tmp_path, ["a,d0,CCO,0,0,frames/a.bin", "b,d1,CCC,0,1,frames/b.bin"])
+        with pytest.raises(dp.InconsistentDrug, match=r"^manifest line 2: drug 'd1'"):
+            dp.load_manifest(root)
+        root = self._write(tmp_path / "more", ["a,d0,CCO,0,0,frames/a.bin", "b,d0,CCO,0,0,frames/none.bin"])
+        with pytest.raises(dp.MissingFeatureFile, match=r"^manifest line 2: frame feature file not found: ") as err:
+            dp.load_manifest(root)
+        assert err.value.line == 2
 
 
 class TestSplitTrainTest:

@@ -331,6 +331,51 @@ class TestUpdateCentersMatchesLoop:
         assert np.array_equal(state.centers, expected)
 
 
+def scatter_update_centers(centers, features, labels, alpha):
+    """Reference pinned to the bytes of the shipped update: one ``np.add.at`` scatter
+    over the flattened centers, adding each class's rows in batch order from +0.0."""
+    centers = centers.copy()
+    sums = np.zeros_like(centers)
+    cells = labels[:, None] * centers.shape[1] + np.arange(centers.shape[1])
+    np.add.at(sums.reshape(-1), cells.reshape(-1), (centers[labels] - features).reshape(-1))
+    counts = np.bincount(labels, minlength=centers.shape[0])
+    present = counts > 0
+    centers[present] = centers[present] - alpha * (sums[present] / (1.0 + counts[present])[:, None])
+    return centers
+
+
+class TestUpdateCentersPinned:
+    """``update_centers`` on PK batches, byte for byte.
+
+    A block sum over a ``[P, K, d]`` view is not the same: at d = 1 and
+    K >= 9 numpy sums the contiguous K axis pairwise, not in batch order.
+    ``np.array_equal`` would also miss an update that turns -0.0 into +0.0.
+    """
+
+    @pytest.mark.parametrize("dim", [1, 2, 64])
+    def test_pk_batches_match_the_scatter_bytes(self, dim):
+        rng = np.random.default_rng(dim)
+        for _ in range(150):
+            p, k = int(rng.integers(1, 7)), int(rng.integers(1, 17))
+            num_classes = p + int(rng.integers(0, 3))
+            centers = rng.normal(size=(num_classes, dim)) * 3.0
+            features = rng.normal(size=(p * k, dim)) * 3.0
+            labels = np.repeat(rng.choice(num_classes, size=p, replace=False), k)
+            expected = scatter_update_centers(centers, features, labels, 0.35)
+            state = ls.update_centers(ls.CenterState(centers=centers.copy(), alpha=0.35), features, labels)
+            assert state.centers.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 9, 16])
+    def test_negative_zero_differences(self, k):
+        centers = np.full((3, 2), -0.0)
+        labels = np.repeat([2, 0], k)
+        features = np.zeros((labels.size, 2))  # every difference is -0.0 - +0.0 = -0.0
+        expected = scatter_update_centers(centers, features, labels, 0.5)
+        state = ls.update_centers(ls.CenterState(centers=centers.copy(), alpha=0.5), features, labels)
+        assert state.centers.tobytes() == expected.tobytes()
+        assert np.signbit(expected).all()
+
+
 class TestClassificationCe:
     def test_confident_correct(self):
         logits = tensor([[50.0, 0.0], [0.0, 50.0]])

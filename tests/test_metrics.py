@@ -251,8 +251,8 @@ class TestEvaluateRetrieval:
         assert_bitwise_reference(q, q_labels, g, g_labels, 20, result)
 
     def test_many_blocks_with_fallback_rows_between_fast_rows(self, rng, monkeypatch):
-        g_n, q_n, d = 30_000, 14, 4
-        block = 2**17 // g_n
+        g_n, q_n, d = 30_000, 28, 4
+        block = max(8, 2**17 // g_n)
         assert q_n // block >= 3 and q_n % block  # three full blocks, then a partial one
         g = rng.normal(size=(g_n, d))
         g_labels = rng.choice(4, size=g_n, p=[0.5, 0.3, 0.15, 0.05])  # unequal relevant counts
@@ -261,9 +261,33 @@ class TestEvaluateRetrieval:
         g_labels[[500, 29_999]] = 5  # label 5: one NaN row
         g[29_999] = np.nan
         q = rng.normal(size=(q_n, d))
-        q_labels = np.array([0, 4, 1, 2, 3, 0, 5, 1, 2, 4, 3, 0, 5, 1])
+        q_labels = np.tile([0, 4, 1, 2, 3, 0, 5, 1, 2, 4, 3, 0, 5, 1], 2)
         result, fallbacks = evaluate_counting_fallbacks(monkeypatch, q, q_labels, g, g_labels, 20)
-        assert fallbacks == 4
+        assert fallbacks == 8
+        assert_bitwise_reference(q, q_labels, g, g_labels, 20, result)
+
+    def test_blocks_keep_eight_queries_past_one_row_blocks(self, rng, monkeypatch):
+        # From G = 65,537 up, 2**17 // G is 1; blocks still score 8 queries per GEMM.
+        g_n, q_n, d = 65_537, 20, 16
+        g = rng.normal(size=(g_n, d))
+        g_labels = rng.integers(0, 40, size=g_n)
+        g[-1], g_labels[-1] = g[0], (g_labels[0] + 1) % 40  # an exact tie across two labels
+        q = rng.normal(size=(q_n, d))
+        q_labels = g_labels[1:q_n + 1].copy()
+        q_labels[[2, 9, 17]] = g_labels[0]
+        q_labels[[5, 12]] = g_labels[-1]
+        blocks = []
+        normalize = mt._normalize
+
+        def spy(embs):
+            blocks.append(embs.shape[0])
+            return normalize(embs)
+
+        monkeypatch.setattr(mt, "_normalize", spy)
+        result, fallbacks = evaluate_counting_fallbacks(monkeypatch, q, q_labels, g, g_labels, 20)
+        monkeypatch.setattr(mt, "_normalize", normalize)
+        assert [n for n in blocks if n != 1] == [g_n, 8, 8, 4]  # one-row calls are the fallback's queries
+        assert fallbacks == np.isin(q_labels, g_labels[[0, -1]]).sum() >= 5
         assert_bitwise_reference(q, q_labels, g, g_labels, 20, result)
 
     def test_worst_relevant_ranked_last_keeps_every_score(self, rng, monkeypatch):

@@ -7,9 +7,11 @@ import pytest
 from dataclasses import replace
 
 from molseq import autodiff as ad
+from molseq import losses as ls
 from molseq import train as tr
 from molseq.data import InsufficientClasses, SyntheticSpec, generate_synthetic, prepare_split
 from molseq.errors import NonFiniteValue, ShapeMismatch
+from molseq.losses import CenterState
 from molseq.model import Model, ModelConfig, load_checkpoint
 
 
@@ -273,6 +275,87 @@ class TestRunStage:
         cfg = tiny_config(class_matrix_labels="moa", epochs=2)
         result = tr.run_stage(cfg, tiny_split)
         assert len(result.loss_log) > 0
+
+
+def pk_labels(rng, p, k, num_classes):
+    """Labels of a PK batch: P distinct classes in random order, K in a row each."""
+    return np.repeat(rng.choice(num_classes, size=p, replace=False), k)
+
+
+def objective_bits(config, model, s0, pooled, labels, class_labels, centers, *constants):
+    """Loss value, report and every gradient of one ``_objective`` step, as bytes."""
+    leaves = {n: ad.Tensor(p.value, requires_grad=True) for n, p in model.params.items()}
+    s_emb = None if s0 is None else ad.Tensor(s0, requires_grad=True)
+    v_emb = model.sequence.forward(pooled, leaves)
+    total, report = tr._objective(config, model, leaves, s_emb, v_emb, labels, class_labels, centers, *constants)
+    ad.backward(total)
+    grads = [(n, t.grad.tobytes()) for n, t in leaves.items() if t.grad is not None]
+    return total.data.tobytes(), report, grads, None if s_emb is None else s_emb.grad.tobytes()
+
+
+class TestStageConstants:
+    """The stage's PK constants give the bits of building them at every step."""
+
+    @pytest.mark.parametrize("overrides", [
+        dict(msc_direction="both"), dict(msc_direction="row"), dict(msc_direction="col"),
+        dict(class_matrix_labels="moa"), dict(use_molecule_branch=False), dict(temperature_trainable=True),
+    ])
+    def test_bitwise_equal_to_per_step_build(self, overrides):
+        rng = np.random.default_rng(20261019)
+        for trial in range(12):
+            p, k = int(rng.integers(2, 6)), int(rng.integers(2, 5))
+            num_classes = p + int(rng.integers(0, 4))
+            config = tr.TrainConfig(batch_p=p, batch_k=k, embed_dim=6, seq_hidden=7, seed=trial, **overrides)
+            model = Model(ModelConfig(vocab_size=5, frame_dim=3, num_classes=num_classes, embed_dim=6,
+                                      token_dim=4, mol_hidden=5, seq_hidden=7, seed=trial))
+            if config.temperature_trainable:
+                model.params.add("align.log_inv_temp", np.array(np.log(1.0 / config.temperature)))
+            labels = pk_labels(rng, p, k, num_classes)
+            class_labels = labels if config.class_matrix_labels == "stage" else rng.integers(0, 3, size=p * k)
+            s0 = rng.normal(size=(p * k, 6)) if config.use_molecule_branch else None
+            pooled = rng.normal(size=(p * k, 6))
+            centers = CenterState(centers=rng.normal(size=(num_classes, 6)))
+            targets, masks = tr._pk_constants(config)
+            assert (targets is None) == (not config.use_molecule_branch or config.class_matrix_labels == "moa")
+            built = objective_bits(config, model, s0, pooled, labels, class_labels, centers)
+            passed = objective_bits(config, model, s0, pooled, labels, class_labels, centers, targets, masks)
+            assert passed == built
+
+    def test_classifier_skips_an_exact_normalization(self):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            b, classes = int(rng.integers(1, 30)), int(rng.integers(1, 9))
+            logits0 = rng.normal(size=(b, classes)) * 4.0
+            labels = rng.integers(0, classes, size=b)
+            onehot = np.eye(classes)[labels]
+            runs = []
+            for loss in (lambda x: ls.classification_ce(x, labels), lambda x: ad.soft_target_ce(x, (onehot,), "row")):
+                x = ad.Tensor(logits0, requires_grad=True)
+                out = loss(x)
+                ad.backward(out)
+                runs.append((out.data.tobytes(), x.grad.tobytes()))
+            assert runs[0] == runs[1]
+
+    def test_frozen_embeddings_gathered_equal_a_per_batch_forward(self):
+        rng = np.random.default_rng(3)
+        model = Model(ModelConfig(vocab_size=30, frame_dim=32, num_classes=4, seed=3))
+        counts = rng.random(size=(384, 30))
+        counts /= counts.sum(axis=1, keepdims=True)
+        leaves = model.params.as_leaves()
+        table = model.molecule.forward_counts(counts, leaves).data
+        for _ in range(50):
+            idx = rng.choice(384, size=64, replace=False)
+            assert table[idx].tobytes() == model.molecule.forward_counts(counts[idx], leaves).data.tobytes()
+
+    def test_one_class_stage_raises_before_any_update(self, tiny_split, monkeypatch):
+        updates = []
+        monkeypatch.setattr(tr, "sgd_step", lambda *args: updates.append(args))
+        with pytest.raises(ls.DegenerateBatch) as per_step:
+            ad.batch_hard_triplet(ad.constant(np.zeros((2, 3))), [4, 4], 0.3)
+        with pytest.raises(ls.DegenerateBatch) as err:
+            tr.run_stage(tiny_config(batch_p=1, batch_k=2), tiny_split)
+        assert str(err.value) == str(per_step.value) == "every anchor needs at least one positive and one negative"
+        assert updates == []
 
 
 class TestGoldenBits:
