@@ -348,7 +348,7 @@ class TestUpdateCentersPinned:
     """``update_centers`` on PK batches, byte for byte.
 
     A block sum over a ``[P, K, d]`` view is not the same: at d = 1 and
-    K >= 9 numpy sums the contiguous K axis pairwise, not in batch order.
+    K >= 8 numpy sums the contiguous K axis pairwise, not in batch order.
     ``np.array_equal`` would also miss an update that turns -0.0 into +0.0.
     """
 

@@ -337,6 +337,9 @@ class TestStageConstants:
             assert runs[0] == runs[1]
 
     def test_frozen_embeddings_gathered_equal_a_per_batch_forward(self):
+        # 384 train rows in 64-row batches, the acceptance spec's sizes.  Row bits of
+        # one GEMM over every row equal a batch's GEMM with numpy 2.4 and OpenBLAS 0.3
+        # on x86-64, the platform TestGoldenBits was recorded on.
         rng = np.random.default_rng(3)
         model = Model(ModelConfig(vocab_size=30, frame_dim=32, num_classes=4, seed=3))
         counts = rng.random(size=(384, 30))
