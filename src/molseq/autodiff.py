@@ -1,16 +1,15 @@
 """Dense float64 tensors with reverse-mode differentiation.
 
-The op set closes over both encoders and every training loss.  It has
-the primitive ops (matmul, broadcasted elementwise arithmetic, relu/tanh,
-exp, row log-softmax, sum/mean reductions, row L2 normalization, pairwise
-squared distances, scalar scaling and transpose) and fused nodes that the
-training step is built from: an affine layer (``linear``),
-temperature-scaled cosine logits, a soft-target cross-entropy serving both
-alignment directions and the classifier, a batch-hard triplet hinge, a
-half squared error against constant targets and a weighted sum.  Each
-fused backward replays the arithmetic, and the gradient accumulation
-order, of the primitive graph it replaces, so gradients are bitwise equal
-to the unfused ones.
+The op set closes over both encoders and every training loss.  It has a
+few primitive ops (matmul, broadcasted add, relu, tanh and sum_) and the
+fused nodes that the training step is built from: an affine layer
+(``linear``), temperature-scaled cosine logits, a soft-target
+cross-entropy serving both alignment directions and the classifier, a
+batch-hard triplet hinge, a half squared error against constant targets
+and a weighted sum.  Each fused backward replays the arithmetic, and the
+gradient accumulation order, of the primitive graph it replaces, so
+gradients are bitwise equal to the unfused ones; the tests build those
+unfused graphs from reference primitives on this module's helpers.
 
 A graph is built fresh for every evaluation and traversed exactly once by
 backward(); tensors reachable from a graph are never mutated in place.
@@ -22,10 +21,10 @@ negative masks.  Neither is an op, so neither is in ``__all__``; the ops
 cache nothing.
 
 Non-finite values are caught where they can enter a graph: leaves and
-constants, exp, l2_normalize_rows, pairwise_sq_dists and every fused
-loss node raise NonFiniteValue.  The other ops (linear, relu, tanh and the
-remaining primitives) skip the scan; an overflow there reaches the next
-loss node, which raises before backward() runs.
+constants, cosine_logits, the loss nodes and weighted_sum raise
+NonFiniteValue.  The other ops (matmul, add, relu, tanh, sum_ and linear)
+skip the scan; an overflow there reaches the next loss node, which raises
+before backward() runs.
 """
 
 from __future__ import annotations
@@ -41,18 +40,9 @@ __all__ = [
     "constant",
     "matmul",
     "add",
-    "sub",
-    "mul",
     "relu",
     "tanh",
-    "exp",
-    "row_log_softmax",
     "sum_",
-    "mean",
-    "l2_normalize_rows",
-    "pairwise_sq_dists",
-    "scale",
-    "transpose",
     "linear",
     "cosine_logits",
     "soft_target_ce",
@@ -63,8 +53,8 @@ __all__ = [
     "finite_difference_check",
 ]
 
-# Rows with L2 norm below this are passed through l2_normalize_rows
-# unchanged (and reported via Tensor.guarded_rows).
+# Rows with L2 norm below this are passed through cosine_logits'
+# normalization unchanged (and reported via Tensor.guarded_rows).
 NORM_GUARD = 1e-12
 
 
@@ -169,26 +159,6 @@ def add(a, b) -> Tensor:
     return _node("add", a.data + b.data, (a, b), bwd)
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_broadcast("sub", a, b)
-
-    def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
-
-    return _node("sub", a.data - b.data, (a, b), bwd)
-
-
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_broadcast("mul", a, b)
-
-    def bwd(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
-
-    return _node("mul", a.data * b.data, (a, b), bwd)
-
-
 def relu(x) -> Tensor:
     x = _as_tensor(x)
     mask = x.data > 0
@@ -199,12 +169,6 @@ def tanh(x) -> Tensor:
     x = _as_tensor(x)
     t = np.tanh(x.data)
     return _node("tanh", t, (x,), lambda g: (g * (1.0 - t * t),))
-
-
-def exp(x) -> Tensor:
-    x = _as_tensor(x)
-    e = np.exp(x.data)
-    return _node("exp", e, (x,), lambda g: (g * e,), check_finite=True)
 
 
 def _require_2d(op: str, x: Tensor) -> None:
@@ -225,13 +189,6 @@ def _log_softmax_rows_bwd(g: np.ndarray, soft: np.ndarray) -> np.ndarray:
     return g - soft * g.sum(axis=1, keepdims=True)
 
 
-def row_log_softmax(x) -> Tensor:
-    x = _as_tensor(x)
-    _require_2d("row_log_softmax", x)
-    out, soft = _log_softmax_rows(x.data)
-    return _node("row_log_softmax", out, (x,), lambda g: (_log_softmax_rows_bwd(g, soft),))
-
-
 def sum_(x, axis: int | None = None) -> Tensor:
     x = _as_tensor(x)
     if axis is None:
@@ -243,21 +200,6 @@ def sum_(x, axis: int | None = None) -> Tensor:
         return (np.broadcast_to(np.expand_dims(g, axis), x.shape).copy(),)
 
     return _node("sum", x.data.sum(axis=axis), (x,), bwd)
-
-
-def mean(x, axis: int | None = None) -> Tensor:
-    x = _as_tensor(x)
-    if axis is None:
-        n = x.data.size
-        return _node("mean", x.data.mean(), (x,), lambda g: (np.broadcast_to(g / n, x.shape).copy(),))
-    if x.data.ndim != 2 or axis not in (0, 1):
-        raise ShapeMismatch("mean", (x.shape,))
-    n = x.shape[axis]
-
-    def bwd(g):
-        return (np.broadcast_to(np.expand_dims(g / n, axis), x.shape).copy(),)
-
-    return _node("mean", x.data.mean(axis=axis), (x,), bwd)
 
 
 def _l2_normalize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -274,16 +216,6 @@ def _l2_normalize_bwd(g: np.ndarray, y: np.ndarray, safe: np.ndarray, guarded: n
     if guarded.any():
         gx[guarded] = g[guarded]
     return gx
-
-
-def l2_normalize_rows(x) -> Tensor:
-    x = _as_tensor(x)
-    _require_2d("l2_normalize_rows", x)
-    y, safe, guarded = _l2_normalize(x.data)
-    out = _node("l2_normalize_rows", y, (x,), lambda g: (_l2_normalize_bwd(g, y, safe, guarded),),
-                check_finite=True)
-    out.guarded_rows = tuple(int(i) for i in np.flatnonzero(guarded))
-    return out
 
 
 def _sq_dists(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -304,32 +236,10 @@ def _sq_dists_bwd(g: np.ndarray, x: np.ndarray, y: np.ndarray, mask: np.ndarray)
     return gx, gy
 
 
-def pairwise_sq_dists(x, y) -> Tensor:
-    """Squared Euclidean distances between the rows of x [m,d] and y [n,d]."""
-    x, y = _as_tensor(x), _as_tensor(y)
-    if x.data.ndim != 2 or y.data.ndim != 2 or x.shape[1] != y.shape[1]:
-        raise ShapeMismatch("pairwise_sq_dists", (x.shape, y.shape))
-    out, mask = _sq_dists(x.data, y.data)
-    return _node("pairwise_sq_dists", out, (x, y), lambda g: _sq_dists_bwd(g, x.data, y.data, mask),
-                 check_finite=True)
-
-
-def scale(x, s: float) -> Tensor:
-    x = _as_tensor(x)
-    s = float(s)
-    return _node("scale", x.data * s, (x,), lambda g: (g * s,))
-
-
-def transpose(x) -> Tensor:
-    x = _as_tensor(x)
-    _require_2d("transpose", x)
-    return _node("transpose", x.data.T.copy(), (x,), lambda g: (g.T.copy(),))
-
-
 # ---------------------------------------------------------------------------
-# Fused nodes.  Each one stands for a chain of the primitives above and
-# replays that chain's forward and backward arithmetic operation for
-# operation, including the order in which gradients were accumulated.
+# Fused nodes.  Each one stands for a chain of primitives and replays
+# that chain's forward and backward arithmetic operation for operation,
+# including the order in which gradients were accumulated.
 # ---------------------------------------------------------------------------
 
 

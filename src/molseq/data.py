@@ -190,7 +190,8 @@ def parse_config(cls, entries: dict):
 def read_config(path, cls):
     """``cls`` from a flat key=value file; '#' comments are skipped and a repeated key's last value wins."""
     entries: dict[str, tuple[str, str]] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    # Lines end at "\n" only; splitlines() would also break at \x0c, \x85, \u2028 and others.
+    for lineno, raw in enumerate(Path(path).read_text().split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -299,7 +300,8 @@ def load_manifest(dataset_dir) -> list[Sample]:
     label_moa: dict[int, int] = {}
     canonical: dict[str, str] = {}  # raw SMILES -> canonical; a drug's rows share one
     line_of: dict[str, int] = {}  # sample_id -> the line that introduced it
-    for lineno, raw in enumerate(manifest.read_text().splitlines(), start=1):
+    # Lines end at "\n" only; splitlines() would also break at \x0c, \x85, \u2028 and others.
+    for lineno, raw in enumerate(manifest.read_text().split("\n"), start=1):
         if not raw.strip():
             continue
         parts = raw.split(",")

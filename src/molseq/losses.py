@@ -22,7 +22,6 @@ __all__ = [
     "DegenerateBatch",
     "NonFiniteComponent",
     "SupervisionPair",
-    "SimilarityMatrix",
     "CenterState",
     "LossWeights",
     "build_supervision",
@@ -58,33 +57,24 @@ def build_supervision(labels) -> SupervisionPair:
     return SupervisionPair(m_self=np.eye(labels.size), m_class=m_class)
 
 
-@dataclass
-class SimilarityMatrix:
-    sv: ad.Tensor
-    temperature: float
-
-
-def similarity(s: ad.Tensor, v: ad.Tensor, temperature: float | ad.Tensor = 0.07) -> SimilarityMatrix:
+def similarity(s: ad.Tensor, v: ad.Tensor, temperature: float | ad.Tensor = 0.07) -> ad.Tensor:
     """Temperature-scaled inner products of row-normalized features.
 
     Rows of both matrices are L2-normalized before the product; a
     trainable inverse-temperature can be passed as a 0-d tensor holding
     log(1/tau).
     """
-    sv = ad.cosine_logits(s, v, temperature)
-    if isinstance(temperature, ad.Tensor):
-        return SimilarityMatrix(sv=sv, temperature=float(np.exp(-temperature.data)))
-    return SimilarityMatrix(sv=sv, temperature=float(temperature))
+    return ad.cosine_logits(s, v, temperature)
 
 
-def msc_loss(sim: SimilarityMatrix, sup: SupervisionPair | ad.SoftTargets, direction: str = "both") -> ad.Tensor:
+def msc_loss(sim: ad.Tensor, sup: SupervisionPair | ad.SoftTargets, direction: str = "both") -> ad.Tensor:
     """Alignment loss: soft CE against the self target plus the class target.
 
     ``sup`` may also be the pair already normalized for ``direction`` by
     ``ad.soft_targets((m_self, m_class), direction)``.
     """
     targets = sup if isinstance(sup, ad.SoftTargets) else (sup.m_self, sup.m_class)
-    return ad.soft_target_ce(sim.sv, targets, direction)
+    return ad.soft_target_ce(sim, targets, direction)
 
 
 def hard_triplet_loss(features: ad.Tensor, labels, margin: float = 0.3,

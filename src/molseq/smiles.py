@@ -34,7 +34,6 @@ __all__ = [
     "parse",
     "canonicalize",
     "canonical_smiles",
-    "canonical_ranks",
     "build_vocabulary",
     "encode_tokens",
     "write_smiles",
@@ -387,16 +386,6 @@ def _morgan_ranks(graph: MolGraph, atoms: list[int], adj) -> list[int]:
             break
         ranks, count = new, new_count
     return ranks
-
-
-def canonical_ranks(graph: MolGraph) -> list[int]:
-    """Per-atom refined ranks (dense within each fragment)."""
-    adj = _coded_adjacency(graph)
-    out = [0] * len(graph.atoms)
-    for frag in _fragments(adj):
-        for a, r in zip(frag, _morgan_ranks(graph, frag, adj)):
-            out[a] = r
-    return out
 
 
 def _atom_token(atom: Atom) -> str:

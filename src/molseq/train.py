@@ -246,10 +246,9 @@ def evaluate(model: Model, inputs: list[tuple[np.ndarray, np.ndarray]]) -> tuple
     Returns the metrics row, keyed by ``METRIC_COLUMNS``, and the retrieval result.
     """
     (query, query_labels), (gallery, gallery_labels), (test, test_labels) = inputs
+    result = evaluate_retrieval(model.sequence_embeddings(query), query_labels,
+                                model.sequence_embeddings(gallery), gallery_labels)
     leaves = model.params.as_leaves()
-    q_emb = model.sequence.forward(query, leaves).data
-    g_emb = model.sequence.forward(gallery, leaves).data
-    result = evaluate_retrieval(q_emb, query_labels, g_emb, gallery_labels)
     logits = model.head.forward(model.sequence.forward(test, leaves), leaves).data
     row = {"accuracy": accuracy(logits, test_labels), "rank1": result.rank1, "rank5": result.rank5,
            "rank10": result.rank10, "map": result.map}

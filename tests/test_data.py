@@ -7,6 +7,10 @@ from hypothesis.extra import numpy as hnp
 from molseq import data as dp
 from molseq import smiles as sk
 
+# Line boundaries of str.splitlines() other than "\n" and "\r"; the readers
+# keep them inside a line.
+SPLITLINES_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
 
 def ncm_accuracy(train, test, label_attr):
     """Nearest-class-mean on mean-pooled frames; independent sanity check."""
@@ -125,6 +129,21 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError, match=r"^T: invalid literal for int\(\)"):
             dp.SyntheticSpec.from_file(path)
 
+    @pytest.mark.parametrize("char", SPLITLINES_BREAKS)
+    def test_spec_lines_end_at_newline_only(self, tmp_path, char):
+        path = tmp_path / "spec.txt"
+        path.write_text(f"num_moas=3\n# note{char}T=abc\nT=x\n")
+        with pytest.raises(ValueError) as err:
+            dp.SyntheticSpec.from_file(path)
+        assert str(err.value) == f"T: invalid literal for int() with base 10: 'x' ({path} line 3)"
+
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
+    def test_spec_with_crlf_or_cr_lines_loads(self, tmp_path, newline):
+        path = tmp_path / "spec.txt"
+        path.write_bytes(newline.join([b"num_moas=3", b"# comment", b"drugs_per_moa=2", b""]))
+        spec = dp.SyntheticSpec.from_file(path)
+        assert (spec.num_moas, spec.drugs_per_moa) == (3, 2)
+
 
 class TestManifestRoundTrip:
     def test_write_then_load(self, tiny_samples, tmp_path):
@@ -162,8 +181,10 @@ class TestManifestRoundTrip:
         assert [s.smiles for s in loaded] == [s.smiles for s in tiny_samples]
 
 
-# Manifest fields: well-formed values, the loader's edge cases, and printable junk.
-JUNK = st.text(st.characters(min_codepoint=32, max_codepoint=126, exclude_characters=","), max_size=8)
+# Manifest fields: well-formed values, the loader's edge cases, and printable
+# junk with the characters that str.splitlines() breaks at but "\n" does not.
+JUNK = st.text(st.characters(min_codepoint=32, max_codepoint=126, exclude_characters=",",
+                             include_characters=SPLITLINES_BREAKS), max_size=8)
 LABELS = st.sampled_from(["0", "1", "2", "007", " 3 ", "1_0", "+1", "-1", "1.0", "", "x", "\u0663", "\u00b2",
                           "9223372036854775807", "9223372036854775808", "99999999999999999999"])
 SMILES = st.sampled_from(["CCO", "OCC", "c1ccccc1", "[Na+].[Cl-]", "C(C", "C1CC", "Q", ""])
@@ -344,6 +365,26 @@ class TestManifestErrors:
         with pytest.raises(dp.SchemaError, match=r"^manifest line 2: ") as err:
             dp.load_manifest(root)
         assert err.value.line == 2 and detail in str(err.value)
+
+    @pytest.mark.parametrize("char", SPLITLINES_BREAKS)
+    def test_lines_end_at_newline_only(self, tmp_path, char):
+        lines = ["a,d0,CCO,0,0,frames/a.bin", f"b,d{char}1,CCC,1,1,frames/b.bin"]
+        samples = dp.load_manifest(self._write(tmp_path, lines))
+        assert [s.drug_id for s in samples] == ["d0", f"d{char}1"]
+        root = self._write(tmp_path / "more", lines + ["c,d2,CCN,2,2"])
+        with pytest.raises(dp.SchemaError, match=r"^manifest line 3: expected 6 fields, found 5$"):
+            dp.load_manifest(root)
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_crlf_or_cr_manifest_loads(self, tmp_path, newline):
+        lines = ["a,d0,CCO,0,0,frames/a.bin", "", "b,d1,CCC,1,1,frames/b.bin"]
+        expected = dp.load_manifest(self._write(tmp_path, lines))
+        root = self._write(tmp_path / "other", lines)
+        (root / "manifest.csv").write_bytes((newline.join(lines) + newline).encode())
+        samples = dp.load_manifest(root)
+        assert [(s.sample_id, s.drug_id, s.smiles, s.drug_label, s.moa_label) for s in samples] == \
+            [(s.sample_id, s.drug_id, s.smiles, s.drug_label, s.moa_label) for s in expected]
+        assert all(np.array_equal(s.frames, e.frames) for s, e in zip(samples, expected))
 
     def test_largest_int64_label_loads(self, tmp_path):
         root = self._write(tmp_path, ["a,d0,CCO,9223372036854775807,0,frames/a.bin"])

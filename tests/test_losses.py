@@ -15,10 +15,6 @@ def tensor(x):
     return ad.Tensor(np.asarray(x, dtype=np.float64))
 
 
-def sim_of(sv, temperature=1.0):
-    return ls.SimilarityMatrix(sv=tensor(sv), temperature=temperature)
-
-
 def oracle_soft_ce(sv: np.ndarray, targets: np.ndarray) -> float:
     """Independent bidirectional soft cross-entropy (scipy log_softmax)."""
     b = sv.shape[0]
@@ -82,12 +78,12 @@ class TestSimilarity:
     def test_standard_basis(self):
         e = np.eye(2)
         sim = ls.similarity(tensor(e), tensor(e), 1.0)
-        np.testing.assert_allclose(sim.sv.data, np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(sim.data, np.eye(2), atol=1e-12)
 
     def test_temperature_is_inverse_linear(self, rng):
         s, v = tensor(rng.normal(size=(3, 4))), tensor(rng.normal(size=(3, 4)))
-        one = ls.similarity(s, v, 1.0).sv.data
-        half = ls.similarity(s, v, 0.5).sv.data
+        one = ls.similarity(s, v, 1.0).data
+        half = ls.similarity(s, v, 0.5).data
         np.testing.assert_allclose(half, 2.0 * one, atol=1e-12)
 
     def test_brute_force(self, rng):
@@ -98,20 +94,19 @@ class TestSimilarity:
         for m in range(3):
             for n in range(3):
                 expected[m, n] = (s[m] / np.linalg.norm(s[m])) @ (v[n] / np.linalg.norm(v[n])) / 0.07
-        np.testing.assert_allclose(sim.sv.data, expected, atol=1e-12)
+        np.testing.assert_allclose(sim.data, expected, atol=1e-12)
 
     def test_entries_bounded_by_inverse_temperature(self, rng):
         tau = 0.07
         sim = ls.similarity(tensor(rng.normal(size=(5, 6))), tensor(rng.normal(size=(5, 6))), tau)
-        assert np.abs(sim.sv.data).max() <= 1.0 / tau + 1e-9
+        assert np.abs(sim.data).max() <= 1.0 / tau + 1e-9
 
     def test_trainable_temperature_tensor(self, rng):
         s, v = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
-        fixed = ls.similarity(tensor(s), tensor(v), 0.07).sv.data
+        fixed = ls.similarity(tensor(s), tensor(v), 0.07).data
         log_inv = ad.Tensor(np.array(np.log(1 / 0.07)), requires_grad=True)
         trained = ls.similarity(tensor(s), tensor(v), log_inv)
-        np.testing.assert_allclose(trained.sv.data, fixed, atol=1e-12)
-        assert trained.temperature == pytest.approx(0.07)
+        np.testing.assert_allclose(trained.data, fixed, atol=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
@@ -121,13 +116,13 @@ class TestSimilarity:
 class TestMscLoss:
     def test_saturated_confident_pairs(self):
         sup = ls.build_supervision([0, 1])
-        loss = ls.msc_loss(sim_of([[10.0, -10.0], [-10.0, 10.0]]), sup)
+        loss = ls.msc_loss(tensor([[10.0, -10.0], [-10.0, 10.0]]), sup)
         assert 0.0 <= float(loss.data) <= 1e-8
 
     def test_uniform_logits_closed_form(self):
         for b in (2, 3, 5, 8):
             sup = ls.build_supervision(np.arange(b))
-            loss = ls.msc_loss(sim_of(np.zeros((b, b))), sup)
+            loss = ls.msc_loss(tensor(np.zeros((b, b))), sup)
             assert float(loss.data) == pytest.approx(2.0 * math.log(b), abs=1e-12)
 
     def test_clip_reduction_identity(self, rng):
@@ -135,7 +130,7 @@ class TestMscLoss:
             b = int(rng.integers(2, 9))
             sv = rng.normal(size=(b, b)) * 3.0
             sup = ls.build_supervision(np.arange(b))
-            ours = float(ls.msc_loss(sim_of(sv), sup).data)
+            ours = float(ls.msc_loss(tensor(sv), sup).data)
             assert ours == pytest.approx(2.0 * oracle_clip_ce(sv), abs=1e-12)
 
     def test_multi_positive_oracle(self, rng):
@@ -145,22 +140,22 @@ class TestMscLoss:
             sv = rng.normal(size=(b, b)) * 2.0
             sup = ls.build_supervision(labels)
             expected = oracle_soft_ce(sv, np.eye(b)) + oracle_soft_ce(sv, sup.m_class)
-            assert float(ls.msc_loss(sim_of(sv), sup).data) == pytest.approx(expected, abs=1e-12)
+            assert float(ls.msc_loss(tensor(sv), sup).data) == pytest.approx(expected, abs=1e-12)
 
     def test_direction_modes_average(self, rng):
         b = 5
         sv = rng.normal(size=(b, b))
         sup = ls.build_supervision(rng.integers(0, 2, size=b))
-        row = float(ls.msc_loss(sim_of(sv), sup, direction="row").data)
-        col = float(ls.msc_loss(sim_of(sv), sup, direction="col").data)
-        both = float(ls.msc_loss(sim_of(sv), sup, direction="both").data)
+        row = float(ls.msc_loss(tensor(sv), sup, direction="row").data)
+        col = float(ls.msc_loss(tensor(sv), sup, direction="col").data)
+        both = float(ls.msc_loss(tensor(sv), sup, direction="both").data)
         assert both == pytest.approx((row + col) / 2.0, abs=1e-12)
 
     def test_nonnegative(self, rng):
         for _ in range(10):
             b = int(rng.integers(2, 7))
             sup = ls.build_supervision(rng.integers(0, 3, size=b))
-            loss = ls.msc_loss(sim_of(rng.normal(size=(b, b)) * 5), sup)
+            loss = ls.msc_loss(tensor(rng.normal(size=(b, b)) * 5), sup)
             assert float(loss.data) >= 0.0
 
     def test_gradient(self, rng):

@@ -90,6 +90,8 @@ class TestTrainConfig:
         ("temperature_trainable=maybe", "temperature_trainable: expected a boolean, got 'maybe'"),
         ("learning_rat=0.01", "unknown config key 'learning_rat'"),
         ("just words", "expected key=value, got 'just words'"),
+        # Lines end at "\n" only, so the form feed stays inside the value.
+        ("epochs=3\x0c0", "epochs: invalid literal for int() with base 10: '3\\x0c0'"),
     ])
     def test_error_names_file_and_line(self, tmp_path, line, message):
         path = tmp_path / "cfg.txt"
