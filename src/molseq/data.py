@@ -1,5 +1,5 @@
 """Dataset plumbing: manifest ingestion, synthetic data generation, the
-train/test split, query/gallery construction and PK batch sampling.
+train/test split, the test set's query positions and PK batch sampling.
 
 A dataset directory holds ``manifest.csv`` (one record per line:
 ``sample_id,drug_id,smiles,drug_label,moa_label,frames_path``) and a
@@ -114,8 +114,7 @@ class Sample:
 class DatasetSplit:
     train: list[Sample]
     test: list[Sample]
-    query: list[Sample]
-    gallery: list[Sample]
+    query: np.ndarray  # ascending positions in ``test`` of the MoA queries; the rest is gallery
 
 
 @dataclass
@@ -349,7 +348,7 @@ def load_manifest(dataset_dir) -> list[Sample]:
 
 
 def split_train_test(samples: list[Sample], ratio: float = 0.8, seed: int = 0, drug_disjoint: bool = False):
-    """Deterministic split; stratified per drug unless drug_disjoint."""
+    """Deterministic split that deals each drug's samples at ``ratio``, or whole drugs if ``drug_disjoint``."""
     if not samples:
         raise EmptyInput("cannot split an empty sample list")
     if not 0.0 < ratio < 1.0:
@@ -358,24 +357,14 @@ def split_train_test(samples: list[Sample], ratio: float = 0.8, seed: int = 0, d
     groups: dict[str, list[int]] = {}
     for i, s in enumerate(samples):
         groups.setdefault(s.drug_id, []).append(i)
+    drugs = list(groups.values())
+    deals = [drugs] if drug_disjoint else [[[i] for i in idx] for idx in drugs]
     train_idx: list[int] = []
     test_idx: list[int] = []
-    if drug_disjoint:
-        drugs = list(groups)
-        order = rng.permutation(len(drugs))
-        n_train = max(1, min(len(drugs) - 1, round(ratio * len(drugs)))) if len(drugs) >= 2 else 1
-        for pos, j in enumerate(order):
-            (train_idx if pos < n_train else test_idx).extend(groups[drugs[j]])
-    else:
-        for drug in groups:
-            idx = groups[drug]
-            order = rng.permutation(len(idx))
-            if len(idx) >= 2:
-                n_train = max(1, min(len(idx) - 1, round(ratio * len(idx))))
-            else:
-                n_train = 1
-            for pos, j in enumerate(order):
-                (train_idx if pos < n_train else test_idx).append(idx[j])
+    for items in deals:
+        n_train = max(1, min(len(items) - 1, round(ratio * len(items))))
+        for pos, j in enumerate(rng.permutation(len(items))):
+            (train_idx if pos < n_train else test_idx).extend(items[j])
     key = lambda i: samples[i].sample_id
     return [samples[i] for i in sorted(train_idx, key=key)], [samples[i] for i in sorted(test_idx, key=key)]
 
@@ -389,31 +378,24 @@ def labels_of(samples: list[Sample], label_kind: str) -> np.ndarray:
     raise ValueError(f"label_kind must be 'drug' or 'moa', got {label_kind!r}")
 
 
-def split_query_gallery(test: list[Sample], seed: int = 0, label_kind: str = "moa"):
-    """One uniformly chosen query per class; everything else is gallery."""
+def split_query_gallery(test: list[Sample], seed: int = 0, label_kind: str = "moa") -> np.ndarray:
+    """Ascending positions in ``test`` of one uniformly chosen query per class; every other position is gallery."""
     if not test:
         raise EmptyInput("empty test set")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 13]))
-    groups: dict[int, list[int]] = {}
-    for i, label in enumerate(labels_of(test, label_kind).tolist()):
-        groups.setdefault(label, []).append(i)
-    query_idx = set()
-    for label in sorted(groups):
-        members = groups[label]
-        if len(members) < 2:
+    query = []
+    for label, members in pk_groups(labels_of(test, label_kind)).items():
+        if members.size < 2:
             raise SingletonMoA(label)
-        query_idx.add(members[int(rng.integers(len(members)))])
-    query = [test[i] for i in sorted(query_idx)]
-    gallery = [test[i] for i in range(len(test)) if i not in query_idx]
-    return query, gallery
+        query.append(members[rng.integers(members.size)])
+    return np.sort(query)
 
 
 def prepare_split(samples: list[Sample], ratio: float = 0.8, seed: int = 0,
                   drug_disjoint: bool = False) -> DatasetSplit:
-    """Train/test split plus the MoA query/gallery split of the test set."""
+    """Train/test split plus the positions of the MoA queries in the test set."""
     train, test = split_train_test(samples, ratio, seed, drug_disjoint)
-    query, gallery = split_query_gallery(test, seed, "moa")
-    return DatasetSplit(train=train, test=test, query=query, gallery=gallery)
+    return DatasetSplit(train=train, test=test, query=split_query_gallery(test, seed, "moa"))
 
 
 def pk_groups(labels) -> dict[int, np.ndarray]:

@@ -134,8 +134,11 @@ def evaluate_retrieval(
     q_labels = np.asarray(query_labels)
     g_labels = np.asarray(gallery_labels)
     if (query_embs.ndim != 2 or gallery_embs.ndim != 2 or gallery_embs.shape[1] != query_embs.shape[1]
-            or query_embs.shape[0] != q_labels.size or gallery_embs.shape[0] != g_labels.size):
+            or query_embs.shape[0] != q_labels.size or gallery_embs.shape[0] != g_labels.size
+            or q_labels.size == 0):
         raise ShapeMismatch("evaluate_retrieval", (query_embs.shape, gallery_embs.shape))
+    if max_rank < 1:
+        raise ValueError(f"max_rank must be >= 1, got {max_rank}")
     num_g, dim = gallery_embs.shape
     max_rank = min(max_rank, num_g)
     # Gallery indices grouped by label; within a group they stay in index order.

@@ -59,8 +59,8 @@ class NoSuchParameter(KeyError):
 
 
 class CheckpointFormatError(ValueError):
-    """Checkpoint file lacks its metadata or a metadata key, or carries an unknown format tag, a metadata
-    entry of the wrong JSON type, a bad model config or a center_alpha outside (0, 1]."""
+    """Checkpoint file lacks its metadata or a metadata key, or carries metadata that is not a JSON object, an
+    unknown format tag, a metadata entry of the wrong JSON type, a bad model config or a center_alpha outside (0, 1]."""
 
 
 @dataclass
@@ -147,18 +147,13 @@ def _mlp(x: ad.Tensor, leaves, prefix: str, activation) -> ad.Tensor:
 class MoleculeEncoder:
     """Token embedding table + masked mean pooling + two-layer tanh MLP."""
 
-    def __init__(self, vocab_size: int, token_dim: int, hidden_dim: int, out_dim: int) -> None:
-        self.vocab_size = vocab_size
-        self.token_dim = token_dim
-        self.hidden_dim = hidden_dim
-        self.out_dim = out_dim
-
-    def register(self, params: ParameterSet, rng: np.random.Generator) -> None:
-        params.add("mol.emb", _uniform(rng, (self.vocab_size, self.token_dim), self.token_dim))
-        params.add("mol.w1", _uniform(rng, (self.token_dim, self.hidden_dim), self.token_dim))
-        params.add("mol.b1", _uniform(rng, (self.hidden_dim,), self.token_dim))
-        params.add("mol.w2", _uniform(rng, (self.hidden_dim, self.out_dim), self.hidden_dim))
-        params.add("mol.b2", _uniform(rng, (self.out_dim,), self.hidden_dim))
+    def __init__(self, params: ParameterSet, rng: np.random.Generator, vocab_size: int, token_dim: int,
+                 hidden_dim: int, out_dim: int) -> None:
+        params.add("mol.emb", _uniform(rng, (vocab_size, token_dim), token_dim))
+        params.add("mol.w1", _uniform(rng, (token_dim, hidden_dim), token_dim))
+        params.add("mol.b1", _uniform(rng, (hidden_dim,), token_dim))
+        params.add("mol.w2", _uniform(rng, (hidden_dim, out_dim), hidden_dim))
+        params.add("mol.b2", _uniform(rng, (out_dim,), hidden_dim))
 
     def forward_counts(self, counts: np.ndarray, leaves: dict[str, ad.Tensor]) -> ad.Tensor:
         pooled = ad.matmul(ad.constant(counts), leaves["mol.emb"])
@@ -168,17 +163,14 @@ class MoleculeEncoder:
 class SequenceEncoder:
     """Mean/max temporal pooling + two-layer relu MLP over frame features."""
 
-    def __init__(self, frame_dim: int, hidden_dim: int, out_dim: int) -> None:
+    def __init__(self, params: ParameterSet, rng: np.random.Generator, frame_dim: int, hidden_dim: int,
+                 out_dim: int) -> None:
         self.frame_dim = frame_dim
-        self.hidden_dim = hidden_dim
-        self.out_dim = out_dim
-
-    def register(self, params: ParameterSet, rng: np.random.Generator) -> None:
-        fan = 2 * self.frame_dim
-        params.add("seq.w1", _uniform(rng, (fan, self.hidden_dim), fan))
-        params.add("seq.b1", _uniform(rng, (self.hidden_dim,), fan))
-        params.add("seq.w2", _uniform(rng, (self.hidden_dim, self.out_dim), self.hidden_dim))
-        params.add("seq.b2", _uniform(rng, (self.out_dim,), self.hidden_dim))
+        fan = 2 * frame_dim
+        params.add("seq.w1", _uniform(rng, (fan, hidden_dim), fan))
+        params.add("seq.b1", _uniform(rng, (hidden_dim,), fan))
+        params.add("seq.w2", _uniform(rng, (hidden_dim, out_dim), hidden_dim))
+        params.add("seq.b2", _uniform(rng, (out_dim,), hidden_dim))
 
     def forward(self, pooled: np.ndarray, leaves: dict[str, ad.Tensor]) -> ad.Tensor:
         pooled = np.asarray(pooled, dtype=np.float64)
@@ -192,13 +184,10 @@ class SequenceEncoder:
 class ClassifierHead:
     """Single affine map from the shared embedding to class logits."""
 
-    def __init__(self, in_dim: int, num_classes: int) -> None:
+    def __init__(self, params: ParameterSet, rng: np.random.Generator, in_dim: int, num_classes: int) -> None:
         self.in_dim = in_dim
-        self.num_classes = num_classes
-
-    def register(self, params: ParameterSet, rng: np.random.Generator) -> None:
-        params.add("head.w", _uniform(rng, (self.in_dim, self.num_classes), self.in_dim))
-        params.add("head.b", _uniform(rng, (self.num_classes,), self.in_dim))
+        params.add("head.w", _uniform(rng, (in_dim, num_classes), in_dim))
+        params.add("head.b", _uniform(rng, (num_classes,), in_dim))
 
     def forward(self, embedding: ad.Tensor, leaves: dict[str, ad.Tensor]) -> ad.Tensor:
         if embedding.shape[-1] != self.in_dim:
@@ -244,14 +233,10 @@ class Model:
         self.config = config
         self.params = ParameterSet()
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, 101]))
-        self.molecule: MoleculeEncoder | None = None
-        if config.include_molecule:
-            self.molecule = MoleculeEncoder(config.vocab_size, config.token_dim, config.mol_hidden, config.embed_dim)
-            self.molecule.register(self.params, rng)
-        self.sequence = SequenceEncoder(config.frame_dim, config.seq_hidden, config.embed_dim)
-        self.sequence.register(self.params, rng)
-        self.head = ClassifierHead(config.embed_dim, config.num_classes)
-        self.head.register(self.params, rng)
+        self.molecule = (MoleculeEncoder(self.params, rng, config.vocab_size, config.token_dim, config.mol_hidden,
+                                         config.embed_dim) if config.include_molecule else None)
+        self.sequence = SequenceEncoder(self.params, rng, config.frame_dim, config.seq_hidden, config.embed_dim)
+        self.head = ClassifierHead(self.params, rng, config.embed_dim, config.num_classes)
 
     def sequence_embeddings(self, pooled: np.ndarray) -> np.ndarray:
         """Inference path: sequence embeddings only, no graph kept."""
@@ -312,7 +297,12 @@ def load_checkpoint(path) -> Checkpoint:
     with np.load(path, allow_pickle=False) as data:
         if "__meta__" not in data.files:
             raise CheckpointFormatError(f"{path}: no __meta__ entry")
-        meta = json.loads(str(data["__meta__"]))
+        try:
+            meta = json.loads(str(data["__meta__"]))
+        except json.JSONDecodeError as exc:
+            raise CheckpointFormatError(f"{path}: __meta__ is not JSON: {exc}") from None
+        if not isinstance(meta, dict):
+            raise CheckpointFormatError(f"{path}: __meta__ must be a JSON object, found {type(meta).__name__}")
         if meta.get("format") != CHECKPOINT_TAG:
             raise CheckpointFormatError(f"{path}: expected format {CHECKPOINT_TAG!r}, found {meta.get('format')!r}")
         parameters = {k[len("param/") :]: np.array(data[k]) for k in data.files if k.startswith("param/")}

@@ -4,8 +4,9 @@ A stage trains on PK-sampled batches: both modalities are encoded, the
 alignment loss is applied to the similarity matrix, and the sequence
 embeddings additionally receive triplet, center and classification
 supervision on the stage's labels (drug labels while pretraining, MoA
-labels while fine-tuning).  Evaluation always uses sequence embeddings
-only, mirroring inference.
+labels while fine-tuning).  Evaluation embeds each test sample once, with
+the sequence encoder only, mirroring inference: the query rows are scored
+against the other rows, and the head classifies every row.
 """
 
 from __future__ import annotations
@@ -227,30 +228,31 @@ def _pooled(samples: list[Sample]) -> np.ndarray:
     return np.stack([pool_frames(s.frames) for s in samples])
 
 
-def eval_set(data: DatasetSplit, label_kind: str, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Pooled features and labels of the query, gallery and test samples.
+def eval_set(data: DatasetSplit, label_kind: str, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pooled features and labels of the test samples, and the positions of the queries among them.
 
-    MoA evaluation reuses the query/gallery split made at preparation time;
-    otherwise one query per class is drawn from the test set.
+    MoA evaluation reuses the queries drawn at preparation time; otherwise
+    one query per class is drawn from the test set.  The gallery is every
+    other test sample.
     """
-    if label_kind == "moa" and data.query:
-        query, gallery = data.query, data.gallery
-    else:
-        query, gallery = split_query_gallery(data.test, seed, label_kind)
-    return [(_pooled(samples), labels_of(samples, label_kind)) for samples in (query, gallery, data.test)]
+    query = data.query if label_kind == "moa" and len(data.query) else split_query_gallery(data.test, seed, label_kind)
+    return _pooled(data.test), labels_of(data.test, label_kind), query
 
 
-def evaluate(model: Model, inputs: list[tuple[np.ndarray, np.ndarray]]) -> tuple[dict, RetrievalResult]:
+def evaluate(model: Model, inputs: tuple[np.ndarray, np.ndarray, np.ndarray]) -> tuple[dict, RetrievalResult]:
     """Retrieval over sequence embeddings and head accuracy on ``eval_set`` inputs.
 
-    Returns the metrics row, keyed by ``METRIC_COLUMNS``, and the retrieval result.
+    One forward embeds the test set: its query rows are scored against the
+    other rows, and the head classifies every row.  Returns the metrics row,
+    keyed by ``METRIC_COLUMNS``, and the retrieval result.
     """
-    (query, query_labels), (gallery, gallery_labels), (test, test_labels) = inputs
-    result = evaluate_retrieval(model.sequence_embeddings(query), query_labels,
-                                model.sequence_embeddings(gallery), gallery_labels)
+    test, labels, query = inputs
     leaves = model.params.as_leaves()
-    logits = model.head.forward(model.sequence.forward(test, leaves), leaves).data
-    row = {"accuracy": accuracy(logits, test_labels), "rank1": result.rank1, "rank5": result.rank5,
+    emb = model.sequence.forward(test, leaves)
+    result = evaluate_retrieval(emb.data[query], labels[query], np.delete(emb.data, query, axis=0),
+                                np.delete(labels, query))
+    logits = model.head.forward(emb, leaves).data
+    row = {"accuracy": accuracy(logits, labels), "rank1": result.rank1, "rank5": result.rank5,
            "rank10": result.rank10, "map": result.map}
     return row, result
 
@@ -306,14 +308,12 @@ def run_stage(config: TrainConfig, data: DatasetSplit, init: Checkpoint | None =
     train row's molecule embedding.
     """
     config.validate()
-    label_kind = config.label_kind
     train, test = data.train, data.test
     if not train or not test:
         raise ValueError("run_stage needs non-empty train and test sets")
 
     vocab = init.vocabulary if init is not None else build_vocabulary(sorted({s.smiles for s in train + test}))
-    all_stage_labels = labels_of(train + test, label_kind)
-    num_classes = int(all_stage_labels.max()) + 1
+    num_classes = int(labels_of(train + test, config.label_kind).max()) + 1
     frame_dim = train[0].frames.shape[1]
 
     model = Model(ModelConfig(
@@ -336,28 +336,29 @@ def run_stage(config: TrainConfig, data: DatasetSplit, init: Checkpoint | None =
 
     # Per-sample features are fixed; precompute them once.
     train_pooled = _pooled(train)
-    stage_labels = labels_of(train, label_kind)
+    stage_labels = labels_of(train, config.label_kind)
     groups = pk_groups(stage_labels)
     class_labels = stage_labels if config.class_matrix_labels == "stage" else labels_of(train, "moa")
     counts = None
     if config.use_molecule_branch:
         ids = np.array([encode_tokens(s.smiles, vocab, config.max_tokens) for s in train])
         counts = token_count_matrix(ids, vocab.size)
-    eval_inputs = eval_set(data, label_kind, config.seed)
+    eval_inputs = eval_set(data, config.label_kind, config.seed)
 
     # Centers start at the initial model's per-class mean embeddings; a zero
     # start would make the center term an enormous pull toward the origin at
     # this scale (sum reduction over a 64-sample batch) and collapse the
     # encoder before the other losses can act.
     centers = CenterState.zeros(num_classes, config.embed_dim, alpha=config.center_alpha)
-    init_emb = model.sequence.forward(train_pooled, model.params.as_leaves()).data
-    for c in np.unique(stage_labels):
-        centers.centers[c] = init_emb[stage_labels == c].mean(axis=0)
+    leaves = model.params.as_leaves()
+    init_emb = model.sequence.forward(train_pooled, leaves).data
+    for c, members in groups.items():
+        centers.centers[c] = init_emb[members].mean(axis=0)
     targets, masks = _pk_constants(config)
     # A frozen molecule encoder embeds each train row the same way at every step.
     frozen_mol = None
     if config.use_molecule_branch and config.resolved_freeze:
-        frozen_mol = model.molecule.forward_counts(counts, model.params.as_leaves()).data
+        frozen_mol = model.molecule.forward_counts(counts, leaves).data
     velocity: dict[str, np.ndarray] = {}
     steps_per_epoch = max(1, len(train) // config.batch_size)
     loss_log: list[dict] = []
@@ -547,8 +548,8 @@ def gradient_check_suite(eps: float = 1e-5) -> list[tuple[str, float]]:
     vocab_size, token_dim, hidden, out_dim, frame_dim = 9, 4, 5, 6, 4
     model = Model(ModelConfig(vocab_size=vocab_size, frame_dim=frame_dim, num_classes=2, embed_dim=out_dim,
                               token_dim=token_dim, mol_hidden=hidden, seq_hidden=hidden))
-    mol_names = ("mol.emb", "mol.w1", "mol.b1", "mol.w2", "mol.b2")
-    seq_names = ("seq.w1", "seq.b1", "seq.w2", "seq.b2")
+    mol_names, seq_names, head_names = ([n for n in model.params.names() if n.startswith(prefix)]
+                                        for prefix in ("mol.", "seq.", "head."))
     ids = np.array([[2, 3, 3, 0, 0], [4, 5, 6, 7, 0], [8, 2, 0, 0, 0], [5, 5, 5, 5, 5]])
     counts = token_count_matrix(ids, vocab_size)
     proj = ad.constant(rng.normal(size=(out_dim, 1)))
@@ -569,15 +570,13 @@ def gradient_check_suite(eps: float = 1e-5) -> list[tuple[str, float]]:
     checks.append(("sequence_encoder", ad.finite_difference_check(f_seq, seq_params, eps)))
 
     # Full model composed with the training objective at the default config.
-    head_names = ("head.w", "head.b")
     head_params = [rng.normal(scale=0.5, size=model.params[n].value.shape) for n in head_names]
     tri_feats_fix, _ = _triplet_safe(rng, b, out_dim)
-    full_names = mol_names + seq_names + head_names
     full_params = mol_params + seq_params + head_params
     full_state = CenterState(centers=rng.normal(size=(2, out_dim)))
 
     def f_full(leaves):
-        lv = dict(zip(full_names, leaves))
+        lv = dict(zip(model.params.names(), leaves))
         s_emb = model.molecule.forward_counts(counts, lv)
         # A fixed offset keeps the triplet mining clear of ties.
         v_emb = ad.add(model.sequence.forward(pooled_frames, lv), ad.constant(tri_feats_fix))

@@ -222,6 +222,10 @@ class TestCheckpointMetadata:
                      "param/seq.w1: missing, and model_config registers it", id="missing-parameter"),
         pytest.param(lambda arrays: arrays.update({"param/seq.w1": np.zeros((2, 2))}),
                      "param/seq.w1: shape (2, 2), model_config registers ", id="wrong-shape"),
+        pytest.param(lambda arrays: arrays.update(__meta__=np.array("[1, 2]")),
+                     "__meta__ must be a JSON object, found list", id="meta-list"),
+        pytest.param(lambda arrays: arrays.update(__meta__=np.array("not json")),
+                     "__meta__ is not JSON: Expecting value: line 1 column 1 (char 0)", id="meta-not-json"),
     ])
     def test_bad_parameter_array_fails_naming_the_file(self, trained_checkpoint, dataset_dir, tmp_path, capsys,
                                                        rewrite, message):

@@ -431,6 +431,17 @@ class TestSplitTrainTest:
         train, test = dp.split_train_test(tiny_samples, 0.5, seed=2, drug_disjoint=True)
         assert not ({s.drug_id for s in train} & {s.drug_id for s in test})
 
+    # Train and test drugs of a 6-drug, 2-sample-per-drug set at ratio 0.5, as drawn since the
+    # split was written; each drug's samples s000 and s001 go with it.
+    DISJOINT_DRAWS = {0: ((0, 2, 5), (1, 3, 4)), 1: ((1, 4, 5), (0, 2, 3)), 2: ((1, 2, 4), (0, 3, 5))}
+
+    @pytest.mark.parametrize("seed", sorted(DISJOINT_DRAWS))
+    def test_drug_disjoint_draws_pinned(self, seed):
+        spec = dp.SyntheticSpec(num_moas=3, drugs_per_moa=2, samples_per_drug=2, T=1, f=2, seed=0)
+        train, test = dp.split_train_test(dp.generate_synthetic(spec), 0.5, seed=seed, drug_disjoint=True)
+        for got, drugs in zip((train, test), self.DISJOINT_DRAWS[seed]):
+            assert [s.sample_id for s in got] == [f"drug{d:03d}_s{k:03d}" for d in drugs for k in range(2)]
+
     def test_empty_input(self):
         with pytest.raises(dp.EmptyInput):
             dp.split_train_test([], 0.8, seed=0)
@@ -442,19 +453,24 @@ class TestSplitTrainTest:
 
 class TestQueryGallery:
     def test_one_query_per_moa(self, tiny_split):
-        moas = {s.moa_label for s in tiny_split.test}
-        assert len(tiny_split.query) == len(moas)
-        assert {s.moa_label for s in tiny_split.query} == moas
+        moas = dp.labels_of(tiny_split.test, "moa")
+        assert len(tiny_split.query) == len(set(moas.tolist()))
+        assert set(moas[tiny_split.query].tolist()) == set(moas.tolist())
 
     def test_partition(self, tiny_split):
-        q = {s.sample_id for s in tiny_split.query}
-        g = {s.sample_id for s in tiny_split.gallery}
-        assert not (q & g)
-        assert q | g == {s.sample_id for s in tiny_split.test}
+        # Queries are distinct ascending test positions; the gallery is every other position.
+        query = tiny_split.query
+        positions = np.arange(len(tiny_split.test))
+        gallery = positions[~np.isin(positions, query)]
+        assert (np.diff(query) > 0).all() and np.isin(query, positions).all()
+        assert not np.intersect1d(query, gallery).size
+        assert np.array_equal(np.union1d(query, gallery), positions)
 
     def test_drug_kind(self, tiny_split):
-        query, gallery = dp.split_query_gallery(tiny_split.test, seed=0, label_kind="drug")
-        assert len(query) == len({s.drug_label for s in tiny_split.test})
+        query = dp.split_query_gallery(tiny_split.test, seed=0, label_kind="drug")
+        drugs = dp.labels_of(tiny_split.test, "drug")
+        assert len(query) == len(set(drugs.tolist()))
+        assert set(drugs[query].tolist()) == set(drugs.tolist())
 
     def test_singleton_class(self, tiny_samples):
         lone = [s for s in tiny_samples if s.moa_label == 0][:1]
@@ -465,7 +481,22 @@ class TestQueryGallery:
     def test_deterministic(self, tiny_split):
         a = dp.split_query_gallery(tiny_split.test, seed=6)
         b = dp.split_query_gallery(tiny_split.test, seed=6)
-        assert [s.sample_id for s in a[0]] == [s.sample_id for s in b[0]]
+        assert np.array_equal(a, b)
+
+    # Query sample ids drawn from the tiny split's test set since the split was written.
+    QUERY_DRAWS = {
+        ("drug", 0): ["drug000_s006", "drug001_s001", "drug002_s009", "drug003_s003"],
+        ("drug", 1): ["drug000_s001", "drug001_s001", "drug002_s008", "drug003_s004"],
+        ("drug", 2): ["drug000_s006", "drug001_s001", "drug002_s009", "drug003_s003"],
+        ("moa", 0): ["drug001_s000", "drug003_s003"],
+        ("moa", 1): ["drug000_s006", "drug003_s004"],
+        ("moa", 2): ["drug001_s001", "drug003_s004"],
+    }
+
+    @pytest.mark.parametrize("kind, seed", sorted(QUERY_DRAWS))
+    def test_query_draws_pinned(self, tiny_split, kind, seed):
+        query = dp.split_query_gallery(tiny_split.test, seed=seed, label_kind=kind)
+        assert [tiny_split.test[i].sample_id for i in query] == self.QUERY_DRAWS[kind, seed]
 
 
 class TestLabelsOf:

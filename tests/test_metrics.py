@@ -358,6 +358,20 @@ class TestEvaluateRetrieval:
             mt.evaluate_retrieval(np.ones((3, 2)), q_labels, np.ones((4, 2)), np.array([0, 1, 0, 2], dtype=np.int64))
         assert err.value.label == 7
 
+    @pytest.mark.parametrize("q, q_labels, max_rank, error, message", [
+        pytest.param(np.ones((0, 2)), np.array([], dtype=np.int64), 20, ShapeMismatch,
+                     r"^evaluate_retrieval: incompatible shapes \(\(0, 2\), \(4, 2\)\)$", id="no-queries"),
+        pytest.param(np.ones((1, 2)), np.array([0]), 0, ValueError, r"^max_rank must be >= 1, got 0$",
+                     id="max-rank-0"),
+    ])
+    def test_unscorable_input_raises_before_scoring(self, monkeypatch, q, q_labels, max_rank, error, message):
+        def no_scoring(*args):
+            raise AssertionError("scored before the input check")
+
+        monkeypatch.setattr(mt, "_normalize", no_scoring)
+        with pytest.raises(error, match=message):
+            mt.evaluate_retrieval(q, q_labels, np.ones((4, 2)), np.array([0, 1, 0, 2]), max_rank)
+
     @given(st.data())
     @settings(max_examples=40, deadline=None)
     def test_bitwise_equal_to_rank_gallery_loop(self, data):

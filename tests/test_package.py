@@ -40,6 +40,12 @@ BENCHMARK_CALLS = [
     ("molseq.data", "write_dataset"),
     ("molseq.data", "load_manifest"),
     ("molseq.metrics", "evaluate_retrieval"),
+    ("molseq.data", "SyntheticSpec"),
+    ("molseq.data", "prepare_split"),
+    ("molseq.train", "TrainConfig"),
+    ("molseq.train", "run_pipeline"),
+    ("molseq.model", "Model"),
+    ("molseq.model", "ModelConfig"),
 ]
 
 

@@ -12,7 +12,7 @@ from molseq import train as tr
 from molseq.data import InsufficientClasses, SyntheticSpec, generate_synthetic, prepare_split
 from molseq.errors import NonFiniteValue, ShapeMismatch
 from molseq.losses import CenterState
-from molseq.model import Model, ModelConfig, load_checkpoint
+from molseq.model import Model, ModelConfig, ParameterSet, SequenceEncoder, load_checkpoint
 
 
 def tiny_config(**overrides):
@@ -361,6 +361,38 @@ class TestStageConstants:
             tr.run_stage(tiny_config(batch_p=1, batch_k=2), tiny_split)
         assert str(err.value) == str(per_step.value) == "every anchor needs at least one positive and one negative"
         assert updates == []
+
+
+class TestEvaluate:
+    @pytest.mark.parametrize("kind", ["drug", "moa"])
+    def test_one_leaf_set_and_one_forward_per_call(self, tiny_split, monkeypatch, kind):
+        model = Model(ModelConfig(vocab_size=4, frame_dim=6, num_classes=4, embed_dim=5, seed=0))
+        inputs = tr.eval_set(tiny_split, kind, 0)
+        calls = []
+        for owner, name in ((ParameterSet, "as_leaves"), (SequenceEncoder, "forward")):
+            original = getattr(owner, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        tr.evaluate(model, inputs)
+        assert sorted(calls) == ["as_leaves", "forward"]
+
+    @pytest.mark.parametrize("kind", ["drug", "moa"])
+    def test_rows_of_one_forward_score_as_separate_forwards(self, tiny_split, kind):
+        # The query and gallery rows of the one test-set forward carry the bits of
+        # embedding each subset on its own.
+        model = Model(ModelConfig(vocab_size=4, frame_dim=6, num_classes=4, embed_dim=5, seed=1))
+        pooled, labels, query = tr.eval_set(tiny_split, kind, 3)
+        gallery = np.setdiff1d(np.arange(len(labels)), query)
+        row, result = tr.evaluate(model, (pooled, labels, query))
+        separate = tr.evaluate_retrieval(model.sequence_embeddings(pooled[query]), labels[query],
+                                         model.sequence_embeddings(pooled[gallery]), labels[gallery])
+        assert result.average_precisions.tobytes() == separate.average_precisions.tobytes()
+        assert result.cmc.tobytes() == separate.cmc.tobytes()
+        assert row["map"] == separate.map and row["rank1"] == separate.rank1
 
 
 class TestGoldenBits:
