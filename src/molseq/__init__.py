@@ -3,11 +3,11 @@
 from . import autodiff, data, losses, metrics, model, smiles, train
 from .autodiff import Tensor, backward, finite_difference_check
 from .data import DatasetSplit, Sample, SyntheticSpec, generate_synthetic, load_manifest, prepare_split
-from .losses import CenterState, LossWeights, SupervisionPair, build_supervision
+from .losses import CenterState, SupervisionPair, build_supervision
 from .metrics import RetrievalResult, accuracy, evaluate_retrieval, rank_gallery
 from .model import Model, ModelConfig, load_checkpoint, save_checkpoint
 from .smiles import Vocabulary, build_vocabulary, canonical_smiles, encode_tokens, parse, tokenize
-from .train import TrainConfig, load_config, run_pipeline, run_stage, run_strategy, sweep_center_weight
+from .train import TrainConfig, run_pipeline, run_stage, run_strategy, sweep_center_weight
 
 __version__ = "0.1.0"
 
@@ -29,7 +29,6 @@ __all__ = [
     "load_manifest",
     "prepare_split",
     "CenterState",
-    "LossWeights",
     "SupervisionPair",
     "build_supervision",
     "RetrievalResult",
@@ -47,7 +46,6 @@ __all__ = [
     "parse",
     "tokenize",
     "TrainConfig",
-    "load_config",
     "run_pipeline",
     "run_stage",
     "run_strategy",

@@ -1,7 +1,7 @@
 """Dense float64 tensors with reverse-mode differentiation.
 
 The op set closes over both encoders and every training loss.  It has a
-few primitive ops (matmul, broadcasted add, relu, tanh and sum_) and the
+few primitive ops (matmul, broadcasted add, relu, tanh and scalar sum_) and the
 fused nodes that the training step is built from: an affine layer
 (``linear``), temperature-scaled cosine logits, a soft-target
 cross-entropy serving both alignment directions and the classifier, a
@@ -15,10 +15,10 @@ A graph is built fresh for every evaluation and traversed exactly once by
 backward(); tensors reachable from a graph are never mutated in place.
 
 What a batch's label pattern alone fixes can be built once and passed in:
-``soft_targets`` normalizes target matrices as ``soft_target_ce`` reads
-them, and ``triplet_masks`` gives ``batch_hard_triplet`` its positive and
-negative masks.  Neither is an op, so neither is in ``__all__``; the ops
-cache nothing.
+``soft_targets`` normalizes target matrices, in one direction or both,
+into the one form ``soft_target_ce`` takes, and ``triplet_masks`` gives
+``batch_hard_triplet`` its positive and negative masks.  Neither is an
+op, so neither is in ``__all__``; the ops cache nothing.
 
 Non-finite values are caught where they can enter a graph: leaves and
 constants, cosine_logits, the loss nodes and weighted_sum raise
@@ -189,17 +189,9 @@ def _log_softmax_rows_bwd(g: np.ndarray, soft: np.ndarray) -> np.ndarray:
     return g - soft * g.sum(axis=1, keepdims=True)
 
 
-def sum_(x, axis: int | None = None) -> Tensor:
+def sum_(x) -> Tensor:
     x = _as_tensor(x)
-    if axis is None:
-        return _node("sum", x.data.sum(), (x,), lambda g: (np.broadcast_to(g, x.shape).copy(),))
-    if x.data.ndim != 2 or axis not in (0, 1):
-        raise ShapeMismatch("sum", (x.shape,))
-
-    def bwd(g):
-        return (np.broadcast_to(np.expand_dims(g, axis), x.shape).copy(),)
-
-    return _node("sum", x.data.sum(axis=axis), (x,), bwd)
+    return _node("sum", x.data.sum(), (x,), lambda g: (np.broadcast_to(g, x.shape).copy(),))
 
 
 def _l2_normalize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -302,9 +294,9 @@ def cosine_logits(s, v, temperature) -> Tensor:
 class SoftTargets(NamedTuple):
     """Target matrices as ``soft_target_ce`` reads them, from ``soft_targets``.
 
-    ``rows`` holds each target divided by its row sums; ``cols`` holds the
-    transpose of each target divided by its column sums.  A direction that
-    is not used may be None.
+    ``rows`` holds each target divided by its row sums, ``cols`` the
+    transpose of each target divided by its column sums; a direction not
+    used is None.
     """
 
     rows: tuple[np.ndarray, ...] | None
@@ -312,38 +304,31 @@ class SoftTargets(NamedTuple):
 
 
 def soft_targets(targets: Sequence[np.ndarray], direction: str) -> SoftTargets:
-    """Normalize 0/1 target matrices for ``soft_target_ce`` in ``direction``."""
+    """Normalize 0/1 target matrices for ``soft_target_ce`` in ``direction``: "row", "col" or "both"."""
+    if direction not in ("both", "row", "col"):
+        raise ValueError(f"direction must be 'both', 'row' or 'col', got {direction!r}")
     targets = [np.asarray(t, dtype=np.float64) for t in targets]
     rows = tuple(t / t.sum(axis=1, keepdims=True) for t in targets) if direction != "col" else None
     cols = tuple((t / t.sum(axis=0, keepdims=True)).T for t in targets) if direction != "row" else None
     return SoftTargets(rows, cols)
 
 
-def soft_target_ce(logits, targets: Sequence[np.ndarray] | SoftTargets, direction: str = "row") -> Tensor:
+def soft_target_ce(logits, targets: SoftTargets) -> Tensor:
     """Summed soft-target cross-entropies of one logit matrix against several targets.
 
-    Each 0/1 target matrix is normalized into per-row ("row") or
-    per-column ("col") distributions; the cross-entropy against it is the
-    mean over rows (columns) of -sum(target * log_softmax).  "both" averages
-    the two directions.  A one-hot target with "row" is the classification
-    cross-entropy.  Each direction's log-softmax is computed once and
-    serves every target.  ``targets`` may come normalized already, as
-    ``SoftTargets``; a one-hot target is its own row distribution.
+    Each target is a per-row ("row") or per-column ("col") distribution;
+    the cross-entropy against it is the mean over rows (columns) of
+    -sum(target * log_softmax).  With both, the two directions are
+    averaged.  A one-hot row target is the classification cross-entropy,
+    and is its own row distribution.  Each direction's log-softmax is
+    computed once and serves every target.
     """
     x = _as_tensor(logits)
     _require_2d("soft_target_ce", x)
-    if direction not in ("both", "row", "col"):
-        raise ValueError(f"direction must be 'both', 'row' or 'col', got {direction!r}")
-    rows, cols, both = direction != "col", direction != "row", direction == "both"
+    rows, cols = targets.rows is not None, targets.cols is not None
+    both = rows and cols
     m, n = x.shape
-    if not isinstance(targets, SoftTargets):
-        targets = [np.asarray(t, dtype=np.float64) for t in targets]
-        for t in targets:
-            if t.shape != x.shape:
-                raise ShapeMismatch("soft_target_ce", (x.shape, t.shape))
-        targets = soft_targets(targets, direction)
-    row_ts = (targets.rows or ()) if rows else ()
-    col_ts = (targets.cols or ()) if cols else ()
+    row_ts, col_ts = targets.rows or (), targets.cols or ()
     count = max(len(row_ts), len(col_ts))
     if not count:
         raise ValueError("soft_target_ce needs at least one target matrix")

@@ -11,29 +11,29 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import data as dp
+from . import data
 from . import train as tr
 from .model import load_checkpoint
 from .smiles import SmilesError, canonical_smiles, tokenize
-from .train import GRAD_TOLERANCE, TrainConfig, gradient_check_suite, load_config
+from .train import GRAD_TOLERANCE, TrainConfig, gradient_check_suite
 
 
-def _load_split(dataset_dir, config: TrainConfig) -> dp.DatasetSplit:
-    samples = dp.load_manifest(dataset_dir)
-    return dp.prepare_split(samples, ratio=config.split_ratio, seed=config.seed,
-                            drug_disjoint=config.drug_disjoint_split)
+def _load_split(dataset_dir, config: TrainConfig) -> data.DatasetSplit:
+    samples = data.load_manifest(dataset_dir)
+    return data.prepare_split(samples, ratio=config.split_ratio, seed=config.seed,
+                              drug_disjoint=config.drug_disjoint_split)
 
 
 def _cmd_gen_data(args) -> int:
-    spec = dp.SyntheticSpec.from_file(args.spec)
-    samples = dp.generate_synthetic(spec)
-    dp.write_dataset(samples, args.out)
+    spec = data.read_config(args.spec, data.SyntheticSpec)
+    samples = data.generate_synthetic(spec)
+    data.write_dataset(samples, args.out)
     print(f"wrote {len(samples)} samples ({spec.num_drugs} drugs, {spec.num_moas} MoAs) to {args.out}")
     return 0
 
 
 def _cmd_train(args) -> int:
-    config = load_config(args.config)
+    config = data.read_config(args.config, TrainConfig)
     split = _load_split(args.data, config)
     init = load_checkpoint(args.init) if args.init else None
     result = tr.run_stage(config, split, init=init, out_dir=args.out)
@@ -47,7 +47,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.ckpt)
-    config = TrainConfig.from_json(ckpt.extra_config)
+    config = data.config_from_json(TrainConfig, ckpt.extra_config)
     split = _load_split(args.data, config)
     row, result = tr.evaluate(ckpt.build_model(), tr.eval_set(split, config.label_kind, config.seed))
     print(tr.csv_text(tr.METRIC_COLUMNS, [row]), end="")
@@ -59,7 +59,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_strategy(args) -> int:
-    config = load_config(args.config) if args.config else TrainConfig()
+    config = data.read_config(args.config, TrainConfig) if args.config else TrainConfig()
     if args.epochs is not None:
         config.epochs = args.epochs
     split = _load_split(args.data, config)
@@ -80,7 +80,7 @@ def _weight_list(text: str) -> list[float]:
 
 
 def _cmd_sweep(args) -> int:
-    config = load_config(args.config) if args.config else TrainConfig()
+    config = data.read_config(args.config, TrainConfig) if args.config else TrainConfig()
     weights = _weight_list(args.weights) if args.weights is not None else tr.DEFAULT_SWEEP_WEIGHTS
     split = _load_split(args.data, config)
     rows = tr.sweep_center_weight(config, weights, split, out_dir=args.out)

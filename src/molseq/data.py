@@ -5,6 +5,8 @@ A dataset directory holds ``manifest.csv`` (one record per line:
 ``sample_id,drug_id,smiles,drug_label,moa_label,frames_path``) and a
 ``frames/`` subdirectory with one binary file per sample: two little-endian
 uint32 (T, f) followed by T*f little-endian float64 in row-major order.
+Text files are read as UTF-8 with lines ended by "\n", "\r\n" or "\r".  A
+PK batch draws from the class table ``pk_classes`` builds once per stage.
 """
 
 from __future__ import annotations
@@ -40,9 +42,11 @@ __all__ = [
     "prepare_split",
     "labels_of",
     "pk_groups",
+    "pk_classes",
     "pk_sample_indices",
     "choose_pk",
     "parse_config",
+    "config_from_json",
     "read_config",
 ]
 
@@ -60,11 +64,10 @@ class SchemaError(ValueError):
 
 
 class InconsistentDrug(ValueError):
-    def __init__(self, drug_id: str, detail: str = "", line: int | None = None) -> None:
+    def __init__(self, drug_id: str, detail: str, line: int) -> None:
         self.drug_id = drug_id
         self.line = line
-        where = "" if line is None else f"manifest line {line}: "
-        super().__init__(f"{where}drug {drug_id!r} has inconsistent records" + (f": {detail}" if detail else ""))
+        super().__init__(f"manifest line {line}: drug {drug_id!r} has inconsistent records: {detail}")
 
 
 class SmilesRecordError(ValueError):
@@ -75,11 +78,10 @@ class SmilesRecordError(ValueError):
 
 
 class MissingFeatureFile(FileNotFoundError):
-    def __init__(self, path: str, line: int | None = None) -> None:
+    def __init__(self, path: str, line: int) -> None:
         self.path = path
         self.line = line
-        where = "" if line is None else f"manifest line {line}: "
-        super().__init__(f"{where}frame feature file not found: {path}")
+        super().__init__(f"manifest line {line}: frame feature file not found: {path}")
 
 
 class PoolExhausted(ValueError):
@@ -142,10 +144,6 @@ class SyntheticSpec:
         if not 0.0 <= self.confounding <= 1.0:
             raise ValueError("confounding must lie in [0, 1]")
 
-    @classmethod
-    def from_file(cls, path) -> "SyntheticSpec":
-        return read_config(path, cls)
-
 
 def _parse_bool(text: str) -> bool:
     low = text.lower()
@@ -186,11 +184,28 @@ def parse_config(cls, entries: dict):
     return config
 
 
+def config_from_json(cls, data: dict):
+    """``cls`` from its ``dataclasses.asdict`` echo, each value parsed as in a config file, then validated."""
+    return parse_config(cls, {key: (None if value is None else str(value), "") for key, value in data.items()})
+
+
+def _text_lines(path, error) -> list[str]:
+    """Lines of a UTF-8 file, ended by "\n", "\r\n" or "\r" only (splitlines() would also break at \x0c, \x85,
+    \u2028 and others); a byte that is not UTF-8 raises ``error(line, detail)``."""
+    raw = Path(path).read_bytes()
+    split = lambda text: text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    try:
+        return split(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        lineno = len(split(raw[:exc.start].decode("utf-8")))
+        raise error(lineno, f"byte 0x{raw[exc.start]:02x} is not UTF-8") from None
+
+
 def read_config(path, cls):
     """``cls`` from a flat key=value file; '#' comments are skipped and a repeated key's last value wins."""
     entries: dict[str, tuple[str, str]] = {}
-    # Lines end at "\n" only; splitlines() would also break at \x0c, \x85, \u2028 and others.
-    for lineno, raw in enumerate(Path(path).read_text().split("\n"), start=1):
+    lines = _text_lines(path, lambda lineno, detail: ConfigError(f"{detail} ({path} line {lineno})"))
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -299,8 +314,8 @@ def load_manifest(dataset_dir) -> list[Sample]:
     label_moa: dict[int, int] = {}
     canonical: dict[str, str] = {}  # raw SMILES -> canonical; a drug's rows share one
     line_of: dict[str, int] = {}  # sample_id -> the line that introduced it
-    # Lines end at "\n" only; splitlines() would also break at \x0c, \x85, \u2028 and others.
-    for lineno, raw in enumerate(manifest.read_text().split("\n"), start=1):
+    lines = _text_lines(manifest, lambda lineno, detail: SchemaError(lineno, f"{manifest}: {detail}"))
+    for lineno, raw in enumerate(lines, start=1):
         if not raw.strip():
             continue
         parts = raw.split(",")
@@ -408,22 +423,22 @@ def pk_groups(labels) -> dict[int, np.ndarray]:
     return {int(key): members for key, members in zip(keys, np.split(order, starts[1:]))}
 
 
-def pk_sample_indices(groups: dict[int, np.ndarray], p: int, k: int, seed: int, step: int) -> np.ndarray:
-    """Positions of a P-class, K-per-class batch, deterministic in (seed, step).
-
-    ``groups`` comes from ``pk_groups`` and is built once per label array.
-    """
+def pk_classes(groups: dict[int, np.ndarray], p: int, k: int) -> list[np.ndarray]:
+    """The ``pk_groups`` member arrays of the classes with at least k samples, in label order;
+    ``InsufficientClasses`` unless there are P of them."""
     if p < 1 or k < 1:
         raise ValueError("P and K must be >= 1")
+    classes = [members for members in groups.values() if members.size >= k]
+    if len(classes) < p:
+        raise InsufficientClasses(f"need {p} classes with >= {k} samples, found {len(classes)}")
+    return classes
+
+
+def pk_sample_indices(classes: list[np.ndarray], p: int, k: int, seed: int, step: int) -> np.ndarray:
+    """Positions of a batch of K samples from each of P ``pk_classes``, deterministic in (seed, step)."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 17, step]))
-    eligible = [label for label, members in groups.items() if members.size >= k]
-    if len(eligible) < p:
-        raise InsufficientClasses(f"need {p} classes with >= {k} samples, found {len(eligible)}")
-    picks = []
-    for c in rng.choice(len(eligible), size=p, replace=False):
-        members = groups[eligible[c]]
-        picks.append(members[rng.choice(members.size, size=k, replace=False)])
-    return np.concatenate(picks)
+    return np.concatenate([classes[c][rng.choice(classes[c].size, size=k, replace=False)]
+                           for c in rng.choice(len(classes), size=p, replace=False)])
 
 
 def choose_pk(batch_size: int, num_classes: int) -> tuple[int, int]:

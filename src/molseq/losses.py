@@ -11,6 +11,7 @@ two-direction contrastive cross-entropy.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,6 @@ __all__ = [
     "NonFiniteComponent",
     "SupervisionPair",
     "CenterState",
-    "LossWeights",
     "build_supervision",
     "similarity",
     "msc_loss",
@@ -68,13 +68,13 @@ def similarity(s: ad.Tensor, v: ad.Tensor, temperature: float | ad.Tensor = 0.07
 
 
 def msc_loss(sim: ad.Tensor, sup: SupervisionPair | ad.SoftTargets, direction: str = "both") -> ad.Tensor:
-    """Alignment loss: soft CE against the self target plus the class target.
+    """Alignment loss: soft CE against the self target plus the class target, in ``direction``.
 
-    ``sup`` may also be the pair already normalized for ``direction`` by
-    ``ad.soft_targets((m_self, m_class), direction)``.
+    ``sup`` may also be the pair already normalized, by
+    ``ad.soft_targets((m_self, m_class), direction)``; it carries its direction.
     """
-    targets = sup if isinstance(sup, ad.SoftTargets) else (sup.m_self, sup.m_class)
-    return ad.soft_target_ce(sim, targets, direction)
+    targets = sup if isinstance(sup, ad.SoftTargets) else ad.soft_targets((sup.m_self, sup.m_class), direction)
+    return ad.soft_target_ce(sim, targets)
 
 
 def hard_triplet_loss(features: ad.Tensor, labels, margin: float = 0.3,
@@ -140,24 +140,16 @@ def classification_ce(logits: ad.Tensor, labels) -> ad.Tensor:
     onehot = np.zeros((b, k))
     onehot[np.arange(b), labels] = 1.0
     # Each one-hot row sums to exactly 1.0, so it is its own row distribution.
-    return ad.soft_target_ce(logits, ad.SoftTargets(rows=(onehot,), cols=None), "row")
+    return ad.soft_target_ce(logits, ad.SoftTargets(rows=(onehot,), cols=None))
 
 
-@dataclass
-class LossWeights:
-    """Loss-term coefficients; defaults follow the training recipe."""
-
-    msc: float = 1.0
-    triplet: float = 1.0
-    center: float = 0.1
-    cls: float = 1.0
-
-
-def total_loss(components: dict[str, ad.Tensor | None], weights: LossWeights) -> tuple[ad.Tensor, dict[str, float]]:
+def total_loss(components: dict[str, ad.Tensor | None],
+               weights: Mapping[str, float]) -> tuple[ad.Tensor, dict[str, float]]:
     """Weighted sum of the loss terms plus an unweighted per-term report.
 
     Components map names in {"msc", "triplet", "center", "cls"} to scalar
     tensors; None entries (e.g. a disabled branch) contribute nothing.
+    ``weights`` maps the same names to coefficients (``TrainConfig.weights()``).
     """
     report: dict[str, float] = {}
     terms: list[ad.Tensor] = []
@@ -172,7 +164,7 @@ def total_loss(components: dict[str, ad.Tensor | None], weights: LossWeights) ->
             raise NonFiniteComponent(name)
         report[name] = value
         terms.append(comp)
-        coefficients.append(getattr(weights, name))
+        coefficients.append(weights[name])
     total = ad.weighted_sum(terms, coefficients) if terms else ad.constant(0.0)
     report["total"] = float(total.data)
     return total, report

@@ -9,13 +9,15 @@ parameters live in a ParameterSet keyed by dotted names ("mol.emb",
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .data import parse_config
+from .data import config_from_json
 from .errors import ConfigError, ShapeMismatch
 from .smiles import PAD_ID, Vocabulary
 
@@ -59,8 +61,9 @@ class NoSuchParameter(KeyError):
 
 
 class CheckpointFormatError(ValueError):
-    """Checkpoint file lacks its metadata or a metadata key, or carries metadata that is not a JSON object, an
-    unknown format tag, a metadata entry of the wrong JSON type, a bad model config or a center_alpha outside (0, 1]."""
+    """Checkpoint file is not an .npz archive, lacks its metadata or a metadata key, or carries metadata that is not
+    a JSON object, an unknown format tag, a metadata entry of the wrong JSON type, a bad model config or a
+    center_alpha outside (0, 1]."""
 
 
 @dataclass
@@ -212,14 +215,6 @@ class ModelConfig:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
 
-    def to_json(self) -> dict:
-        return dict(self.__dict__)
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ModelConfig":
-        """Inverse of ``to_json``: each value goes through its config-file parser, then ``validate()``."""
-        return parse_config(cls, {key: (None if value is None else str(value), "") for key, value in data.items()})
-
 
 class Model:
     """Both encoders plus the classifier head over one ParameterSet.
@@ -281,7 +276,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     """Single-file checkpoint: params + vocab + config echo + center state."""
     meta = {
         "format": CHECKPOINT_TAG,
-        "model_config": ckpt.model_config.to_json(),
+        "model_config": dataclasses.asdict(ckpt.model_config),
         "extra_config": ckpt.extra_config,
         "vocabulary": ckpt.vocabulary.to_json(),
         "trainable": ckpt.trainable,
@@ -294,6 +289,9 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
+    with open(path, "rb") as fh:  # a missing file stays a FileNotFoundError
+        if not zipfile.is_zipfile(fh):
+            raise CheckpointFormatError(f"{path}: not an .npz archive")
     with np.load(path, allow_pickle=False) as data:
         if "__meta__" not in data.files:
             raise CheckpointFormatError(f"{path}: no __meta__ entry")
@@ -321,7 +319,7 @@ def load_checkpoint(path) -> Checkpoint:
                                      or not 0 < center_alpha <= 1):
         raise CheckpointFormatError(f"{path}: center_alpha must be null or a number in (0, 1], found {center_alpha!r}")
     try:
-        model_config = ModelConfig.from_json(meta["model_config"])
+        model_config = config_from_json(ModelConfig, meta["model_config"])
     except ConfigError as exc:
         raise CheckpointFormatError(f"{path}: model_config: {exc}") from None
     try:

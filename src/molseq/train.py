@@ -18,13 +18,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad, data as dp
-from .data import (DatasetSplit, Sample, choose_pk, labels_of, parse_config, pk_groups, pk_sample_indices,
-                   read_config, split_query_gallery)
+from . import autodiff as ad
+from .data import (DatasetSplit, InsufficientClasses, Sample, choose_pk, labels_of, pk_classes, pk_groups,
+                   pk_sample_indices, split_query_gallery)
 from .errors import ConfigError, NonFiniteValue, ShapeMismatch
 from .losses import (
     CenterState,
-    LossWeights,
     NonFiniteComponent,
     build_supervision,
     center_loss,
@@ -42,7 +41,6 @@ from .smiles import Vocabulary, build_vocabulary, encode_tokens
 __all__ = [
     "ConfigError",
     "TrainConfig",
-    "load_config",
     "csv_text",
     "sgd_step",
     "StageResult",
@@ -120,8 +118,9 @@ class TrainConfig:
             return self.stage == "finetune_moa"
         return self.freeze_molecule_encoder
 
-    def weights(self) -> LossWeights:
-        return LossWeights(msc=self.w_msc, triplet=self.w_triplet, center=self.w_center, cls=self.w_cls)
+    def weights(self) -> dict[str, float]:
+        """The loss-term coefficients by the component names ``total_loss`` takes."""
+        return {"msc": self.w_msc, "triplet": self.w_triplet, "center": self.w_center, "cls": self.w_cls}
 
     def validate(self) -> None:
         for field in dataclasses.fields(self):
@@ -148,20 +147,6 @@ class TrainConfig:
             raise ConfigError("eval_every must be >= 1")
         if not 0.0 < self.split_ratio < 1.0:
             raise ConfigError("split_ratio must lie in (0, 1)")
-
-    def to_json(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_json(cls, data: dict) -> "TrainConfig":
-        """Inverse of ``to_json``: each value goes through its config-file parser, then ``validate()``."""
-        texts = {key: (None if value is None else str(value), "") for key, value in data.items()}
-        return parse_config(cls, texts)
-
-
-def load_config(path) -> TrainConfig:
-    """Flat key=value config; unknown keys are rejected."""
-    return read_config(path, TrainConfig)
 
 
 def sgd_step(params, grads: dict[str, np.ndarray], lr: float, momentum: float,
@@ -205,9 +190,10 @@ class StageResult:
     def checkpoint(self) -> Checkpoint:
         """The stage as the record that ``save_checkpoint`` writes and ``load_checkpoint`` returns."""
         params = self.model.params.items()
-        return Checkpoint(model_config=self.model.config, extra_config=self.config.to_json(), vocabulary=self.vocab,
-                          parameters={n: p.value for n, p in params}, trainable={n: p.trainable for n, p in params},
-                          centers=self.centers.centers, center_alpha=self.centers.alpha)
+        return Checkpoint(model_config=self.model.config, extra_config=dataclasses.asdict(self.config),
+                          vocabulary=self.vocab, parameters={n: p.value for n, p in params},
+                          trainable={n: p.trainable for n, p in params}, centers=self.centers.centers,
+                          center_alpha=self.centers.alpha)
 
     def loss_csv(self) -> str:
         msc = ("msc",) if self.config.use_molecule_branch else ()
@@ -303,9 +289,10 @@ def run_stage(config: TrainConfig, data: DatasetSplit, init: Checkpoint | None =
     ``step`` attributes, and both are named in its message.
 
     What every step would rebuild the same way is built once, before the
-    loop: the alignment targets and triplet masks of the PK layout
-    (``_pk_constants``) and, when the molecule encoder is frozen, every
-    train row's molecule embedding.
+    loop: the table of classes a PK batch draws from (``pk_classes``), the
+    alignment targets and triplet masks of the PK layout (``_pk_constants``)
+    and, when the molecule encoder is frozen, every train row's molecule
+    embedding.
     """
     config.validate()
     train, test = data.train, data.test
@@ -354,6 +341,7 @@ def run_stage(config: TrainConfig, data: DatasetSplit, init: Checkpoint | None =
     init_emb = model.sequence.forward(train_pooled, leaves).data
     for c, members in groups.items():
         centers.centers[c] = init_emb[members].mean(axis=0)
+    classes = pk_classes(groups, config.batch_p, config.batch_k)
     targets, masks = _pk_constants(config)
     # A frozen molecule encoder embeds each train row the same way at every step.
     frozen_mol = None
@@ -371,7 +359,7 @@ def run_stage(config: TrainConfig, data: DatasetSplit, init: Checkpoint | None =
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for epoch in range(1, config.epochs + 1):
                 for _ in range(steps_per_epoch):
-                    idx = pk_sample_indices(groups, config.batch_p, config.batch_k, config.seed, step)
+                    idx = pk_sample_indices(classes, config.batch_p, config.batch_k, config.seed, step)
                     batch_labels = stage_labels[idx]
                     leaves = model.params.as_leaves()
                     v_emb = model.sequence.forward(train_pooled[idx], leaves)
@@ -416,16 +404,16 @@ def _run_plan(plan, data: DatasetSplit, base: TrainConfig, out_dir=None) -> dict
     """Run ``plan``, a sequence of (name, config overrides, name of the warm-start stage or None).
 
     Stage ``name`` writes to ``out_dir/name``; returns the results by name.  Before any stage trains,
-    each fitted config must draw one PK batch, or ``InsufficientClasses`` names the stage.  That draw is
-    no training step, so it calls ``dp.pk_sample_indices``: ``run_stage`` calls this module's name.
+    each fitted config's class table must hold P classes of K samples, or ``InsufficientClasses``
+    names the stage.
     """
     out = Path(out_dir) if out_dir is not None else None
     configs = {name: _fit_pk(replace(base, **overrides), data) for name, overrides, _ in plan}
     for name, cfg in configs.items():
         try:
-            dp.pk_sample_indices(pk_groups(labels_of(data.train, cfg.label_kind)), cfg.batch_p, cfg.batch_k, 0, 0)
-        except dp.InsufficientClasses as exc:
-            raise dp.InsufficientClasses(f"stage {name}: {exc}") from exc
+            pk_classes(pk_groups(labels_of(data.train, cfg.label_kind)), cfg.batch_p, cfg.batch_k)
+        except InsufficientClasses as exc:
+            raise InsufficientClasses(f"stage {name}: {exc}") from exc
     results: dict[str, StageResult] = {}
     for name, _, src in plan:
         results[name] = run_stage(configs[name], data, init=src and results[src].checkpoint, out_dir=out and out / name)

@@ -65,6 +65,17 @@ def row_log_softmax(x) -> Tensor:
     return _node("row_log_softmax", out, (x,), lambda g: (_log_softmax_rows_bwd(g, soft),))
 
 
+def sum_axis(x, axis: int) -> Tensor:
+    x = _as_tensor(x)
+    if x.data.ndim != 2 or axis not in (0, 1):
+        raise ShapeMismatch("sum", (x.shape,))
+
+    def bwd(g):
+        return (np.broadcast_to(np.expand_dims(g, axis), x.shape).copy(),)
+
+    return _node("sum", x.data.sum(axis=axis), (x,), bwd)
+
+
 def mean(x, axis: int | None = None) -> Tensor:
     x = _as_tensor(x)
     if axis is None:

@@ -166,13 +166,17 @@ class TestFusedMatchesComposed:
         labels = rng.integers(0, 3, size=16)
         targets = (np.eye(16), (labels[:, None] == labels[None, :]).astype(float))
         values = [rng.normal(size=(16, 16)) * 5.0]
-        self.assert_same(lambda l: ad.soft_target_ce(l[0], targets, direction),
+        self.assert_same(lambda l: ad.soft_target_ce(l[0], ad.soft_targets(targets, direction)),
                          lambda l: self.composed_soft_ce(l[0], targets, direction), values)
 
     def test_soft_target_ce_one_hot(self, rng):
         targets = (np.eye(5)[rng.integers(0, 5, size=12)],)
-        self.assert_same(lambda l: ad.soft_target_ce(l[0], targets),
+        self.assert_same(lambda l: ad.soft_target_ce(l[0], ad.soft_targets(targets, "row")),
                          lambda l: self.composed_soft_ce(l[0], targets, "row"), [rng.normal(size=(12, 5))])
+
+    def test_soft_targets_unknown_direction(self):
+        with pytest.raises(ValueError, match="direction must be 'both', 'row' or 'col', got 'diag'"):
+            ad.soft_targets((np.eye(3),), "diag")
 
     def test_batch_hard_triplet(self, rng):
         labels = np.repeat(np.arange(4), 4)
@@ -184,8 +188,8 @@ class TestFusedMatchesComposed:
             pos_sel, neg_sel = np.zeros((16, 16)), np.zeros((16, 16))
             pos_sel[np.arange(16), pos] = 1.0
             neg_sel[np.arange(16), neg] = 1.0
-            pos_d = ad.sum_(ref.mul(dists, ad.constant(pos_sel)), axis=1)
-            neg_d = ad.sum_(ref.mul(dists, ad.constant(neg_sel)), axis=1)
+            pos_d = ref.sum_axis(ref.mul(dists, ad.constant(pos_sel)), 1)
+            neg_d = ref.sum_axis(ref.mul(dists, ad.constant(neg_sel)), 1)
             return ref.mean(ad.relu(ad.add(ref.sub(pos_d, neg_d), ad.constant(1.0))))
 
         self.assert_same(lambda l: ad.batch_hard_triplet(l[0], labels, 1.0), composed, values)
@@ -229,7 +233,7 @@ class TestNonFiniteGuard:
         with pytest.raises(NonFiniteValue):
             ad.half_sq_error(inf_rows, np.zeros((2, 2)))
         with pytest.raises(NonFiniteValue):
-            ad.soft_target_ce(inf_rows, (np.eye(2),), "both")
+            ad.soft_target_ce(inf_rows, ad.soft_targets((np.eye(2),), "both"))
 
 
 # Fixed inputs for the fused loss nodes.
@@ -241,7 +245,7 @@ CENTER_TARGET = np.arange(12.0).reshape(4, 3) / 7.0
 
 
 def _alignment(direction):
-    return lambda l: ad.soft_target_ce(l[0], (np.eye(4), CLASS_TARGET), direction)
+    return lambda l: ad.soft_target_ce(l[0], ad.soft_targets((np.eye(4), CLASS_TARGET), direction))
 
 
 # name -> (scalar function of the leaves, leaf shapes); an ndarray in place
@@ -255,7 +259,7 @@ FD_CASES = {
     "tanh": (lambda l: ad.sum_(ref.mul(ad.tanh(l[0]), l[0])), [(4, 3)]),
     "exp": (lambda l: ad.sum_(ref.exp(l[0])), [(3, 3)]),
     "row_log_softmax": (lambda l: ad.sum_(ref.mul(ref.row_log_softmax(l[0]), l[0])), [(4, 5)]),
-    "sum_axis0": (lambda l: ad.sum_(ref.mul(ad.sum_(l[0], axis=0), ad.sum_(l[0], axis=0))), [(3, 4)]),
+    "sum_axis0": (lambda l: ad.sum_(ref.mul(ref.sum_axis(l[0], 0), ref.sum_axis(l[0], 0))), [(3, 4)]),
     "mean_axis1": (lambda l: ad.sum_(ref.mul(ref.mean(l[0], axis=1), ref.mean(l[0], axis=1))), [(3, 4)]),
     "mean_full": (lambda l: ref.mean(ref.mul(l[0], l[0])), [(4, 4)]),
     "l2_normalize": (lambda l: ad.sum_(ref.mul(ref.l2_normalize_rows(l[0]), l[1])), [(4, 6), (4, 6)]),
@@ -274,7 +278,7 @@ FD_CASES = {
     "soft_target_ce_both": (_alignment("both"), [(4, 4)]),
     "soft_target_ce_row": (_alignment("row"), [(4, 4)]),
     "soft_target_ce_col": (_alignment("col"), [(4, 4)]),
-    "soft_target_ce_one_hot": (lambda l: ad.soft_target_ce(l[0], (ONE_HOT,)), [(4, 3)]),
+    "soft_target_ce_one_hot": (lambda l: ad.soft_target_ce(l[0], ad.soft_targets((ONE_HOT,), "row")), [(4, 3)]),
     "batch_hard_triplet": (lambda l: ad.batch_hard_triplet(l[0], TRIPLET_LABELS, 0.3), [TRIPLET_FEATS]),
     "half_sq_error": (lambda l: ad.half_sq_error(l[0], CENTER_TARGET), [(4, 3)]),
     "weighted_sum": (

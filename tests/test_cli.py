@@ -1,3 +1,4 @@
+import io
 import json
 import re
 from dataclasses import replace
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from molseq.cli import main
-from molseq.data import load_manifest, prepare_split
+from molseq.data import config_from_json, load_manifest, prepare_split
 from molseq.model import load_checkpoint, save_checkpoint
 from molseq.train import TrainConfig, eval_set, evaluate
 
@@ -105,7 +106,7 @@ class TestTrainEval:
         ranks = [int(line.split(",")[0]) for line in lines[1:]]
         cmc = [float(line.split(",")[1]) for line in lines[1:]]
         ckpt = load_checkpoint(out / "checkpoint.npz")
-        config = TrainConfig.from_json(ckpt.extra_config)
+        config = config_from_json(TrainConfig, ckpt.extra_config)
         split = prepare_split(load_manifest(dataset_dir), ratio=config.split_ratio, seed=config.seed)
         _, result = evaluate(ckpt.build_model(), eval_set(split, config.label_kind, config.seed))
         assert ranks == list(range(1, len(result.cmc) + 1))
@@ -156,6 +157,12 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert re.fullmatch(r"error: [^\n]*NaN or Inf \(stage pretrain_drug, step \d+\)\n", err), err
         assert not (tmp_path / "x").exists()
+
+
+def npy_bytes(array):
+    buf = io.BytesIO()
+    np.save(buf, array)
+    return buf.getvalue()
 
 
 @pytest.fixture(scope="module")
@@ -237,6 +244,22 @@ class TestCheckpointMetadata:
         capsys.readouterr()
         assert main(["eval", "--ckpt", str(path), "--data", str(dataset_dir)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
+
+    @pytest.mark.parametrize("contents", [
+        pytest.param(lambda archive: b"", id="empty"),
+        pytest.param(lambda archive: npy_bytes(np.zeros(3)), id="npy-array"),
+        pytest.param(lambda archive: b"epochs=6\n", id="text"),
+        pytest.param(lambda archive: archive[:len(archive) // 2], id="truncated-archive"),
+    ])
+    def test_file_that_is_not_an_npz_archive_fails(self, trained_checkpoint, dataset_dir, tmp_path, capsys,
+                                                    contents):
+        path = tmp_path / "checkpoint.npz"
+        path.write_bytes(contents(trained_checkpoint.read_bytes()))
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", str(path), "--data", str(dataset_dir)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: not an .npz archive\n"
+        with pytest.raises(FileNotFoundError):
+            load_checkpoint(tmp_path / "missing.npz")
 
     def test_extra_parameter_array_is_allowed(self, trained_checkpoint, dataset_dir, tmp_path, capsys):
         with np.load(trained_checkpoint) as data:

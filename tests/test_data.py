@@ -110,38 +110,45 @@ class TestGenerateSynthetic:
     def test_spec_from_file(self, tmp_path):
         path = tmp_path / "spec.txt"
         path.write_text("num_moas=3\ndrugs_per_moa=2\nseparability=1.5\n# comment\n")
-        spec = dp.SyntheticSpec.from_file(path)
+        spec = dp.read_config(path, dp.SyntheticSpec)
         assert (spec.num_moas, spec.drugs_per_moa, spec.separability) == (3, 2, 1.5)
         path.write_text("bogus=1\n")
         with pytest.raises(ValueError):
-            dp.SyntheticSpec.from_file(path)
+            dp.read_config(path, dp.SyntheticSpec)
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_spec_non_finite_separability_rejected(self, tmp_path, value):
         path = tmp_path / "spec.txt"
         path.write_text(f"separability={value}\n")
         with pytest.raises(ValueError, match="separability must be finite"):
-            dp.SyntheticSpec.from_file(path)
+            dp.read_config(path, dp.SyntheticSpec)
 
     def test_spec_bad_value_names_its_key(self, tmp_path):
         path = tmp_path / "spec.txt"
         path.write_text("num_moas=3\nT=abc\n")
         with pytest.raises(ValueError, match=r"^T: invalid literal for int\(\)"):
-            dp.SyntheticSpec.from_file(path)
+            dp.read_config(path, dp.SyntheticSpec)
 
     @pytest.mark.parametrize("char", SPLITLINES_BREAKS)
     def test_spec_lines_end_at_newline_only(self, tmp_path, char):
         path = tmp_path / "spec.txt"
         path.write_text(f"num_moas=3\n# note{char}T=abc\nT=x\n")
         with pytest.raises(ValueError) as err:
-            dp.SyntheticSpec.from_file(path)
+            dp.read_config(path, dp.SyntheticSpec)
         assert str(err.value) == f"T: invalid literal for int() with base 10: 'x' ({path} line 3)"
+
+    def test_spec_bytes_that_are_not_utf8_name_file_and_line(self, tmp_path):
+        path = tmp_path / "spec.txt"
+        path.write_bytes(b"num_moas=3\rT=\xff\n")
+        with pytest.raises(dp.ConfigError) as err:
+            dp.read_config(path, dp.SyntheticSpec)
+        assert str(err.value) == f"byte 0xff is not UTF-8 ({path} line 2)"
 
     @pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
     def test_spec_with_crlf_or_cr_lines_loads(self, tmp_path, newline):
         path = tmp_path / "spec.txt"
         path.write_bytes(newline.join([b"num_moas=3", b"# comment", b"drugs_per_moa=2", b""]))
-        spec = dp.SyntheticSpec.from_file(path)
+        spec = dp.read_config(path, dp.SyntheticSpec)
         assert (spec.num_moas, spec.drugs_per_moa) == (3, 2)
 
 
@@ -386,6 +393,14 @@ class TestManifestErrors:
             [(s.sample_id, s.drug_id, s.smiles, s.drug_label, s.moa_label) for s in expected]
         assert all(np.array_equal(s.frames, e.frames) for s, e in zip(samples, expected))
 
+    def test_bytes_that_are_not_utf8_name_file_and_line(self, tmp_path):
+        root = self._write(tmp_path, [])
+        (root / "manifest.csv").write_bytes(b"a,d0,CCO,0,0,frames/a.bin\r\nb,d\xc31,CCC,1,1,frames/b.bin\n")
+        with pytest.raises(dp.SchemaError) as err:
+            dp.load_manifest(root)
+        assert err.value.line == 2
+        assert str(err.value) == f"manifest line 2: {root / 'manifest.csv'}: byte 0xc3 is not UTF-8"
+
     def test_largest_int64_label_loads(self, tmp_path):
         root = self._write(tmp_path, ["a,d0,CCO,9223372036854775807,0,frames/a.bin"])
         samples = dp.load_manifest(root)
@@ -515,7 +530,7 @@ class TestPkSampling:
     @staticmethod
     def pk_batch(samples, p, k, label_kind, seed, step):
         groups = dp.pk_groups(dp.labels_of(samples, label_kind))
-        return [samples[i] for i in dp.pk_sample_indices(groups, p, k, seed, step)]
+        return [samples[i] for i in dp.pk_sample_indices(dp.pk_classes(groups, p, k), p, k, seed, step)]
 
     def test_shape_and_composition(self, tiny_split):
         batch = self.pk_batch(tiny_split.train, 2, 3, "drug", seed=0, step=0)
@@ -531,9 +546,10 @@ class TestPkSampling:
 
     def test_deterministic_in_seed_and_step(self, tiny_split):
         groups = self.drug_groups(tiny_split.train)
-        a = dp.pk_sample_indices(groups, 2, 3, seed=1, step=5)
-        b = dp.pk_sample_indices(groups, 2, 3, seed=1, step=5)
-        c = dp.pk_sample_indices(groups, 2, 3, seed=1, step=6)
+        classes = dp.pk_classes(groups, 2, 3)
+        a = dp.pk_sample_indices(classes, 2, 3, seed=1, step=5)
+        b = dp.pk_sample_indices(classes, 2, 3, seed=1, step=5)
+        c = dp.pk_sample_indices(classes, 2, 3, seed=1, step=6)
         assert (a == b).all()
         assert not (a == c).all()
 
@@ -554,7 +570,7 @@ class TestPkSampling:
         groups = dp.pk_groups(labels)
         for seed, step in [(0, 0), (1, 5), (7, 123), (3, 10_000)]:
             expected = self.loop_pk_sample_indices(tiny_split.train, p, k, label_kind, seed, step)
-            assert dp.pk_sample_indices(groups, p, k, seed, step).tolist() == expected.tolist()
+            assert dp.pk_sample_indices(dp.pk_classes(groups, p, k), p, k, seed, step).tolist() == expected.tolist()
 
     def test_groups_keyed_by_sorted_label_with_ascending_positions(self):
         groups = dp.pk_groups([2, 0, 2, 1, 0])
@@ -562,7 +578,7 @@ class TestPkSampling:
         assert [members.tolist() for members in groups.values()] == [[1, 4], [3], [0, 2]]
 
     def test_no_replacement_within_batch(self, tiny_split):
-        idx = dp.pk_sample_indices(self.drug_groups(tiny_split.train), 4, 4, seed=2, step=3)
+        idx = dp.pk_sample_indices(dp.pk_classes(self.drug_groups(tiny_split.train), 4, 4), 4, 4, seed=2, step=3)
         assert len(set(idx.tolist())) == len(idx)
 
     def test_triplet_preconditions_hold(self, tiny_split):

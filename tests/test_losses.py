@@ -8,6 +8,7 @@ from scipy.special import log_softmax
 
 from molseq import autodiff as ad
 from molseq import losses as ls
+from molseq.train import TrainConfig
 from molseq.errors import LabelOutOfRange, ShapeMismatch
 
 
@@ -150,6 +151,11 @@ class TestMscLoss:
         col = float(ls.msc_loss(tensor(sv), sup, direction="col").data)
         both = float(ls.msc_loss(tensor(sv), sup, direction="both").data)
         assert both == pytest.approx((row + col) / 2.0, abs=1e-12)
+
+    def test_unknown_direction_rejected(self):
+        sup = ls.build_supervision([0, 0, 1])
+        with pytest.raises(ValueError, match="direction must be 'both', 'row' or 'col', got 'diag'"):
+            ls.msc_loss(tensor(np.zeros((3, 3))), sup, "diag")
 
     def test_nonnegative(self, rng):
         for _ in range(10):
@@ -407,23 +413,24 @@ class TestTotalLoss:
         return {"msc": tensor(msc), "triplet": tensor(triplet), "center": tensor(center), "cls": tensor(cls)}
 
     def test_all_weights_zero(self):
-        total, _ = ls.total_loss(self.make(), ls.LossWeights(msc=0, triplet=0, center=0, cls=0))
+        total, _ = ls.total_loss(self.make(), {"msc": 0, "triplet": 0, "center": 0, "cls": 0})
         assert float(total.data) == 0.0
 
     def test_default_weighting(self):
-        total, report = ls.total_loss(self.make(1, 1, 10, 1), ls.LossWeights())
+        total, report = ls.total_loss(self.make(1, 1, 10, 1), TrainConfig().weights())
         assert float(total.data) == pytest.approx(4.0, abs=1e-12)
         assert report == {"msc": 1.0, "triplet": 1.0, "center": 10.0, "cls": 1.0, "total": 4.0}
 
     def test_affine_in_center_weight(self):
         comp = self.make(0.3, 0.7, 2.5, 1.9)
-        base, _ = ls.total_loss(comp, ls.LossWeights(center=0.1))
+        base, _ = ls.total_loss(comp, TrainConfig(w_center=0.1).weights())
         comp2 = self.make(0.3, 0.7, 2.5, 1.9)
-        doubled, _ = ls.total_loss(comp2, ls.LossWeights(center=0.2))
+        doubled, _ = ls.total_loss(comp2, TrainConfig(w_center=0.2).weights())
         assert float(doubled.data) - float(base.data) == pytest.approx(0.1 * 2.5, abs=1e-12)
 
     def test_missing_component_reported_as_zero(self):
-        total, report = ls.total_loss({"triplet": tensor(2.0), "center": None, "cls": tensor(1.0)}, ls.LossWeights())
+        components = {"triplet": tensor(2.0), "center": None, "cls": tensor(1.0)}
+        total, report = ls.total_loss(components, TrainConfig().weights())
         assert report["msc"] == 0.0 and report["center"] == 0.0
         assert float(total.data) == pytest.approx(3.0)
 
@@ -431,10 +438,10 @@ class TestTotalLoss:
         bad = tensor(1.0)
         bad.data = np.array(np.inf)  # bypass op-boundary checks on purpose
         with pytest.raises(ls.NonFiniteComponent):
-            ls.total_loss({"msc": bad}, ls.LossWeights())
+            ls.total_loss({"msc": bad}, TrainConfig().weights())
 
     def test_gradient_flows_through_weights(self, rng):
-        weights = ls.LossWeights(msc=0.0, triplet=0.0, center=0.3, cls=0.0)
+        weights = {"msc": 0.0, "triplet": 0.0, "center": 0.3, "cls": 0.0}
         state = ls.CenterState(centers=rng.normal(size=(2, 3)))
         labels = np.array([0, 1, 1])
 

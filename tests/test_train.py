@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import warnings
@@ -7,9 +8,11 @@ import pytest
 from dataclasses import replace
 
 from molseq import autodiff as ad
+from molseq import data
 from molseq import losses as ls
 from molseq import train as tr
-from molseq.data import InsufficientClasses, SyntheticSpec, generate_synthetic, prepare_split
+from molseq.data import (InsufficientClasses, SyntheticSpec, config_from_json, generate_synthetic,
+                         pk_sample_indices, prepare_split, read_config)
 from molseq.errors import NonFiniteValue, ShapeMismatch
 from molseq.losses import CenterState
 from molseq.model import Model, ModelConfig, ParameterSet, SequenceEncoder, load_checkpoint
@@ -51,7 +54,7 @@ class TestTrainConfig:
         path = tmp_path / "cfg.txt"
         path.write_text("epochs=20\nlearning_rate=0.01\nstage=finetune_moa\n"
                         "freeze_molecule_encoder=false\n# comment line\nw_center=0.3\n")
-        cfg = tr.load_config(path)
+        cfg = read_config(path, tr.TrainConfig)
         assert cfg.epochs == 20
         assert cfg.learning_rate == 0.01
         assert cfg.stage == "finetune_moa"
@@ -62,13 +65,13 @@ class TestTrainConfig:
         path = tmp_path / "cfg.txt"
         path.write_text("learning_rat=0.01\n")
         with pytest.raises(tr.ConfigError):
-            tr.load_config(path)
+            read_config(path, tr.TrainConfig)
 
     def test_bad_bool(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("temperature_trainable=maybe\n")
         with pytest.raises(tr.ConfigError):
-            tr.load_config(path)
+            read_config(path, tr.TrainConfig)
 
     def test_invalid_values(self):
         for bad in (dict(batch_k=1), dict(learning_rate=0), dict(stage="bogus"),
@@ -83,7 +86,7 @@ class TestTrainConfig:
         path.write_text(line + "\n")
         key = line.split("=")[0]
         with pytest.raises(tr.ConfigError, match=f"^{key} must be finite"):
-            tr.load_config(path)
+            read_config(path, tr.TrainConfig)
 
     @pytest.mark.parametrize("line, message", [
         ("batch_p=x", "batch_p: invalid literal for int() with base 10: 'x'"),
@@ -97,26 +100,33 @@ class TestTrainConfig:
         path = tmp_path / "cfg.txt"
         path.write_text(f"epochs=20\n# comment\n\n{line}\nseed=1\n")
         with pytest.raises(tr.ConfigError) as err:
-            tr.load_config(path)
+            read_config(path, tr.TrainConfig)
         assert str(err.value) == f"{message} ({path} line 4)"
+
+    def test_bytes_that_are_not_utf8_name_file_and_line(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_bytes(b"epochs=20\r\n# comment\r\nstage=pre\xfftrain\n")
+        with pytest.raises(tr.ConfigError) as err:
+            read_config(path, tr.TrainConfig)
+        assert str(err.value) == f"byte 0xff is not UTF-8 ({path} line 3)"
 
     def test_repeated_key_takes_last_value(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("epochs=abc\nepochs=7\n")
-        assert tr.load_config(path).epochs == 7
+        assert read_config(path, tr.TrainConfig).epochs == 7
 
     @pytest.mark.parametrize("freeze", [None, True, False])
     def test_json_round_trip(self, freeze):
         cfg = tr.TrainConfig(epochs=3, learning_rate=0.1 + 0.2, temperature=1e-05, temperature_trainable=True,
                              stage="finetune_moa", freeze_molecule_encoder=freeze, use_molecule_branch=False,
                              msc_direction="row", split_ratio=0.7)
-        assert tr.TrainConfig.from_json(json.loads(json.dumps(cfg.to_json()))) == cfg
+        assert config_from_json(tr.TrainConfig, json.loads(json.dumps(dataclasses.asdict(cfg)))) == cfg
 
     @pytest.mark.parametrize("key, value", [("epochs", "abc"), ("epochs", 2.5), ("epochs", None),
                                             ("temperature_trainable", "maybe"), ("learning_rate", [0.1])])
     def test_json_wrong_typed_value_rejected(self, key, value):
         with pytest.raises(tr.ConfigError, match=f"^{key}: "):
-            tr.TrainConfig.from_json({**tr.TrainConfig().to_json(), key: value})
+            config_from_json(tr.TrainConfig, {**dataclasses.asdict(tr.TrainConfig()), key: value})
 
 
 class TestSgdStep:
@@ -241,7 +251,7 @@ class TestRunStage:
             "mol.emb", "mol.w1", "mol.b1", "mol.w2", "mol.b2"}
         assert (loaded.centers.shape, loaded.centers.tobytes()) == (saved.centers.shape, saved.centers.tobytes())
         assert loaded.center_alpha == saved.center_alpha == 0.75
-        assert loaded.extra_config == saved.extra_config == cfg.to_json()
+        assert loaded.extra_config == saved.extra_config == dataclasses.asdict(cfg)
         assert loaded.vocabulary == saved.vocabulary == pre.vocab
 
     def test_trainable_temperature_runs(self, tiny_split):
@@ -331,7 +341,8 @@ class TestStageConstants:
             labels = rng.integers(0, classes, size=b)
             onehot = np.eye(classes)[labels]
             runs = []
-            for loss in (lambda x: ls.classification_ce(x, labels), lambda x: ad.soft_target_ce(x, (onehot,), "row")):
+            for loss in (lambda x: ls.classification_ce(x, labels),
+                         lambda x: ad.soft_target_ce(x, ad.soft_targets((onehot,), "row"))):
                 x = ad.Tensor(logits0, requires_grad=True)
                 out = loss(x)
                 ad.backward(out)
@@ -522,6 +533,24 @@ class TestStrategiesAndPipeline:
         fitted = tr._fit_pk(cfg, tiny_split)
         assert fitted.batch_size == 64
         assert fitted.batch_p <= 4  # only 4 drugs exist
+
+    def test_stage_check_draws_no_batch(self, tiny_split, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("molseq.data.pk_sample_indices was called")
+
+        monkeypatch.setattr(data, "pk_sample_indices", no_draw)
+        assert tr.run_pipeline(tiny_split, tiny_config(epochs=2)).finetune.loss_log
+
+    def test_one_pk_draw_per_training_step(self, tiny_split, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return pk_sample_indices(*args)
+
+        monkeypatch.setattr(tr, "pk_sample_indices", counting)
+        result = tr.run_pipeline(tiny_split, tiny_config(epochs=2))
+        assert len(calls) == sum(len(st.loss_log) for st in (result.warmup, result.pretrain, result.finetune)) > 0
 
 
 class TestSweep:
