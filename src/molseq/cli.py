@@ -98,16 +98,9 @@ def _cmd_gradcheck(args) -> int:
     return 1 if failed else 0
 
 
-def _iter_lines(path: str | None):
-    if path:
-        with open(path) as fh:
-            yield from (line.rstrip("\n") for line in fh)
-    else:
-        yield from (line.rstrip("\n") for line in sys.stdin)
-
-
 def _cmd_linewise(args, transform) -> int:
-    for lineno, line in enumerate(_iter_lines(args.file), start=1):
+    lines = data.read_lines(args.file) if args.file else (line.rstrip("\n") for line in sys.stdin)
+    for lineno, line in enumerate(lines, start=1):
         try:
             print(transform(line))
         except SmilesError as exc:

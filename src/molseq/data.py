@@ -5,7 +5,9 @@ A dataset directory holds ``manifest.csv`` (one record per line:
 ``sample_id,drug_id,smiles,drug_label,moa_label,frames_path``) and a
 ``frames/`` subdirectory with one binary file per sample: two little-endian
 uint32 (T, f) followed by T*f little-endian float64 in row-major order.
-Text files are read as UTF-8 with lines ended by "\n", "\r\n" or "\r".  A
+``read_lines`` reads every text file a user gives molseq (config and spec
+files, ``manifest.csv`` and the SMILES files of ``molseq canonicalize`` and
+``molseq tokenize``) as UTF-8 with lines ended by "\n", "\r\n" or "\r".  A
 PK batch draws from the class table ``pk_classes`` builds once per stage.
 """
 
@@ -47,6 +49,7 @@ __all__ = [
     "choose_pk",
     "parse_config",
     "config_from_json",
+    "read_lines",
     "read_config",
 ]
 
@@ -138,11 +141,13 @@ class SyntheticSpec:
 
     def validate(self) -> None:
         if min(self.num_moas, self.drugs_per_moa, self.samples_per_drug, self.T, self.f) < 1:
-            raise ValueError("all synthetic counts must be >= 1")
+            raise ConfigError("all synthetic counts must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not (math.isfinite(self.separability) and self.separability >= 0):
-            raise ValueError("separability must be finite and >= 0")
+            raise ConfigError("separability must be finite and >= 0")
         if not 0.0 <= self.confounding <= 1.0:
-            raise ValueError("confounding must lie in [0, 1]")
+            raise ConfigError("confounding must lie in [0, 1]")
 
 
 def _parse_bool(text: str) -> bool:
@@ -164,23 +169,27 @@ _FIELD_PARSERS = {
 }
 
 
-def parse_config(cls, entries: dict):
-    """Validated ``cls`` with each ``{key: (text, where)}`` entry parsed by its field's annotated type;
-    ``where`` ends the message of a bad key or value, and fields not named keep their defaults."""
+def parse_config(cls, entries: dict, where: str = ""):
+    """Validated ``cls`` with each ``{key: (text, at)}`` entry parsed by its field's annotated type; ``at`` ends
+    the message of a bad key or value, ``where`` that of a missing key or a failed ``validate()``, and fields
+    not named keep their defaults."""
     types = {f.name: f.type for f in fields(cls)}
     values = {}
-    for key, (text, where) in entries.items():
+    for key, (text, at) in entries.items():
         if key not in types:
-            raise ConfigError(f"unknown config key {key!r}{where}")
+            raise ConfigError(f"unknown config key {key!r}{at}")
         try:
             values[key] = _FIELD_PARSERS[types[key]](text)
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{key}: {exc}{where}") from None
+            raise ConfigError(f"{key}: {exc}{at}") from None
     for f in fields(cls):
         if f.name not in values and f.default is MISSING and f.default_factory is MISSING:
-            raise ConfigError(f"missing config key {f.name!r}")
+            raise ConfigError(f"missing config key {f.name!r}{where}")
     config = cls(**values)
-    config.validate()
+    try:
+        config.validate()
+    except ConfigError as exc:
+        raise ConfigError(f"{exc}{where}") from None
     return config
 
 
@@ -189,23 +198,25 @@ def config_from_json(cls, data: dict):
     return parse_config(cls, {key: (None if value is None else str(value), "") for key, value in data.items()})
 
 
-def _text_lines(path, error) -> list[str]:
+def read_lines(path, error=None) -> list[str]:
     """Lines of a UTF-8 file, ended by "\n", "\r\n" or "\r" only (splitlines() would also break at \x0c, \x85,
-    \u2028 and others); a byte that is not UTF-8 raises ``error(line, detail)``."""
+    \u2028 and others), without the empty one a final line end leaves.  A byte that is not UTF-8 raises
+    ``error(line, detail)``, by default a ``ConfigError`` naming the file and the line."""
     raw = Path(path).read_bytes()
     split = lambda text: text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     try:
-        return split(raw.decode("utf-8"))
+        lines = split(raw.decode("utf-8"))
     except UnicodeDecodeError as exc:
         lineno = len(split(raw[:exc.start].decode("utf-8")))
-        raise error(lineno, f"byte 0x{raw[exc.start]:02x} is not UTF-8") from None
+        detail = f"byte 0x{raw[exc.start]:02x} is not UTF-8"
+        raise error(lineno, detail) if error else ConfigError(f"{detail} ({path} line {lineno})") from None
+    return lines[:-1] if lines[-1] == "" else lines
 
 
 def read_config(path, cls):
     """``cls`` from a flat key=value file; '#' comments are skipped and a repeated key's last value wins."""
     entries: dict[str, tuple[str, str]] = {}
-    lines = _text_lines(path, lambda lineno, detail: ConfigError(f"{detail} ({path} line {lineno})"))
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(read_lines(path), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -214,7 +225,7 @@ def read_config(path, cls):
             raise ConfigError(f"expected key=value, got {line!r}{where}")
         key, value = line.split("=", 1)
         entries[key.strip()] = (value.strip(), where)
-    return parse_config(cls, entries)
+    return parse_config(cls, entries, f" ({path})")
 
 
 def load_smiles_pool() -> list[str]:
@@ -314,7 +325,7 @@ def load_manifest(dataset_dir) -> list[Sample]:
     label_moa: dict[int, int] = {}
     canonical: dict[str, str] = {}  # raw SMILES -> canonical; a drug's rows share one
     line_of: dict[str, int] = {}  # sample_id -> the line that introduced it
-    lines = _text_lines(manifest, lambda lineno, detail: SchemaError(lineno, f"{manifest}: {detail}"))
+    lines = read_lines(manifest, lambda lineno, detail: SchemaError(lineno, f"{manifest}: {detail}"))
     for lineno, raw in enumerate(lines, start=1):
         if not raw.strip():
             continue

@@ -2,7 +2,8 @@
 
 
 class ConfigError(ValueError):
-    """A config file, synthetic spec, or a checkpoint's config echo or model config holds a bad key or value."""
+    """A config file, synthetic spec, or a checkpoint's config echo or model config holds a bad key or value, or a
+    text file molseq reads is not UTF-8."""
 
 
 class ShapeMismatch(ValueError):

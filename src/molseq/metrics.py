@@ -153,37 +153,34 @@ def evaluate_retrieval(
     band = 4 * (dim + 2) * np.finfo(np.float64).eps
     # About 1 MB of scores per block, and at least 8 queries: one-row blocks
     # would turn the GEMM into a GEMV that streams the gallery once per query.
-    block = max(8, 2**17 // max(num_g, 1))
+    block = max(8, 2**17 // num_g)
 
     aps = np.zeros(q_labels.size)
     first_hit = np.zeros(q_labels.size, dtype=np.int64)
     for start in range(0, q_labels.size, block):
         neg_scores = _normalize(query_embs[start:start + block]) @ gallery_unit.T
         np.negative(neg_scores, out=neg_scores)
-        positions_of = []
-        for row in range(neg_scores.shape[0]):
+        for row, row_scores in enumerate(neg_scores):
             qi = start + row
             members = by_label[group_lo[qi]:group_hi[qi]]
-            neg_relevant = neg_scores[row, members]
+            neg_relevant = row_scores[members]
             # Only scores up to the worst relevant one plus band can move a
             # relevant position (see the module docstring).
-            row_scores = neg_scores[row]
             candidates = np.sort(row_scores[row_scores <= neg_relevant.max() + band])
             positions = _relevant_positions(neg_relevant, candidates, band)
             if positions is None:
                 relevant = np.zeros(num_g, dtype=bool)
                 relevant[members] = True
                 positions = np.flatnonzero(relevant[_rank(gallery_unit, query_embs[qi])])
-            positions_of.append(positions)
-        # Every row's scores are read, so the block becomes the precision
-        # buffer (see the module docstring for why AP keeps its bits).
-        precisions = neg_scores
-        precisions.fill(0.0)
-        for row, positions in enumerate(positions_of):
+            # The row's scores are spent (the fallback re-scores from the
+            # query), so the row becomes its precision buffer; see the module
+            # docstring for why AP keeps its bits.
             positions.sort()
-            precisions[row, positions] = np.arange(1, positions.size + 1) / (positions + 1.0)
-            first_hit[start + row] = positions[0] + 1  # rank of the first correct item
-        aps[start:start + len(positions_of)] = precisions.sum(axis=1) / [p.size for p in positions_of]
+            row_scores.fill(0.0)
+            row_scores[positions] = np.arange(1, positions.size + 1) / (positions + 1.0)
+            first_hit[qi] = positions[0] + 1  # rank of the first correct item
+        stop = start + neg_scores.shape[0]
+        aps[start:stop] = neg_scores.sum(axis=1) / (group_hi[start:stop] - group_lo[start:stop])
 
     ranks = np.arange(1, max_rank + 1)
     cmc = (first_hit[None, :] <= ranks[:, None]).mean(axis=1)

@@ -10,8 +10,10 @@ parameters live in a ParameterSet keyed by dotted names ("mol.emb",
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 import zipfile
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,9 +63,9 @@ class NoSuchParameter(KeyError):
 
 
 class CheckpointFormatError(ValueError):
-    """Checkpoint file is not an .npz archive, lacks its metadata or a metadata key, or carries metadata that is not
-    a JSON object, an unknown format tag, a metadata entry of the wrong JSON type, a bad model config or a
-    center_alpha outside (0, 1]."""
+    """Checkpoint file is not an .npz archive, has a member that cannot be read, lacks its metadata or a metadata
+    key, or carries metadata that is not a JSON object, an unknown format tag, a metadata entry of the wrong JSON
+    type, a bad model config or a center_alpha outside (0, 1]."""
 
 
 @dataclass
@@ -214,6 +216,8 @@ class ModelConfig:
         for name in ("vocab_size", "frame_dim", "num_classes", "embed_dim", "token_dim", "mol_hidden", "seq_hidden"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 class Model:
@@ -288,23 +292,44 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     np.savez(path, __meta__=np.array(json.dumps(meta)), **arrays)
 
 
+# What zipfile, zlib and numpy raise on corrupt archive bytes: a bad CRC, header or length, an unsupported
+# compression or encryption flag, a short read, a seek to a bad offset, or an array header numpy refuses
+# (object arrays included).
+_MEMBER_ERRORS = (zipfile.BadZipFile, zlib.error, EOFError, NotImplementedError, RuntimeError, ValueError, OSError,
+                  MemoryError)
+
+
+def _read_members(path) -> dict[str, np.ndarray]:
+    """Every member of the archive at ``path`` as an array, by name without ``.npy``.  Each is read whole, so its
+    CRC is checked even where a changed header promises fewer bytes; a failure is a ``CheckpointFormatError``."""
+    try:
+        with zipfile.ZipFile(path) as archive:
+            # save_checkpoint writes no member comments, and a corrupt comment length hides the members after it.
+            if any(info.comment for info in archive.infolist()):
+                raise zipfile.BadZipFile("the central directory holds a member comment")
+            return {name.removesuffix(".npy"): np.lib.format.read_array(io.BytesIO(archive.read(name)))
+                    for name in archive.namelist()}
+    except _MEMBER_ERRORS as exc:
+        raise CheckpointFormatError(f"{path}: unreadable archive member: {exc}") from None
+
+
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as fh:  # a missing file stays a FileNotFoundError
         if not zipfile.is_zipfile(fh):
             raise CheckpointFormatError(f"{path}: not an .npz archive")
-    with np.load(path, allow_pickle=False) as data:
-        if "__meta__" not in data.files:
-            raise CheckpointFormatError(f"{path}: no __meta__ entry")
-        try:
-            meta = json.loads(str(data["__meta__"]))
-        except json.JSONDecodeError as exc:
-            raise CheckpointFormatError(f"{path}: __meta__ is not JSON: {exc}") from None
-        if not isinstance(meta, dict):
-            raise CheckpointFormatError(f"{path}: __meta__ must be a JSON object, found {type(meta).__name__}")
-        if meta.get("format") != CHECKPOINT_TAG:
-            raise CheckpointFormatError(f"{path}: expected format {CHECKPOINT_TAG!r}, found {meta.get('format')!r}")
-        parameters = {k[len("param/") :]: np.array(data[k]) for k in data.files if k.startswith("param/")}
-        centers = np.array(data["centers"]) if "centers" in data.files else None
+    members = _read_members(path)
+    if "__meta__" not in members:
+        raise CheckpointFormatError(f"{path}: no __meta__ entry")
+    try:
+        meta = json.loads(str(members["__meta__"]))
+    except json.JSONDecodeError as exc:
+        raise CheckpointFormatError(f"{path}: __meta__ is not JSON: {exc}") from None
+    if not isinstance(meta, dict):
+        raise CheckpointFormatError(f"{path}: __meta__ must be a JSON object, found {type(meta).__name__}")
+    if meta.get("format") != CHECKPOINT_TAG:
+        raise CheckpointFormatError(f"{path}: expected format {CHECKPOINT_TAG!r}, found {meta.get('format')!r}")
+    parameters = {k[len("param/") :]: v for k, v in members.items() if k.startswith("param/")}
+    centers = members.get("centers")
     for key in ("model_config", "extra_config", "vocabulary", "trainable"):
         if key not in meta:
             raise CheckpointFormatError(f"{path}: __meta__ has no {key!r} entry")

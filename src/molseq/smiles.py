@@ -166,9 +166,12 @@ class MolGraph:
 
     atoms: list[Atom] = field(default_factory=list)
     bonds: list[Bond] = field(default_factory=list)
-    # Endpoint pairs of bonds[:_keyed]; add_bond first catches up on bonds passed in or appended directly.
-    _pairs: set[tuple[int, int]] = field(default_factory=set, init=False, repr=False, compare=False)
-    _keyed: int = field(default=0, init=False, repr=False, compare=False)
+    # Endpoint pairs (low, high) of the bonds passed in or added by add_bond; a bond appended
+    # directly must add its own pair.
+    _pairs: set[tuple[int, int]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._pairs = {(min(a, b), max(a, b)) for a, b, _ in self.bonds}
 
     def add_bond(self, a: int, b: int, order: BondOrder) -> None:
         n = len(self.atoms)
@@ -176,14 +179,11 @@ class MolGraph:
             raise SmilesError(f"bond endpoint out of range: ({a}, {b})")
         if a == b:
             raise SmilesError("self-loop bond")
-        if self._keyed < len(self.bonds):
-            self._pairs.update((min(x.a, x.b), max(x.a, x.b)) for x in self.bonds[self._keyed:])
         key = (min(a, b), max(a, b))
         if key in self._pairs:
             raise SmilesError(f"duplicate bond between atoms {a} and {b}")
         self.bonds.append(Bond(a, b, order))
         self._pairs.add(key)
-        self._keyed = len(self.bonds)
 
 
 def tokenize(smiles: str) -> list[Token]:
@@ -273,11 +273,7 @@ def parse(smiles: str) -> MolGraph:
                 order = pending or other_order
                 if order is None:
                     order = _AROMATIC_BOND if atoms[other].aromatic and atoms[anchor].aromatic else _SINGLE
-                key = (other, anchor) if other < anchor else (anchor, other)
-                if key in pairs:
-                    raise SmilesError(f"duplicate bond between atoms {other} and {anchor}")
-                bonds.append(Bond(other, anchor, order))
-                pairs.add(key)
+                graph.add_bond(other, anchor, order)
             else:
                 open_rings[digit] = (anchor, pending)
             pending = None
@@ -303,7 +299,6 @@ def parse(smiles: str) -> MolGraph:
         raise UnmatchedRingBond(min(open_rings))
     if branch_stack:
         raise UnclosedBranch()
-    graph._keyed = len(bonds)
     return graph
 
 

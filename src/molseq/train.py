@@ -129,6 +129,11 @@ class TrainConfig:
                 raise ConfigError(f"{field.name} must be finite, got {value!r}")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
+        for name in ("embed_dim", "token_dim", "mol_hidden", "seq_hidden", "max_tokens"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.batch_p < 1 or self.batch_k < 2:
             raise ConfigError("need batch_p >= 1 and batch_k >= 2 for in-batch positives")
         if self.learning_rate <= 0 or self.momentum < 0 or self.center_alpha <= 0 or self.center_alpha > 1:
@@ -221,7 +226,7 @@ def eval_set(data: DatasetSplit, label_kind: str, seed: int) -> tuple[np.ndarray
     one query per class is drawn from the test set.  The gallery is every
     other test sample.
     """
-    query = data.query if label_kind == "moa" and len(data.query) else split_query_gallery(data.test, seed, label_kind)
+    query = data.query if label_kind == "moa" else split_query_gallery(data.test, seed, label_kind)
     return _pooled(data.test), labels_of(data.test, label_kind), query
 
 

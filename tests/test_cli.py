@@ -172,6 +172,34 @@ def trained_checkpoint(dataset_dir, train_config, tmp_path_factory):
     return out / "checkpoint.npz"
 
 
+class TestConfigValues:
+    @pytest.mark.parametrize("command, line, message", [
+        ("train", "seed=-3", "seed must be >= 0, got -3"),
+        ("gen-data", "seed=-1", "seed must be >= 0, got -1"),
+        ("train", "embed_dim=0", "embed_dim must be >= 1, got 0"),
+        ("train", "token_dim=0", "token_dim must be >= 1, got 0"),
+        ("train", "mol_hidden=0", "mol_hidden must be >= 1, got 0"),
+        ("train", "seq_hidden=0", "seq_hidden must be >= 1, got 0"),
+        ("train", "max_tokens=0", "max_tokens must be >= 1, got 0"),
+        ("train", "epochs=0", "epochs must be >= 1"),
+        ("train", "temperature=-1", "temperature must be positive"),
+        ("gen-data", "num_moas=0", "all synthetic counts must be >= 1"),
+    ])
+    def test_value_that_cannot_run_fails_at_load_naming_key_and_file(self, dataset_dir, train_config, tmp_path,
+                                                                     capsys, command, line, message):
+        path = tmp_path / "bad.cfg"
+        out = tmp_path / "out"
+        if command == "train":
+            path.write_text(train_config.read_text() + line + "\n")
+            argv = ["train", "--config", str(path), "--data", str(dataset_dir), "--out", str(out)]
+        else:
+            path.write_text("num_moas=2\ndrugs_per_moa=2\nsamples_per_drug=10\nT=3\nf=6\n" + line + "\n")
+            argv = ["gen-data", "--spec", str(path), "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message} ({path})\n"
+        assert not out.exists()
+
+
 class TestCheckpointMetadata:
     @pytest.mark.parametrize("rewrite, message", [
         pytest.param(lambda meta: meta.pop("vocabulary"), "__meta__ has no 'vocabulary' entry", id="no-vocabulary"),
@@ -182,6 +210,8 @@ class TestCheckpointMetadata:
                      "model_config: embed_dim: invalid literal for int() with base 10: 'abc'", id="wrong-type"),
         pytest.param(lambda meta: meta["model_config"].update(seq_hidden=0),
                      "model_config: seq_hidden must be >= 1, got 0", id="zero-size"),
+        pytest.param(lambda meta: meta["model_config"].update(seed=-1),
+                     "model_config: seed must be >= 0, got -1", id="negative-seed"),
         pytest.param(lambda meta: meta.update(model_config=[]),
                      "model_config must be a JSON object, found list", id="model-config-list"),
         pytest.param(lambda meta: meta.update(trainable=[]),
@@ -229,6 +259,8 @@ class TestCheckpointMetadata:
                      "param/seq.w1: missing, and model_config registers it", id="missing-parameter"),
         pytest.param(lambda arrays: arrays.update({"param/seq.w1": np.zeros((2, 2))}),
                      "param/seq.w1: shape (2, 2), model_config registers ", id="wrong-shape"),
+        pytest.param(lambda arrays: arrays.update({"param/seq.w1": np.array([None, 1.0], dtype=object)}),
+                     "unreadable archive member: Object arrays cannot be loaded", id="object-dtype"),
         pytest.param(lambda arrays: arrays.update(__meta__=np.array("[1, 2]")),
                      "__meta__ must be a JSON object, found list", id="meta-list"),
         pytest.param(lambda arrays: arrays.update(__meta__=np.array("not json")),
@@ -342,6 +374,28 @@ class TestLinewiseCommands:
         assert main(["tokenize", str(f), "--skip-invalid"]) == 0
         out = capsys.readouterr().out.splitlines()
         assert out == ["C C O", "", "O C C"]
+
+    @pytest.mark.parametrize("command", ["canonicalize", "tokenize"])
+    def test_bytes_that_are_not_utf8_name_file_and_line(self, tmp_path, capsys, command):
+        f = tmp_path / "in.smi"
+        f.write_bytes(b"CCO\nC\xffC\nCCC\n")
+        assert main([command, str(f)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: byte 0xff is not UTF-8 ({f} line 2)\n"
+
+    @pytest.mark.parametrize("command, raw, expected", [
+        # "\r\n" and "\r" line ends, a blank line and no final line end.
+        ("canonicalize", b"CCO\r\nc1ccccc1\rOCC\n\nClC(=O)C", "CCO\nc1ccccc1\nCCO\n\nCC(Cl)=O\n"),
+        ("tokenize", b"CCO\r\nc1ccccc1\rOCC\n\nClC(=O)C", "C C O\nc 1 c c c c c 1\nO C C\n\nCl C ( = O ) C\n"),
+        ("canonicalize", b"", ""),
+        ("tokenize", b"", ""),
+    ])
+    def test_line_ends_and_empty_file(self, tmp_path, capsys, command, raw, expected):
+        f = tmp_path / "in.smi"
+        f.write_bytes(raw)
+        assert main([command, str(f), "--skip-invalid"]) == 0
+        assert capsys.readouterr().out == expected
 
     def test_stdin(self, monkeypatch, capsys):
         import io

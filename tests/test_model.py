@@ -1,4 +1,5 @@
 import json
+import zipfile
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from molseq import autodiff as ad
 from molseq import model as md
 from molseq.errors import ShapeMismatch
 from molseq.smiles import build_vocabulary
+from molseq import train as tr
 from molseq.train import sgd_step
 
 
@@ -195,7 +197,49 @@ class TestDeterminism:
         assert not (a.params["seq.w1"].value == b.params["seq.w1"].value).all()
 
 
+@pytest.fixture(scope="module")
+def saved_stage(tiny_split, tmp_path_factory):
+    """The checkpoint record of a short stage on ``tiny_split`` and the file ``StageResult.save`` wrote for it."""
+    config = tr.TrainConfig(epochs=2, batch_p=2, batch_k=2, eval_every=1, seed=11, embed_dim=8, token_dim=6,
+                            mol_hidden=8, seq_hidden=8, max_tokens=40)
+    result = tr.run_stage(config, tiny_split)
+    out = tmp_path_factory.mktemp("stage")
+    result.save(out)
+    return result.checkpoint, out / "checkpoint.npz"
+
+
+def assert_same_checkpoint(got: md.Checkpoint, want: md.Checkpoint) -> None:
+    assert got.parameters.keys() == want.parameters.keys()
+    for name, value in want.parameters.items():
+        assert (got.parameters[name].dtype, got.parameters[name].tobytes()) == (value.dtype, value.tobytes())
+    assert (got.centers.dtype, got.centers.tobytes()) == (want.centers.dtype, want.centers.tobytes())
+    assert (got.model_config, got.extra_config, got.trainable, got.center_alpha) == \
+        (want.model_config, want.extra_config, want.trainable, want.center_alpha)
+    assert got.vocabulary.token_to_id == want.vocabulary.token_to_id
+
+
 class TestCheckpoint:
+    def test_any_flipped_byte_loads_or_raises_typed(self, saved_stage, tmp_path):
+        # Every byte of the central directory and its end record, where a
+        # changed length or name can hide a member, plus 300 drawn offsets.
+        written, source = saved_stage
+        raw = source.read_bytes()
+        assert_same_checkpoint(md.load_checkpoint(source), written)
+        with zipfile.ZipFile(source) as archive:
+            directory = range(archive.start_dir, len(raw))
+        drawn = np.random.default_rng(0).integers(0, len(raw), 300).tolist()
+        path = tmp_path / "checkpoint.npz"
+        for offset in sorted({*drawn, *directory}):
+            flipped = bytearray(raw)
+            flipped[offset] ^= 0xFF
+            path.write_bytes(bytes(flipped))
+            try:
+                loaded = md.load_checkpoint(path)
+            except md.CheckpointFormatError as err:
+                assert str(err).startswith(f"{path}: "), (offset, str(err))
+                continue
+            assert_same_checkpoint(loaded, written)
+
     def test_round_trip(self, tmp_path, rng):
         model = small_model(seed=9)
         model.params.set_trainable("mol.", False)

@@ -146,6 +146,16 @@ class TestParse:
         with pytest.raises(sk.SmilesError):
             sk.parse("C12CC12")
 
+    def test_duplicate_ring_bond_names_its_atoms(self):
+        with pytest.raises(sk.SmilesError, match="^duplicate bond between atoms 0 and 2$"):
+            sk.parse("C12CC12")
+
+    def test_duplicate_of_parsed_bond(self):
+        graph = sk.parse("C1CC1")
+        with pytest.raises(sk.SmilesError, match="^duplicate bond between atoms 2 and 0$"):
+            graph.add_bond(2, 0, sk.BondOrder.SINGLE)
+        assert len(graph.bonds) == 3
+
     def test_duplicate_of_constructor_bond(self):
         graph = sk.MolGraph(atoms=[sk.Atom("C"), sk.Atom("O")], bonds=[sk.Bond(0, 1, sk.BondOrder.SINGLE)])
         with pytest.raises(sk.SmilesError, match="duplicate bond between atoms 1 and 0"):
