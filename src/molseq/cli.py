@@ -13,6 +13,7 @@ from pathlib import Path
 
 from . import data
 from . import train as tr
+from .errors import ConfigError
 from .model import load_checkpoint
 from .smiles import SmilesError, canonical_smiles, tokenize
 from .train import GRAD_TOLERANCE, TrainConfig, gradient_check_suite
@@ -47,7 +48,10 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.ckpt)
-    config = data.config_from_json(TrainConfig, ckpt.extra_config)
+    try:
+        config = data.config_from_json(TrainConfig, ckpt.extra_config)
+    except ConfigError as exc:
+        raise ConfigError(f"{args.ckpt}: extra_config: {exc}") from None
     split = _load_split(args.data, config)
     row, result = tr.evaluate(ckpt.build_model(), tr.eval_set(split, config.label_kind, config.seed))
     print(tr.csv_text(tr.METRIC_COLUMNS, [row]), end="")

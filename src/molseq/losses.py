@@ -7,6 +7,9 @@ cross-entropy targets: each row (and column) is normalized to a
 probability distribution, so multi-positive rows become uniform over the
 positives and one-hot targets reduce the loss to the standard symmetric
 two-direction contrastive cross-entropy.
+
+Each loss, and the weighted total, is an autodiff node that scans its own
+output, so a non-finite value raises ``NonFiniteValue`` once, where it is made.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from .errors import DegenerateBatch, check_labels
 
 __all__ = [
     "DegenerateBatch",
-    "NonFiniteComponent",
     "SupervisionPair",
     "CenterState",
     "build_supervision",
@@ -33,12 +35,6 @@ __all__ = [
     "classification_ce",
     "total_loss",
 ]
-
-
-class NonFiniteComponent(ArithmeticError):
-    def __init__(self, name: str) -> None:
-        self.name = name
-        super().__init__(f"loss component {name!r} is not finite")
 
 
 @dataclass(frozen=True)
@@ -159,10 +155,7 @@ def total_loss(components: dict[str, ad.Tensor | None],
         if comp is None:
             report[name] = 0.0
             continue
-        value = float(comp.data)
-        if not np.isfinite(value):
-            raise NonFiniteComponent(name)
-        report[name] = value
+        report[name] = float(comp.data)
         terms.append(comp)
         coefficients.append(weights[name])
     total = ad.weighted_sum(terms, coefficients) if terms else ad.constant(0.0)

@@ -72,10 +72,11 @@ class CheckpointFormatError(ValueError):
 class Parameter:
     value: np.ndarray
     trainable: bool = True
+    velocity: np.ndarray | None = None
 
 
 class ParameterSet:
-    """Named parameters with per-parameter trainable flags."""
+    """Named parameters with per-parameter trainable flags and SGD velocities (None before a first update)."""
 
     def __init__(self) -> None:
         self._params: dict[str, Parameter] = {}
@@ -115,15 +116,13 @@ def _uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> n
 
 
 def token_count_matrix(token_ids: np.ndarray, vocab_size: int) -> np.ndarray:
-    """Normalized non-PAD token counts, one row per sample.
+    """Normalized non-PAD token counts of an [n, L] id matrix, one row per sample.
 
     Row i holds count(id == v in sample i) / (# non-PAD ids in sample i),
     so (counts @ embedding_table) is exactly the masked mean of the token
     embeddings.  Raises AllPadding/IdOutOfRange on bad rows.
     """
     ids = np.asarray(token_ids, dtype=np.int64)
-    if ids.ndim == 1:
-        ids = ids[None, :]
     if ids.size and (ids.min() < 0 or ids.max() >= vocab_size):
         raise IdOutOfRange(f"token id outside vocabulary of size {vocab_size}")
     counts = np.zeros((ids.shape[0], vocab_size))
@@ -166,11 +165,10 @@ class MoleculeEncoder:
 
 
 class SequenceEncoder:
-    """Mean/max temporal pooling + two-layer relu MLP over frame features."""
+    """Two-layer relu MLP over pooled frame features, one ``pool_frames`` row [2f] per sample: [n, 2f] -> [n, d]."""
 
     def __init__(self, params: ParameterSet, rng: np.random.Generator, frame_dim: int, hidden_dim: int,
                  out_dim: int) -> None:
-        self.frame_dim = frame_dim
         fan = 2 * frame_dim
         params.add("seq.w1", _uniform(rng, (fan, hidden_dim), fan))
         params.add("seq.b1", _uniform(rng, (hidden_dim,), fan))
@@ -178,11 +176,6 @@ class SequenceEncoder:
         params.add("seq.b2", _uniform(rng, (out_dim,), hidden_dim))
 
     def forward(self, pooled: np.ndarray, leaves: dict[str, ad.Tensor]) -> ad.Tensor:
-        pooled = np.asarray(pooled, dtype=np.float64)
-        if pooled.ndim == 1:
-            pooled = pooled[None, :]
-        if pooled.shape[1] != 2 * self.frame_dim:
-            raise ShapeMismatch("sequence_encoder", (pooled.shape, (2 * self.frame_dim,)))
         return _mlp(ad.constant(pooled), leaves, "seq", ad.relu)
 
 
@@ -190,13 +183,10 @@ class ClassifierHead:
     """Single affine map from the shared embedding to class logits."""
 
     def __init__(self, params: ParameterSet, rng: np.random.Generator, in_dim: int, num_classes: int) -> None:
-        self.in_dim = in_dim
         params.add("head.w", _uniform(rng, (in_dim, num_classes), in_dim))
         params.add("head.b", _uniform(rng, (num_classes,), in_dim))
 
     def forward(self, embedding: ad.Tensor, leaves: dict[str, ad.Tensor]) -> ad.Tensor:
-        if embedding.shape[-1] != self.in_dim:
-            raise ShapeMismatch("classify", (embedding.shape, (self.in_dim,)))
         return ad.linear(embedding, leaves["head.w"], leaves["head.b"])
 
 

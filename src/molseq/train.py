@@ -21,10 +21,9 @@ import numpy as np
 from . import autodiff as ad
 from .data import (DatasetSplit, InsufficientClasses, Sample, choose_pk, labels_of, pk_classes, pk_groups,
                    pk_sample_indices, split_query_gallery)
-from .errors import ConfigError, NonFiniteValue, ShapeMismatch
+from .errors import ConfigError, NonFiniteValue
 from .losses import (
     CenterState,
-    NonFiniteComponent,
     build_supervision,
     center_loss,
     classification_ce,
@@ -154,19 +153,13 @@ class TrainConfig:
             raise ConfigError("split_ratio must lie in (0, 1)")
 
 
-def sgd_step(params, grads: dict[str, np.ndarray], lr: float, momentum: float,
-             velocity: dict[str, np.ndarray]) -> None:
-    """Momentum SGD: v <- momentum*v + g; p <- p - lr*v.  Frozen params skipped."""
-    for name, grad in grads.items():
-        p = params[name]
-        if not p.trainable:
-            continue
-        if grad.shape != p.value.shape:
-            raise ShapeMismatch("sgd_step", (grad.shape, p.value.shape))
-        v = velocity.get(name)
-        v = grad.copy() if v is None else momentum * v + grad
-        velocity[name] = v
-        p.value = p.value - lr * v
+def sgd_step(params, leaves: dict[str, ad.Tensor], lr: float, momentum: float) -> None:
+    """Momentum SGD where a leaf holds a gradient g: v <- g on a first update, else momentum*v + g; p <- p - lr*v."""
+    for name, leaf in leaves.items():
+        if leaf.grad is not None:
+            p = params[name]
+            p.velocity = leaf.grad.copy() if p.velocity is None else momentum * p.velocity + leaf.grad
+            p.value = p.value - lr * p.velocity
 
 
 def csv_text(columns, rows) -> str:
@@ -289,9 +282,9 @@ def run_stage(config: TrainConfig, data: DatasetSplit, init: Checkpoint | None =
     """One training stage over PK batches, with periodic retrieval evals.
 
     ``init`` warm-starts the encoders: its ``mol.*`` and ``seq.*`` parameters
-    are loaded, and those the model lacks are ignored.  A ``NonFiniteValue``
-    or ``NonFiniteComponent`` raised by the loop leaves with ``stage`` and
-    ``step`` attributes, and both are named in its message.
+    are loaded, and those the model lacks are ignored; each parameter's SGD
+    velocity starts unset.  A ``NonFiniteValue`` raised by the loop leaves
+    with ``stage`` and ``step`` attributes, and both are named in its message.
 
     What every step would rebuild the same way is built once, before the
     loop: the table of classes a PK batch draws from (``pk_classes``), the
@@ -352,7 +345,6 @@ def run_stage(config: TrainConfig, data: DatasetSplit, init: Checkpoint | None =
     frozen_mol = None
     if config.use_molecule_branch and config.resolved_freeze:
         frozen_mol = model.molecule.forward_counts(counts, leaves).data
-    velocity: dict[str, np.ndarray] = {}
     steps_per_epoch = max(1, len(train) // config.batch_size)
     loss_log: list[dict] = []
     history: list[dict] = []
@@ -377,15 +369,14 @@ def run_stage(config: TrainConfig, data: DatasetSplit, init: Checkpoint | None =
                     total, report = _objective(config, model, leaves, s_emb, v_emb, batch_labels,
                                                class_labels[idx], centers, targets, masks)
                     ad.backward(total)
-                    grads = {n: t.grad for n, t in leaves.items() if t.grad is not None}
-                    sgd_step(model.params, grads, config.learning_rate, config.momentum, velocity)
+                    sgd_step(model.params, leaves, config.learning_rate, config.momentum)
                     update_centers(centers, v_emb.data, batch_labels)
                     report["step"] = step
                     loss_log.append(report)
                     step += 1
                 if epoch % config.eval_every == 0 or epoch == config.epochs:
                     history.append({"epoch": epoch, **evaluate(model, eval_inputs)[0]})
-    except (NonFiniteValue, NonFiniteComponent) as exc:
+    except NonFiniteValue as exc:
         # One handler around the whole loop, so a step pays nothing for it.
         exc.stage, exc.step = config.stage, step
         exc.args = (f"{exc.args[0]} (stage {config.stage}, step {step})", *exc.args[1:])

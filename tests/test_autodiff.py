@@ -75,6 +75,16 @@ class TestBackward:
         with pytest.raises(RepeatedBackward):
             ad.backward(loss)
 
+    def test_gradient_of_wrong_shape_raises_naming_the_op(self):
+        x = leaf([1.0, 2.0, 3.0])
+        bad = ad.Tensor(x.data, requires_grad=True, op="misshapen", parents=(x,),
+                        backward_fn=lambda g: (np.ones((2, 2)),))
+        with pytest.raises(ShapeMismatch) as err:
+            ad.backward(ad.sum_(bad))
+        assert err.value.op == "backward[misshapen]"
+        assert err.value.shapes == ((2, 2), (3,))
+        assert x.grad is None
+
     def test_grad_accumulates_on_reuse(self):
         x = leaf([3.0])
         loss = ad.add(ad.sum_(ref.mul(x, x)), ad.sum_(x))  # x^2 + x

@@ -1,3 +1,5 @@
+import contextlib
+import dataclasses
 import io
 import json
 import re
@@ -5,9 +7,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from molseq.cli import main
-from molseq.data import config_from_json, load_manifest, prepare_split
+from molseq.data import SyntheticSpec, config_from_json, load_manifest, prepare_split, read_config
+from molseq.errors import ConfigError
 from molseq.model import load_checkpoint, save_checkpoint
 from molseq.train import TrainConfig, eval_set, evaluate
 
@@ -120,7 +125,7 @@ class TestTrainEval:
         save_checkpoint(out / "checkpoint.npz", replace(ckpt, extra_config={**ckpt.extra_config, "epochs": "abc"}))
         capsys.readouterr()
         assert main(["eval", "--ckpt", str(out / "checkpoint.npz"), "--data", str(dataset_dir)]) == 1
-        assert "error: epochs: " in capsys.readouterr().err
+        assert f"error: {out / 'checkpoint.npz'}: extra_config: epochs: " in capsys.readouterr().err
 
     def test_train_with_init(self, dataset_dir, train_config, tmp_path):
         first = tmp_path / "first"
@@ -293,6 +298,21 @@ class TestCheckpointMetadata:
         with pytest.raises(FileNotFoundError):
             load_checkpoint(tmp_path / "missing.npz")
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("seed", -1, "seed must be >= 0, got -1"),
+        ("stage", "pretrain_moa", "stage must be one of ('pretrain_drug', 'finetune_moa')"),
+        ("bogus", 1, "unknown config key 'bogus'"),
+        ("epochs", "abc", "epochs: invalid literal for int() with base 10: 'abc'"),
+    ])
+    def test_bad_config_echo_fails_naming_the_checkpoint(self, trained_checkpoint, dataset_dir, tmp_path, capsys,
+                                                         key, value, message):
+        ckpt = load_checkpoint(trained_checkpoint)
+        path = tmp_path / "checkpoint.npz"
+        save_checkpoint(path, replace(ckpt, extra_config={**ckpt.extra_config, key: value}))
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", str(path), "--data", str(dataset_dir)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: extra_config: {message}\n"
+
     def test_extra_parameter_array_is_allowed(self, trained_checkpoint, dataset_dir, tmp_path, capsys):
         with np.load(trained_checkpoint) as data:
             arrays = {k: data[k] for k in data.files}
@@ -413,3 +433,48 @@ class TestLinewiseCommands:
         monkeypatch.setattr("sys.stdin", io.StringIO(f"{canonical}\n{''.join(reversed(atoms))}\n"))
         assert main(["canonicalize"]) == 0
         assert capsys.readouterr().out.splitlines() == [canonical, canonical]
+
+
+# Config lines as raw bytes: known keys or random ones, values that parse, fail to parse or fail
+# validation, and bytes that are not UTF-8, joined by any of the three line ends.
+_KEYS = sorted({f.name.encode() for cls in (TrainConfig, SyntheticSpec) for f in dataclasses.fields(cls)})
+_VALUES = [b"1", b"0", b"-1", b"2.5", b"nan", b"-inf", b"1e400", b"true", b"no", b"maybe", b"", b"abc", b" 7 ",
+           b"1_0", b"\xff", b"\xc3\x28", b"\xe2\x80\xa8", b"CCO", b"finetune_moa", b"row", b"moa"]
+_LINE = st.one_of(
+    st.tuples(st.sampled_from(_KEYS) | st.binary(max_size=5), st.sampled_from(_VALUES) | st.binary(max_size=6))
+    .map(b"=".join),
+    st.binary(max_size=10).map(lambda text: b"#" + text),
+    st.binary(max_size=10),
+)
+
+
+class TestReaderFuzz:
+    @given(st.lists(_LINE, max_size=6), st.sampled_from([b"\n", b"\r\n", b"\r"]))
+    @settings(max_examples=200, deadline=None)
+    def test_any_bytes_load_or_raise_config_error_naming_the_path(self, tmp_path_factory, lines, end):
+        raw = end.join(lines)
+        path = tmp_path_factory.mktemp("reader") / "input.txt"
+        path.write_bytes(raw)
+        try:
+            text = raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        except UnicodeDecodeError:
+            text = None
+        utf8 = text is not None
+        for cls in (TrainConfig, SyntheticSpec):
+            try:
+                config = read_config(path, cls)
+            except ConfigError as exc:
+                assert str(path) in str(exc)
+                assert utf8 or "is not UTF-8" in str(exc)
+            else:
+                assert utf8 and isinstance(config, cls)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["canonicalize", str(path), "--skip-invalid"])
+        if utf8:
+            assert (code, err.getvalue()) == (0, "")
+            assert out.getvalue().count("\n") == (len(text.removesuffix("\n").split("\n")) if text else 0)
+        else:
+            assert (code, out.getvalue()) == (1, "")
+            assert re.fullmatch(rf"error: byte 0x[0-9a-f]{{2}} is not UTF-8 \({re.escape(str(path))} line \d+\)\n",
+                                err.getvalue())

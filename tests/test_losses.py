@@ -9,7 +9,7 @@ from scipy.special import log_softmax
 from molseq import autodiff as ad
 from molseq import losses as ls
 from molseq.train import TrainConfig
-from molseq.errors import LabelOutOfRange, ShapeMismatch
+from molseq.errors import LabelOutOfRange, NonFiniteValue, ShapeMismatch
 
 
 def tensor(x):
@@ -437,8 +437,17 @@ class TestTotalLoss:
     def test_non_finite_component(self):
         bad = tensor(1.0)
         bad.data = np.array(np.inf)  # bypass op-boundary checks on purpose
-        with pytest.raises(ls.NonFiniteComponent):
+        with pytest.raises(NonFiniteValue) as err:
             ls.total_loss({"msc": bad}, TrainConfig().weights())
+        assert err.value.op == "weighted_sum"
+
+    def test_non_finite_component_at_weight_zero(self):
+        # 0 * inf is NaN, so weighted_sum's guard raises even for a term that adds nothing.
+        bad = tensor(1.0)
+        bad.data = np.array(np.inf)
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteValue) as err:
+            ls.total_loss({"msc": bad}, {**TrainConfig().weights(), "msc": 0.0})
+        assert err.value.op == "weighted_sum"
 
     def test_gradient_flows_through_weights(self, rng):
         weights = {"msc": 0.0, "triplet": 0.0, "center": 0.3, "cls": 0.0}

@@ -33,7 +33,7 @@ def encode_ids(model, ids):
 
 
 def encode_frames(model, frames):
-    return model.sequence.forward(md.pool_frames(frames), model.params.as_leaves())
+    return model.sequence.forward(md.pool_frames(frames)[None], model.params.as_leaves())
 
 
 def classify(model, embedding):
@@ -123,6 +123,11 @@ class TestSequenceEncoder:
         out = encode_frames(model, rng.normal(size=(3, 8)))
         assert out.shape == (1, 2048)
 
+    def test_dimension_mismatch(self):
+        model = small_model()
+        with pytest.raises(ShapeMismatch):
+            model.sequence.forward(np.zeros((2, 7)), model.params.as_leaves())
+
 
 class TestClassifierHead:
     def test_zero_weights_zero_logits(self, rng):
@@ -147,11 +152,13 @@ class TestClassifierHead:
 
 class TestFreezing:
     def _step_all(self, model, steps=5, lr=0.1):
+        # Each step's scalar reads every parameter, so the graph alone decides which get a gradient.
         rng = np.random.default_rng(0)
-        velocity = {}
         for _ in range(steps):
-            grads = {n: rng.normal(size=p.value.shape) for n, p in model.params.items()}
-            sgd_step(model.params, grads, lr, 0.9, velocity)
+            leaves = model.params.as_leaves()
+            terms = [ad.half_sq_error(leaf, rng.normal(size=leaf.shape)) for leaf in leaves.values()]
+            ad.backward(ad.weighted_sum(terms, [1.0] * len(terms)))
+            sgd_step(model.params, leaves, lr, 0.9)
 
     def test_frozen_parameters_never_move(self):
         model = small_model()

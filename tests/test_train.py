@@ -13,7 +13,7 @@ from molseq import losses as ls
 from molseq import train as tr
 from molseq.data import (InsufficientClasses, SyntheticSpec, config_from_json, generate_synthetic,
                          pk_sample_indices, prepare_split, read_config)
-from molseq.errors import NonFiniteValue, ShapeMismatch
+from molseq.errors import NonFiniteValue
 from molseq.losses import CenterState
 from molseq.model import Model, ModelConfig, ParameterSet, SequenceEncoder, load_checkpoint
 
@@ -136,43 +136,48 @@ class TestSgdStep:
         model.params.add("p", np.array(value, dtype=np.float64))
         return model.params
 
+    def _step(self, params, grad, lr, momentum):
+        """One ``sgd_step`` over fresh leaves, of which only p's carries a gradient."""
+        leaves = params.as_leaves()
+        leaves["p"].grad = np.array(grad, dtype=np.float64)
+        tr.sgd_step(params, leaves, lr=lr, momentum=momentum)
+
     def test_plain_step(self):
         params = self._params([0.0])
-        tr.sgd_step(params, {"p": np.array([1.0])}, lr=0.1, momentum=0.0, velocity={})
+        self._step(params, [1.0], lr=0.1, momentum=0.0)
         assert params["p"].value.tolist() == [-0.1]
 
     def test_zero_grad_from_rest_leaves_params(self):
         params = self._params([1.5])
-        velocity = {}
-        tr.sgd_step(params, {"p": np.array([0.0])}, lr=0.1, momentum=0.9, velocity=velocity)
+        self._step(params, [0.0], lr=0.1, momentum=0.9)
         assert params["p"].value.tolist() == [1.5]
-        assert velocity["p"].tolist() == [0.0]
+        assert params["p"].velocity.tolist() == [0.0]
 
     def test_velocity_decays_by_momentum(self):
         params = self._params([0.0])
-        velocity = {"p": np.array([2.0])}
-        tr.sgd_step(params, {"p": np.array([0.0])}, lr=0.1, momentum=0.9, velocity=velocity)
-        assert velocity["p"].tolist() == [1.8]
+        params["p"].velocity = np.array([2.0])
+        self._step(params, [0.0], lr=0.1, momentum=0.9)
+        assert params["p"].velocity.tolist() == [1.8]
 
     def test_two_step_momentum_unroll(self):
         # constant grad g: v1 = g, v2 = 1.9 g; total displacement lr*g*(1 + 1.9)
         params = self._params([0.0])
-        velocity = {}
         g = np.array([1.0])
-        tr.sgd_step(params, {"p": g}, lr=0.1, momentum=0.9, velocity=velocity)
-        tr.sgd_step(params, {"p": g}, lr=0.1, momentum=0.9, velocity=velocity)
+        self._step(params, g, lr=0.1, momentum=0.9)
+        self._step(params, g, lr=0.1, momentum=0.9)
         assert params["p"].value[0] == pytest.approx(-0.1 * (1 + 1.9), abs=1e-15)
 
     def test_frozen_untouched(self):
+        # A frozen parameter's leaf needs no gradient; a leaf without one leaves its
+        # parameter and velocity as they were.
         params = self._params([1.0])
         params.set_trainable("p", False)
-        tr.sgd_step(params, {"p": np.array([5.0])}, lr=0.1, momentum=0.0, velocity={})
+        params["p"].velocity = np.array([5.0])
+        leaves = params.as_leaves()
+        assert not leaves["p"].requires_grad and leaves["p"].grad is None
+        tr.sgd_step(params, leaves, lr=0.1, momentum=0.0)
         assert params["p"].value.tolist() == [1.0]
-
-    def test_shape_mismatch(self):
-        params = self._params([1.0])
-        with pytest.raises(ShapeMismatch):
-            tr.sgd_step(params, {"p": np.zeros((2, 2))}, lr=0.1, momentum=0.0, velocity={})
+        assert params["p"].velocity.tolist() == [5.0]
 
 
 class TestRunStage:
