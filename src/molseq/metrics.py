@@ -8,7 +8,12 @@ Zheng et al. 2015 (Market-1501).
 ``evaluate_retrieval`` ranks only the relevant items.  AP and CMC need the
 sorted position of each gallery item that shares the query's label, not the
 whole ranking.  The gallery indices are grouped by label once, by a stable
-argsort.  Queries are scored in blocks by one GEMM against the gallery.
+argsort.  Queries are scored in blocks, one GEMM each against the gallery,
+all into one buffer allocated once per call.  A GEMM with few rows spends
+most of its time packing the gallery panel again for each block, so a block
+holds as many whole 8-row tiles as fit in ``SCORE_BLOCK_BYTES`` (2.5 MiB)
+of float64 scores, and at least one tile: 32 rows at G = 10k, 320 at
+G = 1k, 8 past G = 20,480.  The budget bounds the memory the scores take.
 For each query, only the candidates are sorted: the negated scores x with
 x <= t = max(relevant) + band (``band`` is the near-tie width below).
 ``searchsorted`` in the sorted candidates gives every relevant item's
@@ -19,8 +24,10 @@ never exceed the computed t, which is the same sum ``_relevant_positions``
 forms for the worst relevant item.  Every dropped score is above t, so it
 counted toward neither lo nor hi, and lo and hi (hence the positions, AP
 and CMC) keep their bits.  A NaN score is never a candidate, and it sorts
-after every number, so it was never counted either; a NaN relevant score
-still sends the query to the fallback below.
+after every number, so it was never counted either.  A NaN relevant score is
+searched past every candidate, so its span hi - lo is 0 and the query goes
+to the fallback below.  No score is infinite: the entries of a unit row are
+at most 1 in magnitude, or NaN.
 
 With the R positions sorted, p_1 < ... < p_R, row r of the block is
 refilled with j / (p_j + 1) at p_j and zeros elsewhere, and one row sum
@@ -29,7 +36,8 @@ the bit to AP from the 0/1 match row of a full stable argsort, for two
 reasons.  At a hit, ``cumsum(matches) / arange`` is exactly j / (p_j + 1),
 and times the match it is +0.0 everywhere else.  And a row sum over a
 C-contiguous ``[rows, G]`` array is the same pairwise summation as the 1-D
-``.sum()`` of that row.
+``.sum()`` of that row; a leading slice of the C-contiguous buffer, which
+the last, partial block uses, is still C-contiguous.
 
 GEMM and the per-query GEMV of ``rank_gallery`` may sum the d products in
 different orders, so their scores can differ in the last bits.  Both are
@@ -38,11 +46,11 @@ gamma_d = d*u/(1 - d*u) of the exact value in any summation order (Higham,
 *Accuracy and Stability of Numerical Algorithms*, 2nd ed., section 3.1).
 A score difference of more than four such errors has the same sign in
 both.  So when no other gallery score lies within ``4*(d+2)*eps`` of any
-relevant score, and every relevant score is finite, the positions are
-those of today's ranking.  Otherwise that query's positions come from
-``_rank`` (GEMV plus stable argsort), so exact ties, near ties and NaN
-scores keep the index-order tie-break; AP and the first hit are then
-computed from them like any other row's.
+relevant score, and no relevant score is NaN, the positions are those of
+today's ranking, whatever the block shape.  Otherwise that query's
+positions come from ``_rank`` (GEMV plus stable argsort), so exact ties,
+near ties and NaN scores keep the index-order tie-break; AP and the first
+hit are then computed from them like any other row's.
 """
 
 from __future__ import annotations
@@ -54,6 +62,9 @@ import numpy as np
 from .errors import ShapeMismatch, check_labels
 
 __all__ = ["QueryLabelAbsent", "RetrievalResult", "rank_gallery", "evaluate_retrieval", "accuracy"]
+
+# Bytes of float64 scores one scoring block may hold (see the module docstring).
+SCORE_BLOCK_BYTES = 2_621_440
 
 
 class QueryLabelAbsent(ValueError):
@@ -87,15 +98,14 @@ def _rank(gallery_unit: np.ndarray, query_emb: np.ndarray) -> np.ndarray:
 def _relevant_positions(neg_relevant: np.ndarray, neg_sorted: np.ndarray, band: float):
     """Positions of the relevant items in the stable ranking, or None.
 
-    ``neg_sorted`` holds the query's negated scores in sorted order; it may
-    leave out any score above ``neg_relevant.max() + band``.  None means a
-    relevant score is not finite or has another score within ``band``, and
-    only a stable argsort can place it.
+    ``neg_sorted`` holds the query's negated scores in sorted order, without
+    NaN; it may leave out any score above ``neg_relevant.max() + band``.
+    None means a relevant score is NaN (it is searched past every score, so
+    its span is 0) or has another score within ``band``, and only a stable
+    argsort can place it.
     """
-    if not np.isfinite(neg_relevant).all():
-        return None
-    lo = np.searchsorted(neg_sorted, neg_relevant - band, side="left")
-    hi = np.searchsorted(neg_sorted, neg_relevant + band, side="right")
+    lo = neg_sorted.searchsorted(neg_relevant - band, side="left")
+    hi = neg_sorted.searchsorted(neg_relevant + band, side="right")
     if (hi - lo != 1).any():
         return None
     return lo
@@ -151,14 +161,19 @@ def evaluate_retrieval(
         raise QueryLabelAbsent(q_labels[absent[0]])
     gallery_unit = _normalize(gallery_embs)
     band = 4 * (dim + 2) * np.finfo(np.float64).eps
-    # About 1 MB of scores per block, and at least 8 queries: one-row blocks
-    # would turn the GEMM into a GEMV that streams the gallery once per query.
-    block = max(8, 2**17 // num_g)
+    group_sizes = group_hi - group_lo
+    # Whole 8-row GEMM tiles per block, at least one (see the module docstring).
+    block = 8 * max(1, SCORE_BLOCK_BYTES // (64 * num_g))
+    buffer = np.empty((min(block, q_labels.size), num_g))
+    # j = 1 .. R_max as floats; j / (p_j + 1) has the bits of the int64 j's.
+    hit_counts = np.arange(1.0, group_sizes.max() + 1)
 
     aps = np.zeros(q_labels.size)
     first_hit = np.zeros(q_labels.size, dtype=np.int64)
     for start in range(0, q_labels.size, block):
-        neg_scores = _normalize(query_embs[start:start + block]) @ gallery_unit.T
+        stop = min(start + block, q_labels.size)
+        neg_scores = buffer[:stop - start]
+        np.matmul(_normalize(query_embs[start:stop]), gallery_unit.T, out=neg_scores)
         np.negative(neg_scores, out=neg_scores)
         for row, row_scores in enumerate(neg_scores):
             qi = start + row
@@ -166,7 +181,8 @@ def evaluate_retrieval(
             neg_relevant = row_scores[members]
             # Only scores up to the worst relevant one plus band can move a
             # relevant position (see the module docstring).
-            candidates = np.sort(row_scores[row_scores <= neg_relevant.max() + band])
+            candidates = row_scores[row_scores <= neg_relevant.max() + band]
+            candidates.sort()
             positions = _relevant_positions(neg_relevant, candidates, band)
             if positions is None:
                 relevant = np.zeros(num_g, dtype=bool)
@@ -177,10 +193,9 @@ def evaluate_retrieval(
             # docstring for why AP keeps its bits.
             positions.sort()
             row_scores.fill(0.0)
-            row_scores[positions] = np.arange(1, positions.size + 1) / (positions + 1.0)
+            row_scores[positions] = hit_counts[:positions.size] / (positions + 1.0)
             first_hit[qi] = positions[0] + 1  # rank of the first correct item
-        stop = start + neg_scores.shape[0]
-        aps[start:stop] = neg_scores.sum(axis=1) / (group_hi[start:stop] - group_lo[start:stop])
+        aps[start:stop] = neg_scores.sum(axis=1) / group_sizes[start:stop]
 
     ranks = np.arange(1, max_rank + 1)
     cmc = (first_hit[None, :] <= ranks[:, None]).mean(axis=1)

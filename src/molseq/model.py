@@ -120,9 +120,12 @@ def token_count_matrix(token_ids: np.ndarray, vocab_size: int) -> np.ndarray:
 
     Row i holds count(id == v in sample i) / (# non-PAD ids in sample i),
     so (counts @ embedding_table) is exactly the masked mean of the token
-    embeddings.  Raises AllPadding/IdOutOfRange on bad rows.
+    embeddings.  Raises ShapeMismatch unless the ids are 2-D, and
+    AllPadding/IdOutOfRange on bad rows.
     """
     ids = np.asarray(token_ids, dtype=np.int64)
+    if ids.ndim != 2:
+        raise ShapeMismatch("token_count_matrix", (ids.shape,))
     if ids.size and (ids.min() < 0 or ids.max() >= vocab_size):
         raise IdOutOfRange(f"token id outside vocabulary of size {vocab_size}")
     counts = np.zeros((ids.shape[0], vocab_size))

@@ -283,7 +283,8 @@ def run_stage(config: TrainConfig, data: DatasetSplit, init: Checkpoint | None =
 
     ``init`` warm-starts the encoders: its ``mol.*`` and ``seq.*`` parameters
     are loaded, and those the model lacks are ignored; each parameter's SGD
-    velocity starts unset.  A ``NonFiniteValue`` raised by the loop leaves
+    velocity starts unset, and it is unset again when the loop ends, since
+    nothing reads it after the stage.  A ``NonFiniteValue`` raised by the loop leaves
     with ``stage`` and ``step`` attributes, and both are named in its message.
 
     What every step would rebuild the same way is built once, before the
@@ -382,6 +383,8 @@ def run_stage(config: TrainConfig, data: DatasetSplit, init: Checkpoint | None =
         exc.args = (f"{exc.args[0]} (stage {config.stage}, step {step})", *exc.args[1:])
         raise
 
+    for _, p in model.params.items():
+        p.velocity = None
     result = StageResult(config=config, model=model, vocab=vocab, centers=centers,
                          history=history, loss_log=loss_log)
     if out_dir is not None:

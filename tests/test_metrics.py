@@ -1,3 +1,6 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -76,6 +79,26 @@ def evaluate_counting_fallbacks(monkeypatch, *args):
     result = mt.evaluate_retrieval(*args)
     monkeypatch.setattr(mt, "_rank", rank)
     return result, len(calls)
+
+
+def evaluate_recording_blocks(monkeypatch, *args):
+    """``evaluate_retrieval``, its fallback count and the row counts of its scoring blocks.
+
+    Every ``_normalize`` call but the gallery's and the one-row calls of the
+    fallback's queries scores a block, so a test reading the blocks keeps
+    each block above one row.
+    """
+    rows = []
+    normalize = mt._normalize
+
+    def spy(embs):
+        rows.append(embs.shape[0])
+        return normalize(embs)
+
+    monkeypatch.setattr(mt, "_normalize", spy)
+    result, fallbacks = evaluate_counting_fallbacks(monkeypatch, *args)
+    monkeypatch.setattr(mt, "_normalize", normalize)
+    return result, fallbacks, [n for n in rows[1:] if n != 1]
 
 
 def row_with_unit_first_component(target):
@@ -252,8 +275,6 @@ class TestEvaluateRetrieval:
 
     def test_many_blocks_with_fallback_rows_between_fast_rows(self, rng, monkeypatch):
         g_n, q_n, d = 30_000, 28, 4
-        block = max(8, 2**17 // g_n)
-        assert q_n // block >= 3 and q_n % block  # three full blocks, then a partial one
         g = rng.normal(size=(g_n, d))
         g_labels = rng.choice(4, size=g_n, p=[0.5, 0.3, 0.15, 0.05])  # unequal relevant counts
         g_labels[[10, 20_000]] = 4  # label 4: an exact tie between its two rows
@@ -262,13 +283,16 @@ class TestEvaluateRetrieval:
         g[29_999] = np.nan
         q = rng.normal(size=(q_n, d))
         q_labels = np.tile([0, 4, 1, 2, 3, 0, 5, 1, 2, 4, 3, 0, 5, 1], 2)
-        result, fallbacks = evaluate_counting_fallbacks(monkeypatch, q, q_labels, g, g_labels, 20)
+        result, fallbacks, blocks = evaluate_recording_blocks(monkeypatch, q, q_labels, g, g_labels, 20)
+        assert blocks == [8, 8, 8, 4]  # three full blocks, then a partial one
         assert fallbacks == 8
         assert_bitwise_reference(q, q_labels, g, g_labels, 20, result)
 
     def test_blocks_keep_eight_queries_past_one_row_blocks(self, rng, monkeypatch):
-        # From G = 65,537 up, 2**17 // G is 1; blocks still score 8 queries per GEMM.
+        # Past G = 40,960 not even one 8-row tile of scores fits the budget;
+        # blocks still score 8 queries per GEMM.
         g_n, q_n, d = 65_537, 20, 16
+        assert 64 * g_n > mt.SCORE_BLOCK_BYTES
         g = rng.normal(size=(g_n, d))
         g_labels = rng.integers(0, 40, size=g_n)
         g[-1], g_labels[-1] = g[0], (g_labels[0] + 1) % 40  # an exact tie across two labels
@@ -276,19 +300,55 @@ class TestEvaluateRetrieval:
         q_labels = g_labels[1:q_n + 1].copy()
         q_labels[[2, 9, 17]] = g_labels[0]
         q_labels[[5, 12]] = g_labels[-1]
-        blocks = []
-        normalize = mt._normalize
-
-        def spy(embs):
-            blocks.append(embs.shape[0])
-            return normalize(embs)
-
-        monkeypatch.setattr(mt, "_normalize", spy)
-        result, fallbacks = evaluate_counting_fallbacks(monkeypatch, q, q_labels, g, g_labels, 20)
-        monkeypatch.setattr(mt, "_normalize", normalize)
-        assert [n for n in blocks if n != 1] == [g_n, 8, 8, 4]  # one-row calls are the fallback's queries
+        result, fallbacks, blocks = evaluate_recording_blocks(monkeypatch, q, q_labels, g, g_labels, 20)
+        assert blocks == [8, 8, 4]
         assert fallbacks == np.isin(q_labels, g_labels[[0, -1]]).sum() >= 5
         assert_bitwise_reference(q, q_labels, g, g_labels, 20, result)
+
+    def test_queries_fewer_than_one_block(self, rng, monkeypatch):
+        g_n, q_n, d = 1_000, 20, 6  # one block would hold 320 rows
+        g = rng.normal(size=(g_n, d))
+        g_labels = rng.integers(0, 10, size=g_n)
+        g[7] = g[3]  # an exact tie within label g_labels[3]
+        g_labels[7] = g_labels[3]
+        q = rng.normal(size=(q_n, d))
+        q_labels = g_labels[:q_n]
+        result, fallbacks, blocks = evaluate_recording_blocks(monkeypatch, q, q_labels, g, g_labels, 20)
+        assert blocks == [q_n]
+        assert fallbacks == (q_labels == g_labels[3]).sum() >= 1
+        assert_bitwise_reference(q, q_labels, g, g_labels, 20, result)
+
+    def test_fallback_rows_in_the_last_partial_block(self, rng, monkeypatch):
+        # 8-row blocks through one buffer: the last block holds 5 rows, and
+        # its rows reuse those of the first two blocks' queries 0-4 and 8-12.
+        monkeypatch.setattr(mt, "SCORE_BLOCK_BYTES", 0)
+        g_n, d = 60, 4
+        g = rng.normal(size=(g_n, d))
+        g_labels = np.arange(g_n) % 5
+        g[55] = g[5]  # label 0: an exact tie between rows 5 and 55
+        q = rng.normal(size=(21, d))
+        q_labels = np.array([1, 2, 3, 4, 1, 2, 3, 4] * 2 + [1, 0, 2, 0, 3])
+        result, fallbacks, blocks = evaluate_recording_blocks(monkeypatch, q, q_labels, g, g_labels, 20)
+        assert blocks == [8, 8, 5]
+        assert fallbacks == 2  # queries 17 and 19, rows 1 and 3 of the last block
+        assert_bitwise_reference(q, q_labels, g, g_labels, 20, result)
+
+    def test_scores_stay_within_the_block_budget(self, rng):
+        # The benchmark's retrieval shape and clusters: the call holds the
+        # unit gallery, one 32-row buffer (2.44 MiB) and small per-query arrays.
+        q_n, g_n, d = 500, 10_000, 64
+        centers = rng.normal(size=(q_n, d))
+        g_labels = np.arange(g_n) % q_n
+        q_labels = np.arange(q_n)
+        g = centers[g_labels] + 0.7 * rng.normal(size=(g_n, d))
+        q = centers[q_labels] + 0.7 * rng.normal(size=(q_n, d))
+        tracemalloc.start()
+        try:
+            mt.evaluate_retrieval(q, q_labels, g, g_labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < g.nbytes + 3 * 2**20
 
     def test_worst_relevant_ranked_last_keeps_every_score(self, rng, monkeypatch):
         q = rng.normal(size=(3, 6))
@@ -376,7 +436,7 @@ class TestEvaluateRetrieval:
     @settings(max_examples=40, deadline=None)
     def test_bitwise_equal_to_rank_gallery_loop(self, data):
         g_n = data.draw(st.integers(min_value=1, max_value=60))
-        q_n = data.draw(st.integers(min_value=1, max_value=8))
+        q_n = data.draw(st.integers(min_value=1, max_value=30))
         d = data.draw(st.integers(min_value=1, max_value=6))
         few_ints = st.integers(min_value=-2, max_value=2).map(float)
         g = data.draw(hnp.arrays(np.float64, (g_n, d), elements=few_ints))
@@ -385,7 +445,9 @@ class TestEvaluateRetrieval:
         q_labels = np.array(data.draw(st.lists(st.sampled_from(g_labels.tolist()),
                                                min_size=q_n, max_size=q_n)))
         max_rank = data.draw(st.integers(min_value=1, max_value=25))
-        result = mt.evaluate_retrieval(q, q_labels, g, g_labels, max_rank)
+        # No budget: 8-row blocks, so most draws reuse the buffer.
+        with mock.patch.object(mt, "SCORE_BLOCK_BYTES", 0):
+            result = mt.evaluate_retrieval(q, q_labels, g, g_labels, max_rank)
         assert_bitwise_reference(q, q_labels, g, g_labels, max_rank, result)
 
     def test_query_label_absent(self):

@@ -49,6 +49,12 @@ class TestTokenCounts:
         with pytest.raises(md.IdOutOfRange):
             md.token_count_matrix(np.array([[1, 9]]), 9)
 
+    @pytest.mark.parametrize("ids", [np.array([2, 3]), np.ones((2, 2, 2), dtype=np.int64)], ids=["1-d", "3-d"])
+    def test_ids_must_be_two_dimensional(self, ids):
+        with pytest.raises(ShapeMismatch) as err:
+            md.token_count_matrix(ids, 5)
+        assert err.value.op == "token_count_matrix" and err.value.shapes == (ids.shape,)
+
     def test_rows_sum_to_one(self):
         counts = md.token_count_matrix(np.array([[2, 2, 3, 0], [4, 0, 0, 0]]), 5)
         np.testing.assert_allclose(counts.sum(axis=1), 1.0)

@@ -196,6 +196,11 @@ class TestRunStage:
         for name in a.model.params.names():
             assert (a.model.params[name].value == b.model.params[name].value).all()
 
+    def test_stage_model_keeps_no_velocity(self, tiny_split):
+        result = tr.run_stage(tiny_config(), tiny_split)
+        assert result.loss_log
+        assert all(p.velocity is None for _, p in result.model.params.items())
+
     def test_seed_changes_results(self, tiny_split):
         a = tr.run_stage(tiny_config(), tiny_split)
         b = tr.run_stage(tiny_config(seed=6), tiny_split)
