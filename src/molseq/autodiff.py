@@ -12,7 +12,8 @@ gradients are bitwise equal to the unfused ones; the tests build those
 unfused graphs from reference primitives on this module's helpers.
 
 A graph is built fresh for every evaluation and traversed exactly once by
-backward(); tensors reachable from a graph are never mutated in place.
+backward(); tensors reachable from a graph are not mutated in place
+before backward() has run (an SGD step then moves its parameter leaves).
 
 What a batch's label pattern alone fixes can be built once and passed in:
 ``soft_targets`` normalizes target matrices, in one direction or both,
@@ -24,7 +25,9 @@ Non-finite values are caught where they can enter a graph: leaves and
 constants, cosine_logits, the loss nodes and weighted_sum raise
 NonFiniteValue.  The other ops (matmul, add, relu, tanh, sum_ and linear)
 skip the scan; an overflow there reaches the next loss node, which raises
-before backward() runs.
+before backward() runs.  They all pass a NaN on: relu maps it to NaN, not
+to 0.0, so a NaN that linear makes from two overflowing products (inf - inf)
+still reaches the guard.
 """
 
 from __future__ import annotations
@@ -162,7 +165,8 @@ def add(a, b) -> Tensor:
 def relu(x) -> Tensor:
     x = _as_tensor(x)
     mask = x.data > 0
-    return _node("relu", np.where(mask, x.data, 0.0), (x,), lambda g: (g * mask,))
+    # maximum passes a NaN on, so the next loss node raises on it (a where on the mask would zero it).
+    return _node("relu", np.maximum(x.data, 0.0), (x,), lambda g: (g * mask,))
 
 
 def tanh(x) -> Tensor:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import data
 from . import train as tr
-from .errors import ConfigError
+from .errors import ConfigError, LabelOutOfRange
 from .model import load_checkpoint
 from .smiles import SmilesError, canonical_smiles, tokenize
 from .train import GRAD_TOLERANCE, TrainConfig, gradient_check_suite
@@ -177,7 +177,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError, ArithmeticError) as exc:
+    except (ValueError, OSError, ArithmeticError, LabelOutOfRange) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -110,12 +110,30 @@ def center_loss(features: ad.Tensor, labels, state: CenterState) -> ad.Tensor:
 def update_centers(state: CenterState, features: np.ndarray, labels) -> CenterState:
     """Move each present class center toward its batch members.
 
-    delta_c = sum_{i in c} (C_c - V_i) / (1 + count_c); C_c -= alpha * delta_c.
-    Classes absent from the batch are untouched.  Mutates and returns state.
+    delta_c = sum_{i in c} (C_c - V_i) / (1 + count_c); C_c -= alpha * delta_c,
+    with each class's members summed in batch order, from +0.0.  Classes
+    absent from the batch are untouched.  Mutates and returns state.
+
+    ``labels`` is either one label per feature row or a PK batch's ``[P, K]``
+    label array, row p labelling features ``p*K`` to ``p*K + K - 1``.  The rows
+    of a ``[P, K]`` array must each hold one label, distinct between rows,
+    as ``pk_sample_indices`` draws them; this is not checked.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     check_labels(labels, state.num_classes)
+    if labels.ndim == 2:
+        p, k = labels.shape
+        present = labels[:, 0]
+        centers = state.centers[present]
+        diff = centers[:, None, :] - features.reshape(p, k, features.shape[1])
+        # "+ 0.0" starts each sum from +0.0, as the scatter below does, and the
+        # loop over K adds in batch order, where a sum over the K axis adds pairwise.
+        sums = diff[:, 0] + 0.0
+        for j in range(1, k):
+            sums += diff[:, j]
+        state.centers[present] = centers - state.alpha * (sums / (1.0 + k))
+        return state
     # One scatter over the flattened centers: add.at adds each class's rows
     # in batch order, as a per-class loop would.
     sums = np.zeros_like(state.centers)

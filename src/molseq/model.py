@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import config_from_json
-from .errors import ConfigError, ShapeMismatch
+from .errors import ConfigError, NonFiniteValue, ShapeMismatch
 from .smiles import PAD_ID, Vocabulary
 
 __all__ = [
@@ -68,23 +68,65 @@ class CheckpointFormatError(ValueError):
     type, a bad model config or a center_alpha outside (0, 1]."""
 
 
-@dataclass
 class Parameter:
-    value: np.ndarray
-    trainable: bool = True
-    velocity: np.ndarray | None = None
+    """One named parameter: ``value`` is a reshaped view of its ``ParameterSet``'s flat vector, at ``span``.
+
+    Assigning ``value`` writes into the vector.  ``has_velocity`` turns true
+    at the parameter's first SGD update.
+    """
+
+    __slots__ = ("_view", "span", "trainable", "has_velocity")
+
+    def __init__(self, view: np.ndarray, span: slice, trainable: bool) -> None:
+        self._view = view
+        self.span = span
+        self.trainable = trainable
+        self.has_velocity = False
+
+    @property
+    def value(self) -> np.ndarray:
+        return self._view
+
+    @value.setter
+    def value(self, new) -> None:
+        new = np.asarray(new, dtype=np.float64)
+        if new.shape != self._view.shape:
+            raise ShapeMismatch("Parameter.value", (self._view.shape, new.shape))
+        self._view[...] = new
 
 
 class ParameterSet:
-    """Named parameters with per-parameter trainable flags and SGD velocities (None before a first update)."""
+    """Named parameters with per-parameter trainable flags, stored in one contiguous float64 vector.
+
+    ``flat`` holds every parameter, in the order added; each ``Parameter``
+    is a reshaped view of its span.  ``velocity``, the SGD velocity, is a
+    second vector with the same layout, None until the first update;
+    ``velocity_of`` reads a parameter's part of it.  ``scratch``, a third
+    vector that lives as long as ``velocity``, is ``sgd_step``'s work
+    vector, so that a step allocates no vector-sized temporaries: freeing
+    those at every step makes the allocator return and re-fault the top of
+    the heap, which slowed the whole step.
+    """
 
     def __init__(self) -> None:
         self._params: dict[str, Parameter] = {}
+        self.flat = np.empty(0)
+        self.velocity: np.ndarray | None = None
+        self.scratch: np.ndarray | None = None
 
     def add(self, name: str, value: np.ndarray, trainable: bool = True) -> None:
+        """Append a parameter to the vectors; every parameter's view is rebuilt on the new vector."""
         if name in self._params:
             raise ValueError(f"duplicate parameter {name!r}")
-        self._params[name] = Parameter(np.asarray(value, dtype=np.float64), trainable)
+        value = np.asarray(value, dtype=np.float64)
+        end = self.flat.size
+        self.flat = np.concatenate([self.flat, value.reshape(-1)])
+        if self.velocity is not None:
+            self.velocity = np.concatenate([self.velocity, np.zeros(value.size)])
+            self.scratch = np.empty_like(self.flat)
+        for p in self._params.values():
+            p._view = self.flat[p.span].reshape(p._view.shape)
+        self._params[name] = Parameter(self.flat[end:].reshape(value.shape), slice(end, self.flat.size), trainable)
 
     def __getitem__(self, name: str) -> Parameter:
         return self._params[name]
@@ -105,9 +147,30 @@ class ParameterSet:
         for n in matched:
             self._params[n].trainable = trainable
 
-    def as_leaves(self) -> dict[str, ad.Tensor]:
-        """Fresh graph leaves for one training step; frozen params get no grad."""
-        return {n: ad.Tensor(p.value, requires_grad=p.trainable) for n, p in self._params.items()}
+    def velocity_of(self, name: str) -> np.ndarray | None:
+        """The view of the velocity vector at a parameter's span, or None before its first update."""
+        p = self._params[name]
+        return self.velocity[p.span].reshape(p.value.shape) if p.has_velocity else None
+
+    def drop_velocity(self) -> None:
+        """Unset every parameter's velocity and free the velocity and scratch vectors."""
+        self.velocity = self.scratch = None
+        for p in self._params.values():
+            p.has_velocity = False
+
+    def as_leaves(self, names=None) -> dict[str, ad.Tensor]:
+        """Fresh graph leaves for one training step; frozen params get no grad.
+
+        ``names`` (default: every parameter) are the parameters the step
+        reads.  One scan of the whole vector raises ``NonFiniteValue("leaf")``
+        before any leaf is built.  The leaves are views of the vector, so the
+        step's ``sgd_step`` moves them: it runs once the step's graph is done.
+        """
+        if not np.isfinite(self.flat).all():
+            raise NonFiniteValue("leaf")
+        params = self._params
+        return {n: ad.Tensor(params[n]._view, requires_grad=params[n].trainable, check_finite=False)
+                for n in (params if names is None else names)}
 
 
 def _uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
@@ -245,7 +308,7 @@ class Model:
             target = self.params[name]
             if target.value.shape != value.shape:
                 raise ShapeMismatch(f"load_parameters[{name}]", (target.value.shape, value.shape))
-            target.value = np.array(value, dtype=np.float64)
+            target.value = value
             loaded.append(name)
         return loaded
 

@@ -154,12 +154,39 @@ class TrainConfig:
 
 
 def sgd_step(params, leaves: dict[str, ad.Tensor], lr: float, momentum: float) -> None:
-    """Momentum SGD where a leaf holds a gradient g: v <- g on a first update, else momentum*v + g; p <- p - lr*v."""
+    """Momentum SGD where a leaf holds a gradient g: v <- g on a first update, else momentum*v + g; p <- p - lr*v.
+
+    The update runs in place on the flat vectors of ``params``, once per run
+    of parameters that are adjacent there, hold a gradient, and all have or
+    all lack a velocity; the run's gradients, then lr*v, go through
+    ``params.scratch``.  A first update copies g, since momentum * 0.0 + g
+    would turn a -0.0 in g into +0.0.
+    """
+    runs: list[tuple[list, list]] = []  # (parameters, flattened gradients) of each run
     for name, leaf in leaves.items():
-        if leaf.grad is not None:
-            p = params[name]
-            p.velocity = leaf.grad.copy() if p.velocity is None else momentum * p.velocity + leaf.grad
-            p.value = p.value - lr * p.velocity
+        if leaf.grad is None:
+            continue
+        p = params[name]
+        last = runs[-1][0][-1] if runs else None
+        if last is None or last.span.stop != p.span.start or last.has_velocity != p.has_velocity:
+            runs.append(([], []))
+        runs[-1][0].append(p)
+        runs[-1][1].append(leaf.grad.reshape(-1))
+    if runs and params.velocity is None:
+        params.velocity, params.scratch = np.zeros_like(params.flat), np.empty_like(params.flat)
+    for members, grads in runs:
+        span = slice(members[0].span.start, members[-1].span.stop)
+        v, work = params.velocity[span], params.scratch[span]
+        np.concatenate(grads, out=work)
+        if members[0].has_velocity:
+            v *= momentum
+            v += work
+        else:
+            v[...] = work
+            for p in members:
+                p.has_velocity = True
+        np.multiply(lr, v, out=work)
+        params.flat[span] -= work
 
 
 def csv_text(columns, rows) -> str:
@@ -189,7 +216,7 @@ class StageResult:
         """The stage as the record that ``save_checkpoint`` writes and ``load_checkpoint`` returns."""
         params = self.model.params.items()
         return Checkpoint(model_config=self.model.config, extra_config=dataclasses.asdict(self.config),
-                          vocabulary=self.vocab, parameters={n: p.value for n, p in params},
+                          vocabulary=self.vocab, parameters={n: p.value.copy() for n, p in params},
                           trainable={n: p.trainable for n, p in params}, centers=self.centers.centers,
                           center_alpha=self.centers.alpha)
 
@@ -282,16 +309,17 @@ def run_stage(config: TrainConfig, data: DatasetSplit, init: Checkpoint | None =
     """One training stage over PK batches, with periodic retrieval evals.
 
     ``init`` warm-starts the encoders: its ``mol.*`` and ``seq.*`` parameters
-    are loaded, and those the model lacks are ignored; each parameter's SGD
-    velocity starts unset, and it is unset again when the loop ends, since
-    nothing reads it after the stage.  A ``NonFiniteValue`` raised by the loop leaves
+    are loaded, and those the model lacks are ignored; the SGD velocity
+    starts unset, and it is dropped again when the loop ends, since nothing
+    reads it after the stage.  A ``NonFiniteValue`` raised by the loop leaves
     with ``stage`` and ``step`` attributes, and both are named in its message.
 
     What every step would rebuild the same way is built once, before the
     loop: the table of classes a PK batch draws from (``pk_classes``), the
     alignment targets and triplet masks of the PK layout (``_pk_constants``)
     and, when the molecule encoder is frozen, every train row's molecule
-    embedding.
+    embedding, so a step then builds no leaves for the ``mol.*`` parameters.
+    The center update takes a batch's labels as the ``[P, K]`` array drawn.
     """
     config.validate()
     train, test = data.train, data.test
@@ -342,10 +370,13 @@ def run_stage(config: TrainConfig, data: DatasetSplit, init: Checkpoint | None =
         centers.centers[c] = init_emb[members].mean(axis=0)
     classes = pk_classes(groups, config.batch_p, config.batch_k)
     targets, masks = _pk_constants(config)
-    # A frozen molecule encoder embeds each train row the same way at every step.
+    # A frozen molecule encoder embeds each train row the same way at every step,
+    # so the step reads none of its parameters.
     frozen_mol = None
+    step_names = None
     if config.use_molecule_branch and config.resolved_freeze:
         frozen_mol = model.molecule.forward_counts(counts, leaves).data
+        step_names = [n for n in model.params.names() if not n.startswith("mol.")]
     steps_per_epoch = max(1, len(train) // config.batch_size)
     loss_log: list[dict] = []
     history: list[dict] = []
@@ -359,7 +390,7 @@ def run_stage(config: TrainConfig, data: DatasetSplit, init: Checkpoint | None =
                 for _ in range(steps_per_epoch):
                     idx = pk_sample_indices(classes, config.batch_p, config.batch_k, config.seed, step)
                     batch_labels = stage_labels[idx]
-                    leaves = model.params.as_leaves()
+                    leaves = model.params.as_leaves(step_names)
                     v_emb = model.sequence.forward(train_pooled[idx], leaves)
                     if frozen_mol is not None:
                         s_emb = ad.constant(frozen_mol[idx])
@@ -371,7 +402,7 @@ def run_stage(config: TrainConfig, data: DatasetSplit, init: Checkpoint | None =
                                                class_labels[idx], centers, targets, masks)
                     ad.backward(total)
                     sgd_step(model.params, leaves, config.learning_rate, config.momentum)
-                    update_centers(centers, v_emb.data, batch_labels)
+                    update_centers(centers, v_emb.data, batch_labels.reshape(config.batch_p, config.batch_k))
                     report["step"] = step
                     loss_log.append(report)
                     step += 1
@@ -383,8 +414,7 @@ def run_stage(config: TrainConfig, data: DatasetSplit, init: Checkpoint | None =
         exc.args = (f"{exc.args[0]} (stage {config.stage}, step {step})", *exc.args[1:])
         raise
 
-    for _, p in model.params.items():
-        p.velocity = None
+    model.params.drop_velocity()
     result = StageResult(config=config, model=model, vocab=vocab, centers=centers,
                          history=history, loss_log=loss_log)
     if out_dir is not None:

@@ -238,6 +238,16 @@ class TestNonFiniteGuard:
         assert np.isinf(ad.relu(out).data).all()
         assert np.isnan(ad.tanh(mixed).data).all()
 
+    def test_relu_passes_a_linear_nan_to_the_loss_node(self):
+        # At inner width 16 the GEMM adds +inf and -inf products into NaN, where
+        # narrower widths overflow to inf first; relu must not turn the NaN into 0.0.
+        w = np.where(np.arange(16)[:, None] % 2 == 0, 1.5e308, -1.5e308) * np.ones((16, 3))
+        out = ad.relu(ad.linear(ad.constant(np.full((4, 16), 2.0)), leaf(w), ad.constant(np.zeros(3))))
+        assert np.isnan(out.data).all()
+        with pytest.raises(NonFiniteValue) as err:
+            ad.half_sq_error(out, np.zeros(out.shape))
+        assert err.value.op == "half_sq_error"
+
     def test_fused_loss_node_raises(self):
         inf_rows = ad.linear(ad.constant([[1e200], [1e200]]), ad.constant([[1e200, 1.0]]), ad.constant([0.0, 0.0]))
         with pytest.raises(NonFiniteValue):

@@ -80,6 +80,18 @@ class TestTrainEval:
         assert printed[-3] == history[0].split(",", 1)[1]
         assert printed[-2] == history[-1].split(",", 1)[1]
 
+    def test_eval_on_more_classes_than_the_head_fails(self, trained_checkpoint, tmp_path, capsys):
+        # The checkpoint's head has the 4 drug classes of a 2 x 2 spec; a 3 x 2 spec labels 6 drugs.
+        spec = tmp_path / "spec.txt"
+        spec.write_text("num_moas=3\ndrugs_per_moa=2\nsamples_per_drug=10\nT=3\nf=6\nseed=11\n")
+        wider = tmp_path / "wider"
+        assert main(["gen-data", "--spec", str(spec), "--out", str(wider)]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", str(trained_checkpoint), "--data", str(wider)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: label 4 out of range for 4 classes\n"
+
     def test_unknown_checkpoint_config_key_fails(self, dataset_dir, train_config, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(["train", "--config", str(train_config), "--data", str(dataset_dir), "--out", str(out)]) == 0

@@ -280,6 +280,13 @@ class TestCenterLoss:
 
 
 class TestUpdateCenters:
+    @pytest.mark.parametrize("labels", [[0, 0, 3, 3], [[0, 0], [3, 3]], [[-1, -1], [0, 0]]])
+    def test_label_out_of_range_leaves_centers(self, labels):
+        state = ls.CenterState(centers=np.ones((3, 2)))
+        with pytest.raises(LabelOutOfRange):
+            ls.update_centers(state, np.zeros((4, 2)), labels)
+        assert (state.centers == 1.0).all()
+
     def test_fixed_point_at_center(self):
         state = ls.CenterState(centers=np.array([[2.0, -1.0]]), alpha=0.7)
         ls.update_centers(state, np.array([[2.0, -1.0], [2.0, -1.0]]), [0, 0])
@@ -346,7 +353,7 @@ def scatter_update_centers(centers, features, labels, alpha):
 
 
 class TestUpdateCentersPinned:
-    """``update_centers`` on PK batches, byte for byte.
+    """``update_centers`` on PK batches, with 1-D and ``[P, K]`` labels, byte for byte.
 
     A block sum over a ``[P, K, d]`` view is not the same: at d = 1 and
     K >= 8 numpy sums the contiguous K axis pairwise, not in batch order.
@@ -363,8 +370,9 @@ class TestUpdateCentersPinned:
             features = rng.normal(size=(p * k, dim)) * 3.0
             labels = np.repeat(rng.choice(num_classes, size=p, replace=False), k)
             expected = scatter_update_centers(centers, features, labels, 0.35)
-            state = ls.update_centers(ls.CenterState(centers=centers.copy(), alpha=0.35), features, labels)
-            assert state.centers.tobytes() == expected.tobytes()
+            for form in (labels, labels.reshape(p, k)):  # one label per row, and the [P, K] batch array
+                state = ls.update_centers(ls.CenterState(centers=centers.copy(), alpha=0.35), features, form)
+                assert state.centers.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("k", [1, 9, 16])
     def test_negative_zero_differences(self, k):
@@ -372,8 +380,9 @@ class TestUpdateCentersPinned:
         labels = np.repeat([2, 0], k)
         features = np.zeros((labels.size, 2))  # every difference is -0.0 - +0.0 = -0.0
         expected = scatter_update_centers(centers, features, labels, 0.5)
-        state = ls.update_centers(ls.CenterState(centers=centers.copy(), alpha=0.5), features, labels)
-        assert state.centers.tobytes() == expected.tobytes()
+        for form in (labels, labels.reshape(2, k)):
+            state = ls.update_centers(ls.CenterState(centers=centers.copy(), alpha=0.5), features, form)
+            assert state.centers.tobytes() == expected.tobytes()
         assert np.signbit(expected).all()
 
 

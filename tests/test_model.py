@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 import zipfile
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 
 from molseq import autodiff as ad
 from molseq import model as md
-from molseq.errors import ShapeMismatch
+from molseq.errors import NonFiniteValue, ShapeMismatch
 from molseq.smiles import build_vocabulary
 from molseq import train as tr
 from molseq.train import sgd_step
@@ -197,6 +199,58 @@ class TestFreezing:
         leaves = model.params.as_leaves()
         assert not leaves["seq.w1"].requires_grad
         assert leaves["mol.w1"].requires_grad
+
+
+class TestFlatStorage:
+    def test_parameters_are_views_of_one_vector(self):
+        model = small_model()
+        params = model.params
+        assert params.flat.size == sum(p.value.size for _, p in params.items())
+        for _, p in params.items():
+            assert np.shares_memory(p.value, params.flat)
+        params["head.b"].value = [7.0, 8.0, 9.0]
+        assert params.flat[-3:].tolist() == [7.0, 8.0, 9.0]
+
+    def test_added_parameter_keeps_earlier_values(self):
+        model = small_model()
+        before = {n: p.value.copy() for n, p in model.params.items()}
+        model.params.add("extra", np.array(2.5))
+        for name, value in before.items():
+            assert model.params[name].value.tobytes() == value.tobytes()
+            assert np.shares_memory(model.params[name].value, model.params.flat)
+        assert model.params["extra"].value.shape == () and model.params.flat[-1] == 2.5
+
+    def test_misshapen_value_rejected(self):
+        model = small_model()
+        with pytest.raises(ShapeMismatch):
+            model.params["head.w"].value = np.zeros(3)
+
+    def test_nan_assigned_through_value_is_caught_by_as_leaves(self):
+        model = small_model()
+        w = model.params["head.w"].value.copy()
+        w[1, 2] = np.nan
+        model.params["head.w"].value = w
+        with pytest.raises(NonFiniteValue) as err:
+            model.params.as_leaves()
+        assert err.value.op == "leaf"
+
+    def test_freed_without_the_cycle_collector(self):
+        # A parameter referring back to its set would make a cycle, and a finished
+        # stage's vectors would then stay in memory until the cycle collector ran.
+        params = small_model().params
+        ref = weakref.ref(params)
+        gc.disable()
+        try:
+            del params
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_named_leaves_only(self):
+        model = small_model()
+        leaves = model.params.as_leaves(["seq.w1", "head.b"])
+        assert list(leaves) == ["seq.w1", "head.b"]
+        assert leaves["head.b"].data.tobytes() == model.params["head.b"].value.tobytes()
 
 
 class TestDeterminism:

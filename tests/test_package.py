@@ -82,13 +82,13 @@ def test_package_exports_only_its_modules():
 BENCHMARK_FIELDS = [  # dataclass fields
     ("molseq.train", "PipelineResult", ("warmup", "pretrain", "finetune")),
     ("molseq.train", "StageResult", ("loss_log",)),
-    ("molseq.model", "Parameter", ("value",)),
     ("molseq.metrics", "RetrievalResult", ("average_precisions", "cmc", "rank1", "rank5", "rank10", "map")),
     ("molseq.data", "Sample", ("sample_id", "drug_id", "smiles", "drug_label", "moa_label", "frames")),
 ]
 BENCHMARK_MEMBERS = [  # methods and properties
     ("molseq.train", "StageResult", ("final", "loss_csv")),
     ("molseq.model", "ParameterSet", ("items",)),
+    ("molseq.model", "Parameter", ("value",)),
 ]
 BENCHMARK_KEYWORDS = [
     ("molseq.data", "SyntheticSpec",

@@ -12,7 +12,7 @@ from molseq import data
 from molseq import losses as ls
 from molseq import train as tr
 from molseq.data import (InsufficientClasses, SyntheticSpec, config_from_json, generate_synthetic,
-                         pk_sample_indices, prepare_split, read_config)
+                         prepare_split, read_config)
 from molseq.errors import NonFiniteValue
 from molseq.losses import CenterState
 from molseq.model import Model, ModelConfig, ParameterSet, SequenceEncoder, load_checkpoint
@@ -151,13 +151,13 @@ class TestSgdStep:
         params = self._params([1.5])
         self._step(params, [0.0], lr=0.1, momentum=0.9)
         assert params["p"].value.tolist() == [1.5]
-        assert params["p"].velocity.tolist() == [0.0]
+        assert params.velocity_of("p").tolist() == [0.0]
 
     def test_velocity_decays_by_momentum(self):
         params = self._params([0.0])
-        params["p"].velocity = np.array([2.0])
+        self._step(params, [2.0], lr=0.1, momentum=0.9)  # a first update sets the velocity to g
         self._step(params, [0.0], lr=0.1, momentum=0.9)
-        assert params["p"].velocity.tolist() == [1.8]
+        assert params.velocity_of("p").tolist() == [1.8]
 
     def test_two_step_momentum_unroll(self):
         # constant grad g: v1 = g, v2 = 1.9 g; total displacement lr*g*(1 + 1.9)
@@ -167,17 +167,43 @@ class TestSgdStep:
         self._step(params, g, lr=0.1, momentum=0.9)
         assert params["p"].value[0] == pytest.approx(-0.1 * (1 + 1.9), abs=1e-15)
 
+    def test_matches_a_per_parameter_update(self):
+        # Random subsets of leaves hold a gradient, so runs of adjacent parameters
+        # break and mix first and later updates; -0.0 gradients on -0.0 values
+        # tell a copied first velocity from a zero-filled one.
+        rng = np.random.default_rng(5)
+        params = Model(ModelConfig(vocab_size=5, frame_dim=3, num_classes=3, embed_dim=4, token_dim=2,
+                                   mol_hidden=3, seq_hidden=3, seed=2)).params
+        params["seq.b1"].value = np.full(3, -0.0)
+        reference = {n: (p.value.copy(), None) for n, p in params.items()}
+        for _ in range(8):
+            leaves = params.as_leaves()
+            for leaf in leaves.values():
+                if rng.random() < 0.6:
+                    leaf.grad = np.where(rng.random(leaf.shape) < 0.3, -0.0, rng.normal(size=leaf.shape))
+            tr.sgd_step(params, leaves, lr=0.05, momentum=0.9)
+            for name, leaf in leaves.items():
+                if leaf.grad is not None:
+                    value, velocity = reference[name]
+                    velocity = leaf.grad.copy() if velocity is None else 0.9 * velocity + leaf.grad
+                    reference[name] = (value - 0.05 * velocity, velocity)
+            for name, p in params.items():
+                value, velocity = reference[name]
+                assert p.value.tobytes() == value.tobytes()
+                got = params.velocity_of(name)
+                assert (None if got is None else got.tobytes()) == (None if velocity is None else velocity.tobytes())
+
     def test_frozen_untouched(self):
         # A frozen parameter's leaf needs no gradient; a leaf without one leaves its
         # parameter and velocity as they were.
-        params = self._params([1.0])
+        params = self._params([1.5])
+        self._step(params, [5.0], lr=0.1, momentum=0.0)  # velocity 5.0, value 1.0
         params.set_trainable("p", False)
-        params["p"].velocity = np.array([5.0])
         leaves = params.as_leaves()
         assert not leaves["p"].requires_grad and leaves["p"].grad is None
         tr.sgd_step(params, leaves, lr=0.1, momentum=0.0)
         assert params["p"].value.tolist() == [1.0]
-        assert params["p"].velocity.tolist() == [5.0]
+        assert params.velocity_of("p").tolist() == [5.0]
 
 
 class TestRunStage:
@@ -199,7 +225,34 @@ class TestRunStage:
     def test_stage_model_keeps_no_velocity(self, tiny_split):
         result = tr.run_stage(tiny_config(), tiny_split)
         assert result.loss_log
-        assert all(p.velocity is None for _, p in result.model.params.items())
+        assert result.model.params.velocity is None and result.model.params.scratch is None
+        assert all(result.model.params.velocity_of(n) is None for n in result.model.params.names())
+
+    def test_checkpoint_arrays_do_not_follow_the_model(self, tiny_split):
+        result = tr.run_stage(tiny_config(epochs=1), tiny_split)
+        ckpt = result.checkpoint
+        saved = {n: v.tobytes() for n, v in ckpt.parameters.items()}
+        leaves = result.model.params.as_leaves()
+        for leaf in leaves.values():
+            leaf.grad = np.ones_like(leaf.data)
+        tr.sgd_step(result.model.params, leaves, lr=0.1, momentum=0.9)
+        assert result.model.params["seq.w1"].value.tobytes() != saved["seq.w1"]
+        assert {n: v.tobytes() for n, v in ckpt.parameters.items()} == saved
+
+    @pytest.mark.parametrize("stage, read", [("pretrain_drug", ("mol.", "seq.", "head.")),
+                                             ("finetune_moa", ("seq.", "head."))])
+    def test_steps_build_leaves_only_for_what_they_read(self, tiny_split, monkeypatch, stage, read):
+        # A fine-tuning step reads the frozen molecule encoder's precomputed embeddings, not its parameters.
+        steps, original = [], tr.sgd_step
+
+        def recording(params, leaves, *args):
+            steps.append(list(leaves))
+            return original(params, leaves, *args)
+
+        monkeypatch.setattr(tr, "sgd_step", recording)
+        result = tr.run_stage(tiny_config(stage=stage, epochs=2), tiny_split)
+        names = [n for n in result.model.params.names() if n.startswith(read)]
+        assert steps and all(step == names for step in steps)
 
     def test_seed_changes_results(self, tiny_split):
         a = tr.run_stage(tiny_config(), tiny_split)
@@ -551,14 +604,17 @@ class TestStrategiesAndPipeline:
         monkeypatch.setattr(data, "pk_sample_indices", no_draw)
         assert tr.run_pipeline(tiny_split, tiny_config(epochs=2)).finetune.loss_log
 
-    def test_one_pk_draw_per_training_step(self, tiny_split, monkeypatch):
-        calls = []
+    @pytest.mark.parametrize("name", ["pk_sample_indices", "sgd_step", "update_centers"])
+    def test_one_call_per_training_step(self, tiny_split, monkeypatch, name):
+        # The benchmark's tracer opens a step at the PK draw, times the SGD update and
+        # closes the step at the center update, each looked up in molseq.train.
+        calls, original = [], getattr(tr, name)
 
         def counting(*args):
             calls.append(args)
-            return pk_sample_indices(*args)
+            return original(*args)
 
-        monkeypatch.setattr(tr, "pk_sample_indices", counting)
+        monkeypatch.setattr(tr, name, counting)
         result = tr.run_pipeline(tiny_split, tiny_config(epochs=2))
         assert len(calls) == sum(len(st.loss_log) for st in (result.warmup, result.pretrain, result.finetune)) > 0
 
