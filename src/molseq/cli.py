@@ -103,7 +103,7 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_linewise(args, transform) -> int:
-    lines = data.read_lines(args.file) if args.file else (line.rstrip("\n") for line in sys.stdin)
+    lines = data.read_lines(args.file) if args.file else data.iter_lines(sys.stdin.buffer, "<stdin>")
     for lineno, line in enumerate(lines, start=1):
         try:
             print(transform(line))

@@ -7,14 +7,18 @@ A dataset directory holds ``manifest.csv`` (one record per line:
 uint32 (T, f) followed by T*f little-endian float64 in row-major order.
 ``read_lines`` reads every text file a user gives molseq (config and spec
 files, ``manifest.csv`` and the SMILES files of ``molseq canonicalize`` and
-``molseq tokenize``) as UTF-8 with lines ended by "\n", "\r\n" or "\r".  A
-PK batch draws from the class table ``pk_classes`` builds once per stage.
+``molseq tokenize``) as UTF-8 with lines ended by "\n", "\r\n" or "\r";
+``iter_lines`` reads standard input by the same rules, one line at a time.
+``pk_sample_indices`` draws the PK batch of one step from the class table
+``pk_classes`` builds once per stage; a stage draws the batches of all its
+steps before the first one (``molseq.train._pk_schedule``).
 """
 
 from __future__ import annotations
 
 import importlib.resources
 import math
+from collections.abc import Iterator
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
@@ -50,6 +54,7 @@ __all__ = [
     "parse_config",
     "config_from_json",
     "read_lines",
+    "iter_lines",
     "read_config",
 ]
 
@@ -198,6 +203,11 @@ def config_from_json(cls, data: dict):
     return parse_config(cls, {key: (None if value is None else str(value), "") for key, value in data.items()})
 
 
+def _not_utf8(raw: bytes, exc: UnicodeDecodeError, name, lineno: int, error=None) -> ValueError:
+    detail = f"byte 0x{raw[exc.start]:02x} is not UTF-8"
+    return error(lineno, detail) if error else ConfigError(f"{detail} ({name} line {lineno})")
+
+
 def read_lines(path, error=None) -> list[str]:
     """Lines of a UTF-8 file, ended by "\n", "\r\n" or "\r" only (splitlines() would also break at \x0c, \x85,
     \u2028 and others), without the empty one a final line end leaves.  A byte that is not UTF-8 raises
@@ -207,10 +217,28 @@ def read_lines(path, error=None) -> list[str]:
     try:
         lines = split(raw.decode("utf-8"))
     except UnicodeDecodeError as exc:
-        lineno = len(split(raw[:exc.start].decode("utf-8")))
-        detail = f"byte 0x{raw[exc.start]:02x} is not UTF-8"
-        raise error(lineno, detail) if error else ConfigError(f"{detail} ({path} line {lineno})") from None
+        raise _not_utf8(raw, exc, path, len(split(raw[:exc.start].decode("utf-8"))), error) from None
     return lines[:-1] if lines[-1] == "" else lines
+
+
+def iter_lines(stream, name: str) -> Iterator[str]:
+    """The lines ``read_lines`` would return for the bytes of the binary ``stream``, one at a time as they
+    arrive (lines ended by "\r" alone arrive with the next "\n" or the end of the stream); a byte that is not
+    UTF-8 raises a ``ConfigError`` naming ``name`` and the line.  "\n" and "\r" are never part of a longer
+    UTF-8 sequence, so each line decodes on its own."""
+    lineno = 0
+    for piece in stream:  # up to and including each "\n"; a "\r\n" never straddles two pieces
+        body = piece[:-1] if piece.endswith(b"\n") else piece
+        parts = body.split(b"\r")
+        if body.endswith(b"\r"):  # the "\r" of a "\r\n", or a final line end
+            parts.pop()
+        for raw in parts:
+            lineno += 1
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise _not_utf8(raw, exc, name, lineno) from None
+            yield line
 
 
 def read_config(path, cls):

@@ -305,7 +305,22 @@ def _pk_constants(config: TrainConfig) -> tuple[ad.SoftTargets | None, tuple[np.
     return targets, ad.triplet_masks(pattern)
 
 
-def run_stage(config: TrainConfig, data: DatasetSplit, init: Checkpoint | None = None, out_dir=None) -> StageResult:
+def _stage_steps(config: TrainConfig, train: list[Sample]) -> int:
+    """The number of training steps of a stage: ``epochs`` times the whole PK batches in ``train``, at least one."""
+    return config.epochs * max(1, len(train) // config.batch_size)
+
+
+def _pk_schedule(classes: list[np.ndarray], p: int, k: int, seed: int, steps: int) -> np.ndarray:
+    """Every PK batch of a stage, drawn before its loop: row ``s`` of the int32 ``[steps, P*K]`` result is
+    ``pk_sample_indices(classes, p, k, seed, s)``."""
+    batches = np.empty((steps, p * k), dtype=np.int32)
+    for step in range(steps):
+        batches[step] = pk_sample_indices(classes, p, k, seed, step)
+    return batches
+
+
+def run_stage(config: TrainConfig, data: DatasetSplit, init: Checkpoint | None = None, out_dir=None, *,
+              batches: np.ndarray | None = None) -> StageResult:
     """One training stage over PK batches, with periodic retrieval evals.
 
     ``init`` warm-starts the encoders: its ``mol.*`` and ``seq.*`` parameters
@@ -314,17 +329,30 @@ def run_stage(config: TrainConfig, data: DatasetSplit, init: Checkpoint | None =
     reads it after the stage.  A ``NonFiniteValue`` raised by the loop leaves
     with ``stage`` and ``step`` attributes, and both are named in its message.
 
+    Step ``s`` trains on row ``s`` of ``batches``, the stage's PK schedule:
+    one row of P*K positions in ``data.train`` per step of every epoch.  A
+    schedule of another shape, or with a position outside ``data.train``,
+    raises ``ValueError`` before the stage builds anything.  Without
+    ``batches`` the stage draws its own with ``_pk_schedule``, from the
+    table of classes (``pk_classes``) and ``config.seed``.
+
     What every step would rebuild the same way is built once, before the
-    loop: the table of classes a PK batch draws from (``pk_classes``), the
-    alignment targets and triplet masks of the PK layout (``_pk_constants``)
-    and, when the molecule encoder is frozen, every train row's molecule
-    embedding, so a step then builds no leaves for the ``mol.*`` parameters.
-    The center update takes a batch's labels as the ``[P, K]`` array drawn.
+    loop: that schedule, the alignment targets and triplet masks of the PK
+    layout (``_pk_constants``) and, when the molecule encoder is frozen,
+    every train row's molecule embedding, so a step then builds no leaves
+    for the ``mol.*`` parameters.  The center update takes a batch's labels
+    as the ``[P, K]`` array drawn.
     """
     config.validate()
     train, test = data.train, data.test
     if not train or not test:
         raise ValueError("run_stage needs non-empty train and test sets")
+    steps = _stage_steps(config, train)
+    if batches is not None:
+        if batches.shape != (steps, config.batch_size):
+            raise ValueError(f"batches must have shape {(steps, config.batch_size)}, got {batches.shape}")
+        if batches.dtype.kind not in "iu" or (batches.size and not 0 <= batches.min() <= batches.max() < len(train)):
+            raise ValueError(f"batches must hold integer positions in [0, {len(train)})")
 
     vocab = init.vocabulary if init is not None else build_vocabulary(sorted({s.smiles for s in train + test}))
     num_classes = int(labels_of(train + test, config.label_kind).max()) + 1
@@ -368,7 +396,9 @@ def run_stage(config: TrainConfig, data: DatasetSplit, init: Checkpoint | None =
     init_emb = model.sequence.forward(train_pooled, leaves).data
     for c, members in groups.items():
         centers.centers[c] = init_emb[members].mean(axis=0)
-    classes = pk_classes(groups, config.batch_p, config.batch_k)
+    if batches is None:
+        batches = _pk_schedule(pk_classes(groups, config.batch_p, config.batch_k), config.batch_p,
+                               config.batch_k, config.seed, steps)
     targets, masks = _pk_constants(config)
     # A frozen molecule encoder embeds each train row the same way at every step,
     # so the step reads none of its parameters.
@@ -377,7 +407,7 @@ def run_stage(config: TrainConfig, data: DatasetSplit, init: Checkpoint | None =
     if config.use_molecule_branch and config.resolved_freeze:
         frozen_mol = model.molecule.forward_counts(counts, leaves).data
         step_names = [n for n in model.params.names() if not n.startswith("mol.")]
-    steps_per_epoch = max(1, len(train) // config.batch_size)
+    steps_per_epoch = steps // config.epochs
     loss_log: list[dict] = []
     history: list[dict] = []
     step = 0
@@ -388,7 +418,7 @@ def run_stage(config: TrainConfig, data: DatasetSplit, init: Checkpoint | None =
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for epoch in range(1, config.epochs + 1):
                 for _ in range(steps_per_epoch):
-                    idx = pk_sample_indices(classes, config.batch_p, config.batch_k, config.seed, step)
+                    idx = batches[step]
                     batch_labels = stage_labels[idx]
                     leaves = model.params.as_leaves(step_names)
                     v_emb = model.sequence.forward(train_pooled[idx], leaves)
@@ -434,18 +464,29 @@ def _run_plan(plan, data: DatasetSplit, base: TrainConfig, out_dir=None) -> dict
 
     Stage ``name`` writes to ``out_dir/name``; returns the results by name.  Before any stage trains,
     each fitted config's class table must hold P classes of K samples, or ``InsufficientClasses``
-    names the stage.
+    names the stage, and then each fitted config must validate.  Consecutive stages that share the
+    label kind, P, K, seed and step count train on one PK schedule, the only one kept alive.
     """
     out = Path(out_dir) if out_dir is not None else None
     configs = {name: _fit_pk(replace(base, **overrides), data) for name, overrides, _ in plan}
+    classes = {}
     for name, cfg in configs.items():
         try:
-            pk_classes(pk_groups(labels_of(data.train, cfg.label_kind)), cfg.batch_p, cfg.batch_k)
+            classes[name] = pk_classes(pk_groups(labels_of(data.train, cfg.label_kind)), cfg.batch_p, cfg.batch_k)
         except InsufficientClasses as exc:
             raise InsufficientClasses(f"stage {name}: {exc}") from exc
+    for cfg in configs.values():
+        cfg.validate()
     results: dict[str, StageResult] = {}
+    drawn = batches = None
     for name, _, src in plan:
-        results[name] = run_stage(configs[name], data, init=src and results[src].checkpoint, out_dir=out and out / name)
+        cfg = configs[name]
+        key = (cfg.label_kind, cfg.batch_p, cfg.batch_k, cfg.seed, _stage_steps(cfg, data.train))
+        if key != drawn:
+            batches = None  # let the last schedule go before the next one is drawn
+            drawn, batches = key, _pk_schedule(classes[name], *key[1:])
+        results[name] = run_stage(cfg, data, init=src and results[src].checkpoint, out_dir=out and out / name,
+                                  batches=batches)
     return results
 
 

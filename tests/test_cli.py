@@ -429,20 +429,46 @@ class TestLinewiseCommands:
         assert main([command, str(f), "--skip-invalid"]) == 0
         assert capsys.readouterr().out == expected
 
-    def test_stdin(self, monkeypatch, capsys):
-        import io
+    @staticmethod
+    def stdin(monkeypatch, raw: bytes):
+        """Standard input as a process gets it: text over a binary buffer."""
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(raw)))
 
-        monkeypatch.setattr("sys.stdin", io.StringIO("CCO\n"))
+    def test_stdin(self, monkeypatch, capsys):
+        self.stdin(monkeypatch, b"CCO\n")
         assert main(["tokenize"]) == 0
         assert capsys.readouterr().out.splitlines() == ["C C O"]
 
-    def test_canonicalize_chain_deeper_than_recursion_limit(self, monkeypatch, capsys):
-        import io
+    @pytest.mark.parametrize("command, raw, expected", [
+        ("canonicalize", b"CCO\r\n", "CCO\n"),
+        # "\r\n" and "\r" line ends, a blank line and no final line end.
+        ("canonicalize", b"CCO\r\nc1ccccc1\rOCC\n\nClC(=O)C", "CCO\nc1ccccc1\nCCO\n\nCC(Cl)=O\n"),
+        ("tokenize", b"CCO\r\nc1ccccc1\rOCC\n\nClC(=O)C", "C C O\nc 1 c c c c c 1\nO C C\n\nCl C ( = O ) C\n"),
+        ("canonicalize", b"CCO\r\r\nOCC\r", "CCO\n\nCCO\n"),
+        ("tokenize", b"", ""),
+    ])
+    def test_stdin_line_ends_as_in_a_file(self, monkeypatch, tmp_path, capsys, command, raw, expected):
+        self.stdin(monkeypatch, raw)
+        assert main([command, "--skip-invalid"]) == 0
+        assert capsys.readouterr().out == expected
+        f = tmp_path / "in.smi"
+        f.write_bytes(raw)
+        assert main([command, str(f), "--skip-invalid"]) == 0
+        assert capsys.readouterr().out == expected
 
+    @pytest.mark.parametrize("command", ["canonicalize", "tokenize"])
+    def test_stdin_bytes_that_are_not_utf8_name_stdin_and_line(self, monkeypatch, capsys, command):
+        self.stdin(monkeypatch, b"CCO\nC\xffC\nCCC\n")
+        assert main([command]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == {"canonicalize": "CCO\n", "tokenize": "C C O\n"}[command]  # read before the bad line
+        assert captured.err == "error: byte 0xff is not UTF-8 (<stdin> line 2)\n"
+
+    def test_canonicalize_chain_deeper_than_recursion_limit(self, monkeypatch, capsys):
         # Distinct charges keep the Morgan refinement to one pass.
         atoms = ["C", "[C+]"] + [f"[C+{q}]" for q in range(2, 1500)]
         canonical = "".join(atoms)
-        monkeypatch.setattr("sys.stdin", io.StringIO(f"{canonical}\n{''.join(reversed(atoms))}\n"))
+        self.stdin(monkeypatch, f"{canonical}\n{''.join(reversed(atoms))}\n".encode())
         assert main(["canonicalize"]) == 0
         assert capsys.readouterr().out.splitlines() == [canonical, canonical]
 

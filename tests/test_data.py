@@ -1,3 +1,6 @@
+import io
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -524,6 +527,24 @@ class TestLabelsOf:
     def test_unknown_kind(self, tiny_split):
         with pytest.raises(ValueError, match="label_kind"):
             dp.labels_of(tiny_split.test, "target")
+
+
+class TestLineReaders:
+    # Line ends, a two-byte character, a cut one, a byte that is never UTF-8 and U+2028.
+    @given(st.lists(st.sampled_from([b"C", b"O", b"\n", b"\r", b"\r\n", b"\xc3\xa9", b"\xc3", b"\xff",
+                                     b"\xe2\x80\xa8"]), max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_stream_reads_what_the_file_reader_reads(self, tmp_path_factory, pieces):
+        raw = b"".join(pieces)
+        path = tmp_path_factory.mktemp("lines") / "in.txt"
+        path.write_bytes(raw)
+        try:
+            expected = dp.read_lines(path)
+        except dp.ConfigError as exc:
+            with pytest.raises(dp.ConfigError, match=f"^{re.escape(str(exc))}$"):
+                list(dp.iter_lines(io.BytesIO(raw), str(path)))
+        else:
+            assert list(dp.iter_lines(io.BytesIO(raw), str(path))) == expected
 
 
 class TestPkSampling:

@@ -1,11 +1,14 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import warnings
 
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from molseq import autodiff as ad
 from molseq import data
@@ -13,7 +16,7 @@ from molseq import losses as ls
 from molseq import train as tr
 from molseq.data import (InsufficientClasses, SyntheticSpec, config_from_json, generate_synthetic,
                          prepare_split, read_config)
-from molseq.errors import NonFiniteValue
+from molseq.errors import ConfigError, NonFiniteValue
 from molseq.losses import CenterState
 from molseq.model import Model, ModelConfig, ParameterSet, SequenceEncoder, load_checkpoint
 
@@ -351,6 +354,58 @@ class TestRunStage:
         result = tr.run_stage(cfg, tiny_split)
         assert len(result.loss_log) > 0
 
+    @staticmethod
+    def own_schedule(config, train):
+        classes = data.pk_classes(data.pk_groups(data.labels_of(train, config.label_kind)), config.batch_p,
+                                  config.batch_k)
+        return tr._pk_schedule(classes, config.batch_p, config.batch_k, config.seed, tr._stage_steps(config, train))
+
+    def test_given_schedule_is_the_one_trained_on(self, tiny_split):
+        cfg = tiny_config(epochs=2)
+        batches = self.own_schedule(cfg, tiny_split.train)
+        assert batches.shape == (2 * (len(tiny_split.train) // cfg.batch_size), cfg.batch_size)
+        own = tr.run_stage(cfg, tiny_split)
+        assert tr.run_stage(cfg, tiny_split, batches=batches).loss_log == own.loss_log
+        assert tr.run_stage(cfg, tiny_split, batches=batches[::-1].copy()).loss_log != own.loss_log
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda b: b[1:], r"^batches must have shape \(16, 4\), got \(15, 4\)$"),
+        (lambda b: b[:, :3], r"^batches must have shape \(16, 4\), got \(16, 3\)$"),
+        (lambda b: b.reshape(-1), r"^batches must have shape \(16, 4\), got \(64,\)$"),
+        (lambda b: np.where(np.arange(b.size).reshape(b.shape) == 37, 32, b), r"positions in \[0, 32\)$"),
+        (lambda b: np.where(np.arange(b.size).reshape(b.shape) == 5, -1, b), r"positions in \[0, 32\)$"),
+        (lambda b: b.astype(np.float64), r"positions in \[0, 32\)$"),
+    ])
+    def test_bad_schedule_rejected_before_any_step(self, tiny_split, monkeypatch, edit, match):
+        cfg = tiny_config(epochs=2)
+        batches = edit(self.own_schedule(cfg, tiny_split.train))
+
+        def no_call(*args):
+            raise AssertionError("the stage went on past a bad schedule")
+
+        for name in ("Model", "pk_sample_indices", "sgd_step"):
+            monkeypatch.setattr(tr, name, no_call)
+        with pytest.raises(ValueError, match=match):
+            tr.run_stage(cfg, tiny_split, batches=batches)
+
+
+class TestPkSchedule:
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_row_s_is_the_draw_at_step_s(self, draw):
+        k = draw.draw(st.integers(1, 5), "k")
+        p = draw.draw(st.integers(1, 4), "p")
+        # One class holds exactly K samples, the rest at least K, and some too few to draw from.
+        sizes = [k] + draw.draw(st.lists(st.integers(k, k + 4), min_size=p - 1, max_size=p + 2), "sizes")
+        sizes += draw.draw(st.lists(st.integers(1, k - 1), max_size=2), "small") if k > 1 else []
+        labels = np.random.default_rng(len(sizes)).permutation(np.repeat(np.arange(len(sizes)), sizes))
+        classes = data.pk_classes(data.pk_groups(labels), p, k)
+        seed, steps = draw.draw(st.integers(0, 2**32), "seed"), draw.draw(st.integers(0, 12), "steps")
+        batches = tr._pk_schedule(classes, p, k, seed, steps)
+        assert batches.shape == (steps, p * k) and batches.dtype == np.int32
+        for step, row in enumerate(batches):
+            assert row.tolist() == data.pk_sample_indices(classes, p, k, seed, step).tolist()
+
 
 def pk_labels(rng, p, k, num_classes):
     """Labels of a PK batch: P distinct classes in random order, K in a row each."""
@@ -606,8 +661,10 @@ class TestStrategiesAndPipeline:
 
     @pytest.mark.parametrize("name", ["pk_sample_indices", "sgd_step", "update_centers"])
     def test_one_call_per_training_step(self, tiny_split, monkeypatch, name):
-        # The benchmark's tracer opens a step at the PK draw, times the SGD update and
-        # closes the step at the center update, each looked up in molseq.train.
+        # The benchmark's tracer times the SGD update and the center update, and the PK
+        # draw, each looked up in molseq.train.  The first two run once per step.  The
+        # draws run before a stage's loop, and warmup and pretrain share one schedule, so
+        # a pipeline draws one batch per warmup step and one per finetune step.
         calls, original = [], getattr(tr, name)
 
         def counting(*args):
@@ -616,7 +673,34 @@ class TestStrategiesAndPipeline:
 
         monkeypatch.setattr(tr, name, counting)
         result = tr.run_pipeline(tiny_split, tiny_config(epochs=2))
-        assert len(calls) == sum(len(st.loss_log) for st in (result.warmup, result.pretrain, result.finetune)) > 0
+        stages = (result.warmup, result.finetune) if name == "pk_sample_indices" else \
+            (result.warmup, result.pretrain, result.finetune)
+        assert len(calls) == sum(len(stage.loss_log) for stage in stages) > 0
+
+    @pytest.mark.parametrize("plan, shared", [(tr.PIPELINE, [("warmup", "pretrain"), ("finetune",)]),
+                                              (tr.STRATEGIES["S3"], [("seq_only", "dual_warm")]),
+                                              (tr.STRATEGIES["S2"], [("dual_fresh",)])])
+    def test_each_schedule_is_drawn_before_the_stages_that_share_it(self, tiny_split, monkeypatch, plan, shared):
+        events = []
+        draw, step = tr.pk_sample_indices, tr.sgd_step
+        monkeypatch.setattr(tr, "pk_sample_indices", lambda *args: events.append("draw") or draw(*args))
+        monkeypatch.setattr(tr, "sgd_step", lambda *args: events.append("step") or step(*args))
+        results = tr._run_plan(plan, tiny_split, tiny_config(epochs=2))
+        runs = [(kind, len(list(group))) for kind, group in itertools.groupby(events)]
+        expected = []
+        for names in shared:
+            steps = [len(results[name].loss_log) for name in names]
+            assert len(set(steps)) == 1
+            expected += [("draw", steps[0]), ("step", sum(steps))]
+        assert runs == expected
+
+    def test_invalid_config_fails_before_any_draw(self, tiny_split, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("a batch was drawn")
+
+        monkeypatch.setattr(tr, "pk_sample_indices", no_draw)
+        with pytest.raises(ConfigError, match="^epochs must be >= 1$"):
+            tr.run_pipeline(tiny_split, tiny_config(epochs=0))
 
 
 class TestSweep:
