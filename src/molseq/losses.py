@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import DegenerateBatch, check_labels
+from .errors import DegenerateBatch, ShapeMismatch, check_labels
 
 __all__ = [
     "DegenerateBatch",
@@ -91,10 +91,6 @@ class CenterState:
     centers: np.ndarray
     alpha: float = 0.5
 
-    @classmethod
-    def zeros(cls, num_classes: int, dim: int, alpha: float = 0.5) -> "CenterState":
-        return cls(centers=np.zeros((num_classes, dim)), alpha=alpha)
-
     @property
     def num_classes(self) -> int:
         return self.centers.shape[0]
@@ -114,35 +110,26 @@ def update_centers(state: CenterState, features: np.ndarray, labels) -> CenterSt
     with each class's members summed in batch order, from +0.0.  Classes
     absent from the batch are untouched.  Mutates and returns state.
 
-    ``labels`` is either one label per feature row or a PK batch's ``[P, K]``
-    label array, row p labelling features ``p*K`` to ``p*K + K - 1``.  The rows
-    of a ``[P, K]`` array must each hold one label, distinct between rows,
-    as ``pk_sample_indices`` draws them; this is not checked.
+    ``labels`` is a PK batch's ``[P, K]`` label array, row p labelling
+    features ``p*K`` to ``p*K + K - 1``, so ``count_c`` is K; any other shape
+    raises ``ShapeMismatch``.  Each row must hold one label, distinct between
+    rows, as ``pk_sample_indices`` draws them; this is not checked.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
+    if labels.ndim != 2 or labels.size != features.shape[0]:
+        raise ShapeMismatch("update_centers", (features.shape, labels.shape))
     check_labels(labels, state.num_classes)
-    if labels.ndim == 2:
-        p, k = labels.shape
-        present = labels[:, 0]
-        centers = state.centers[present]
-        diff = centers[:, None, :] - features.reshape(p, k, features.shape[1])
-        # "+ 0.0" starts each sum from +0.0, as the scatter below does, and the
-        # loop over K adds in batch order, where a sum over the K axis adds pairwise.
-        sums = diff[:, 0] + 0.0
-        for j in range(1, k):
-            sums += diff[:, j]
-        state.centers[present] = centers - state.alpha * (sums / (1.0 + k))
-        return state
-    # One scatter over the flattened centers: add.at adds each class's rows
-    # in batch order, as a per-class loop would.
-    sums = np.zeros_like(state.centers)
-    cells = labels[:, None] * state.centers.shape[1] + np.arange(state.centers.shape[1])
-    np.add.at(sums.reshape(-1), cells.reshape(-1), (state.centers[labels] - features).reshape(-1))
-    counts = np.bincount(labels, minlength=state.num_classes)
-    present = counts > 0
-    delta = sums[present] / (1.0 + counts[present])[:, None]
-    state.centers[present] = state.centers[present] - state.alpha * delta
+    p, k = labels.shape
+    present = labels[:, 0]
+    centers = state.centers[present]
+    diff = centers[:, None, :] - features.reshape(p, k, features.shape[1])
+    # "+ 0.0" starts each sum from +0.0, so K differences of -0.0 sum to +0.0, and
+    # the loop over K adds in batch order, where a sum over the K axis adds pairwise.
+    sums = diff[:, 0] + 0.0
+    for j in range(1, k):
+        sums += diff[:, j]
+    state.centers[present] = centers - state.alpha * (sums / (1.0 + k))
     return state
 
 

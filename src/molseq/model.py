@@ -115,15 +115,12 @@ class ParameterSet:
         self.scratch: np.ndarray | None = None
 
     def add(self, name: str, value: np.ndarray, trainable: bool = True) -> None:
-        """Append a parameter to the vectors; every parameter's view is rebuilt on the new vector."""
+        """Append a parameter to ``flat`` and rebuild every view on it; add parameters before the first ``sgd_step``."""
         if name in self._params:
             raise ValueError(f"duplicate parameter {name!r}")
         value = np.asarray(value, dtype=np.float64)
         end = self.flat.size
         self.flat = np.concatenate([self.flat, value.reshape(-1)])
-        if self.velocity is not None:
-            self.velocity = np.concatenate([self.velocity, np.zeros(value.size)])
-            self.scratch = np.empty_like(self.flat)
         for p in self._params.values():
             p._view = self.flat[p.span].reshape(p._view.shape)
         self._params[name] = Parameter(self.flat[end:].reshape(value.shape), slice(end, self.flat.size), trainable)

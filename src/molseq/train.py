@@ -331,8 +331,8 @@ def run_stage(config: TrainConfig, data: DatasetSplit, init: Checkpoint | None =
 
     Step ``s`` trains on row ``s`` of ``batches``, the stage's PK schedule:
     one row of P*K positions in ``data.train`` per step of every epoch.  A
-    schedule of another shape, or with a position outside ``data.train``,
-    raises ``ValueError`` before the stage builds anything.  Without
+    schedule that is not an ndarray of that shape, or has a position outside
+    ``data.train``, raises ``ValueError`` before the stage builds anything.  Without
     ``batches`` the stage draws its own with ``_pk_schedule``, from the
     table of classes (``pk_classes``) and ``config.seed``.
 
@@ -349,8 +349,9 @@ def run_stage(config: TrainConfig, data: DatasetSplit, init: Checkpoint | None =
         raise ValueError("run_stage needs non-empty train and test sets")
     steps = _stage_steps(config, train)
     if batches is not None:
-        if batches.shape != (steps, config.batch_size):
-            raise ValueError(f"batches must have shape {(steps, config.batch_size)}, got {batches.shape}")
+        if not isinstance(batches, np.ndarray) or batches.shape != (steps, config.batch_size):
+            got = getattr(batches, "shape", type(batches))
+            raise ValueError(f"batches must have shape {(steps, config.batch_size)}, got {got}")
         if batches.dtype.kind not in "iu" or (batches.size and not 0 <= batches.min() <= batches.max() < len(train)):
             raise ValueError(f"batches must hold integer positions in [0, {len(train)})")
 
@@ -391,7 +392,7 @@ def run_stage(config: TrainConfig, data: DatasetSplit, init: Checkpoint | None =
     # start would make the center term an enormous pull toward the origin at
     # this scale (sum reduction over a 64-sample batch) and collapse the
     # encoder before the other losses can act.
-    centers = CenterState.zeros(num_classes, config.embed_dim, alpha=config.center_alpha)
+    centers = CenterState(np.zeros((num_classes, config.embed_dim)), config.center_alpha)
     leaves = model.params.as_leaves()
     init_emb = model.sequence.forward(train_pooled, leaves).data
     for c, members in groups.items():
@@ -528,8 +529,9 @@ def sweep_center_weight(base: TrainConfig, weights: list[float], data: DatasetSp
     """One full pipeline per center-loss weight, in out_dir/w<weight>; everything else fixed."""
     if not weights:
         raise ValueError("weights must be non-empty")
-    if min(weights) < 0:
-        raise ValueError("weights must be non-negative")
+    for w in weights:
+        if not 0 <= w < math.inf:  # NaN fails both comparisons
+            raise ValueError(f"weights must be finite and non-negative, got {w:g}")
     names = [f"w{w:g}" for w in weights]
     if len(set(names)) < len(names):
         raise ValueError(f"weights must give distinct directory names, got {', '.join(names)}")

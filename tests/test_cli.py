@@ -368,6 +368,14 @@ class TestStrategySweep:
         assert capsys.readouterr().err == f"error: --weights: {message} is not a number\n"
         assert not (tmp_path / "sweep").exists()
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-1"])
+    def test_sweep_non_finite_or_negative_weight_fails_before_training(self, dataset_dir, train_config, tmp_path,
+                                                                       capsys, bad):
+        assert main(["sweep", "--config", str(train_config), "--weights", f"0.1,{bad}",
+                     "--data", str(dataset_dir), "--out", str(tmp_path / "sweep")]) == 1
+        assert capsys.readouterr().err == f"error: weights must be finite and non-negative, got {bad}\n"
+        assert not (tmp_path / "sweep").exists()
+
 
 class TestGradcheckCommand:
     def test_exit_zero_and_report(self, capsys):

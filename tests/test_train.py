@@ -375,6 +375,7 @@ class TestRunStage:
         (lambda b: np.where(np.arange(b.size).reshape(b.shape) == 37, 32, b), r"positions in \[0, 32\)$"),
         (lambda b: np.where(np.arange(b.size).reshape(b.shape) == 5, -1, b), r"positions in \[0, 32\)$"),
         (lambda b: b.astype(np.float64), r"positions in \[0, 32\)$"),
+        (lambda b: b.tolist(), r"^batches must have shape \(16, 4\), got <class 'list'>$"),
     ])
     def test_bad_schedule_rejected_before_any_step(self, tiny_split, monkeypatch, edit, match):
         cfg = tiny_config(epochs=2)
@@ -720,6 +721,16 @@ class TestSweep:
     def test_weights_sharing_a_directory_rejected(self, tiny_split, tmp_path, weights):
         with pytest.raises(ValueError, match="^weights must give distinct directory names"):
             tr.sweep_center_weight(tiny_config(epochs=2), weights, tiny_split, out_dir=tmp_path / "sweep")
+        assert not (tmp_path / "sweep").exists()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_bad_weight_rejected_before_any_pipeline(self, tiny_split, tmp_path, monkeypatch, bad):
+        def no_call(*args, **kwargs):
+            raise AssertionError("a pipeline ran before the weights were checked")
+
+        monkeypatch.setattr(tr, "run_pipeline", no_call)
+        with pytest.raises(ValueError, match=f"^weights must be finite and non-negative, got {bad:g}$"):
+            tr.sweep_center_weight(tiny_config(epochs=2), [0.1, bad], tiny_split, out_dir=tmp_path / "sweep")
         assert not (tmp_path / "sweep").exists()
 
     def test_empty_weights_rejected(self, tiny_split):
