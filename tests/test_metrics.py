@@ -11,6 +11,9 @@ from molseq import metrics as mt
 from molseq.errors import LabelOutOfRange, ShapeMismatch
 
 
+GALLERY_LABELS = np.array([0, 1, 0, 2])
+
+
 def brute_rank(query, gallery):
     """Independent ranking oracle: explicit cosine + stable sort."""
     def cos(a, b):
@@ -67,17 +70,17 @@ def assert_bitwise_reference(q_embs, q_labels, g_embs, g_labels, max_rank, resul
 
 
 def evaluate_counting_fallbacks(monkeypatch, *args):
-    """``evaluate_retrieval`` plus the number of queries it ranked by the full-argsort fallback."""
+    """``evaluate_retrieval`` plus the number of queries it ranked by the GEMV fallback."""
     calls = []
-    rank = mt._rank
+    fallback = mt._fallback_positions
 
-    def counting(gallery_unit, query_emb):
+    def counting(gallery_unit, query_emb, members):
         calls.append(query_emb)
-        return rank(gallery_unit, query_emb)
+        return fallback(gallery_unit, query_emb, members)
 
-    monkeypatch.setattr(mt, "_rank", counting)
+    monkeypatch.setattr(mt, "_fallback_positions", counting)
     result = mt.evaluate_retrieval(*args)
-    monkeypatch.setattr(mt, "_rank", rank)
+    monkeypatch.setattr(mt, "_fallback_positions", fallback)
     return result, len(calls)
 
 
@@ -273,6 +276,32 @@ class TestEvaluateRetrieval:
         assert fallbacks == 2  # only the label-1 queries have a NaN relevant score
         assert_bitwise_reference(q, q_labels, g, g_labels, 20, result)
 
+    def test_fallback_sorts_only_scores_up_to_the_worst_relevant(self, rng, monkeypatch):
+        # Queries 0-2 each have two gallery copies of themselves (an exact tie
+        # at the top) as their relevant rows; query 3's label holds a NaN row.
+        g_n, d = 300, 6
+        g = rng.normal(size=(g_n, d))
+        g_labels = np.arange(g_n) % 5
+        q = rng.normal(size=(4, d))
+        q_labels = np.array([5, 6, 7, 8])
+        g[:6], g_labels[:6] = np.repeat(q[:3], 2, axis=0), np.repeat(q_labels[:3], 2)
+        g[6], g_labels[6] = np.nan, 8
+        sizes = []
+        argsort = np.argsort
+
+        def spy(a, *args, **kwargs):
+            sizes.append(np.size(a))
+            return argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", spy)
+        result, fallbacks = evaluate_counting_fallbacks(monkeypatch, q, q_labels, g, g_labels, 20)
+        monkeypatch.setattr(np, "argsort", argsort)
+        assert fallbacks == 4
+        # The label grouping, then each fallback: the tied pair alone, and all
+        # G scores for the NaN relevant row.
+        assert sizes == [g_n, 2, 2, 2, g_n]
+        assert_bitwise_reference(q, q_labels, g, g_labels, 20, result)
+
     def test_many_blocks_with_fallback_rows_between_fast_rows(self, rng, monkeypatch):
         g_n, q_n, d = 30_000, 28, 4
         g = rng.normal(size=(g_n, d))
@@ -418,19 +447,34 @@ class TestEvaluateRetrieval:
             mt.evaluate_retrieval(np.ones((3, 2)), q_labels, np.ones((4, 2)), np.array([0, 1, 0, 2], dtype=np.int64))
         assert err.value.label == 7
 
-    @pytest.mark.parametrize("q, q_labels, max_rank, error, message", [
-        pytest.param(np.ones((0, 2)), np.array([], dtype=np.int64), 20, ShapeMismatch,
+    @pytest.mark.parametrize("q, q_labels, g_labels, max_rank, error, message", [
+        pytest.param(np.ones((0, 2)), np.array([], dtype=np.int64), GALLERY_LABELS, 20, ShapeMismatch,
                      r"^evaluate_retrieval: incompatible shapes \(\(0, 2\), \(4, 2\)\)$", id="no-queries"),
-        pytest.param(np.ones((1, 2)), np.array([0]), 0, ValueError, r"^max_rank must be >= 1, got 0$",
+        pytest.param(np.ones((1, 2)), np.array([0]), GALLERY_LABELS, 0, ValueError, r"^max_rank must be >= 1, got 0$",
                      id="max-rank-0"),
+        pytest.param(np.ones((1, 2)), np.array([0]), GALLERY_LABELS, 2.5, TypeError,
+                     r"^max_rank must be an int, got 2\.5$", id="max-rank-float"),
+        pytest.param(np.ones((1, 2)), np.array([0]), GALLERY_LABELS, True, TypeError,
+                     r"^max_rank must be an int, got True$", id="max-rank-bool"),
+        pytest.param(np.ones((1, 2)), np.array([[0]]), GALLERY_LABELS, 20, ShapeMismatch,
+                     r"^evaluate_retrieval: incompatible shapes \(\(1, 1\), \(4,\)\)$", id="2d-query-labels"),
+        pytest.param(np.ones((1, 2)), np.array([0]), GALLERY_LABELS[:, None], 20, ShapeMismatch,
+                     r"^evaluate_retrieval: incompatible shapes \(\(1,\), \(4, 1\)\)$", id="2d-gallery-labels"),
     ])
-    def test_unscorable_input_raises_before_scoring(self, monkeypatch, q, q_labels, max_rank, error, message):
+    def test_unscorable_input_raises_before_scoring(self, monkeypatch, q, q_labels, g_labels, max_rank, error,
+                                                    message):
         def no_scoring(*args):
             raise AssertionError("scored before the input check")
 
         monkeypatch.setattr(mt, "_normalize", no_scoring)
         with pytest.raises(error, match=message):
-            mt.evaluate_retrieval(q, q_labels, np.ones((4, 2)), np.array([0, 1, 0, 2]), max_rank)
+            mt.evaluate_retrieval(q, q_labels, np.ones((4, 2)), g_labels, max_rank)
+
+    def test_numpy_int_max_rank(self, rng):
+        g = rng.normal(size=(12, 3))
+        g_labels = np.arange(12) % 3
+        result = mt.evaluate_retrieval(g[:3], g_labels[:3], g, g_labels, np.int64(4))
+        assert result.cmc.size == 4
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
@@ -438,9 +482,18 @@ class TestEvaluateRetrieval:
         g_n = data.draw(st.integers(min_value=1, max_value=60))
         q_n = data.draw(st.integers(min_value=1, max_value=30))
         d = data.draw(st.integers(min_value=1, max_value=6))
-        few_ints = st.integers(min_value=-2, max_value=2).map(float)
-        g = data.draw(hnp.arrays(np.float64, (g_n, d), elements=few_ints))
-        q = data.draw(hnp.arrays(np.float64, (q_n, d), elements=few_ints))
+        # Small ints make ties on most draws; floats mostly take the fast path.
+        elements = data.draw(st.sampled_from([
+            st.integers(min_value=-2, max_value=2).map(float),
+            st.floats(min_value=-2, max_value=2, allow_subnormal=False),
+        ]))
+        g = data.draw(hnp.arrays(np.float64, (g_n, d), elements=elements))
+        q = data.draw(hnp.arrays(np.float64, (q_n, d), elements=elements))
+        for rows in (g, q):  # NaN rows, then rows copied from others
+            index = st.integers(min_value=0, max_value=rows.shape[0] - 1)
+            rows[data.draw(st.lists(index, max_size=2))] = np.nan
+            for i, j in data.draw(st.lists(st.tuples(index, index), max_size=3)):
+                rows[i] = rows[j]
         g_labels = data.draw(hnp.arrays(np.int64, g_n, elements=st.integers(min_value=0, max_value=3)))
         q_labels = np.array(data.draw(st.lists(st.sampled_from(g_labels.tolist()),
                                                min_size=q_n, max_size=q_n)))
@@ -481,6 +534,12 @@ class TestAccuracy:
     def test_label_out_of_range(self):
         with pytest.raises(LabelOutOfRange):
             mt.accuracy(np.zeros((1, 2)), [2])
+
+    @pytest.mark.parametrize("labels", [[[0], [1], [2]], [[0, 1, 2]]], ids=["column", "row"])
+    def test_labels_not_one_per_row_raise(self, labels):
+        # A [3, 1] column would broadcast against the 3 argmaxes to a 3x3 match table.
+        with pytest.raises(ShapeMismatch):
+            mt.accuracy(np.eye(3), labels)
 
     def test_negative_label_is_the_one_named(self):
         with pytest.raises(LabelOutOfRange) as err:
