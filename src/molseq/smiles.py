@@ -5,6 +5,14 @@ charge and explicit hydrogen counts.  Stereo markers and isotopes are
 rejected outright (StereoUnsupported) instead of being stripped, and no
 valence or aromaticity perception is attempted: a molecule is exactly the
 graph its SMILES spells out.
+
+One reader, ``_read``, walks a string's regex matches once and emits plain
+lists: per atom its invariant ``(element, aromatic, charge, H count or -1)``
+and output token, the int-coded adjacency, and the bonds in source order.
+``canonical_smiles`` hands them straight to the canonical core (Morgan
+refinement, then the writer); ``parse`` wraps them in a ``MolGraph``, and
+``canonicalize`` feeds a graph's own lists to the same core.  ``tokenize``,
+``parse`` and ``MolGraph`` keep their public forms.
 """
 
 from __future__ import annotations
@@ -116,6 +124,8 @@ class Token(NamedTuple):
 
 # One group per TokenKind, in its order, then a catch-all: finditer never skips
 # a character, and the first catch-all match is the first lexing error.
+# _read dispatches on these group numbers.
+_ATOM, _BRACKET_ATOM, _BOND, _RING_BOND, _BRANCH_OPEN, _BRANCH_CLOSE, _DOT, _JUNK = range(1, 9)
 _TOKEN_RE = re.compile(
     r"(Cl|Br|[BCNOPSFIbcnops])"  # atom in the organic subset
     r"|(\[[^\]]*\])"  # bracket atom, decoded by _parse_bracket
@@ -125,7 +135,7 @@ _TOKEN_RE = re.compile(
     r"|(.)",
     re.DOTALL,
 )
-_KIND_OF_GROUP = (None, *TokenKind, None)
+_KIND_OF_GROUP = (None, *TokenKind)
 # A bracket atom's body after the '@' and isotope checks: element or aromatic
 # symbol, optional H count, optional charge as digits or a repeated sign.
 _BRACKET_RE = re.compile(r"([A-Z][a-z]?|[bcnops])(?:H(\d*))?(?:([+-])(\d+|\3*))?")
@@ -138,12 +148,14 @@ class BondOrder(enum.Enum):
     AROMATIC = 4
 
 
-_BOND_ORDER = {"-": BondOrder.SINGLE, "=": BondOrder.DOUBLE, "#": BondOrder.TRIPLE, ":": BondOrder.AROMATIC}
-_BOND_SYMBOL = {order.value: symbol for symbol, order in _BOND_ORDER.items()}  # keyed by bond code
-_SINGLE, _AROMATIC_BOND = BondOrder.SINGLE, BondOrder.AROMATIC
-_SINGLE_CODE, _AROMATIC_CODE = _SINGLE.value, _AROMATIC_BOND.value
-_ATOM, _BRACKET_ATOM, _BOND, _RING_BOND = TokenKind.ATOM, TokenKind.BRACKET_ATOM, TokenKind.BOND, TokenKind.RING_BOND
-_BRANCH_OPEN, _BRANCH_CLOSE, _DOT = TokenKind.BRANCH_OPEN, TokenKind.BRANCH_CLOSE, TokenKind.DOT
+# A bond's code is its BondOrder's value; 0 stands for "no bond symbol read".
+_BOND_CODE = {symbol: order.value for symbol, order in zip("-=#:", BondOrder)}
+_BOND_SYMBOL = {code: symbol for symbol, code in _BOND_CODE.items()}
+_ORDER_OF_CODE = (None, *BondOrder)
+_SINGLE_CODE, _AROMATIC_CODE = BondOrder.SINGLE.value, BondOrder.AROMATIC.value
+# Invariant of each organic-subset lexeme; its output token is the lexeme itself.
+_ORGANIC_INVARIANT = {s: (s.upper() if s in _AROMATIC else s, s in _AROMATIC, 0, -1)
+                      for s in (*_ORGANIC, *_TWO_LETTER, *_AROMATIC)}
 
 
 @dataclass
@@ -186,26 +198,26 @@ class MolGraph:
         self._pairs.add(key)
 
 
-def tokenize(smiles: str) -> list[Token]:
-    """Lex a SMILES string; joining the token texts reproduces the input."""
+def _lexemes(smiles: str):
+    """The token matches of a SMILES string, in order; raises at its first lexing error."""
     if not smiles:
         raise UnexpectedCharacter(0, "")
-    try:
-        smiles.encode("ascii")
-    except UnicodeEncodeError as exc:
-        raise UnexpectedCharacter(exc.start, smiles[exc.start]) from None
-
-    tokens: list[Token] = []
+    if not smiles.isascii():
+        start = next(i for i, ch in enumerate(smiles) if not ch.isascii())
+        raise UnexpectedCharacter(start, smiles[start])
     for m in _TOKEN_RE.finditer(smiles):
-        kind = _KIND_OF_GROUP[m.lastindex]
-        if kind is None:
+        if m.lastindex == _JUNK:
             raise UnterminatedBracket(m.start()) if m[0] == "[" else UnexpectedCharacter(m.start(), m[0])
-        tokens.append(Token(m[0], kind))
-    return tokens
+        yield m
 
 
-def _parse_bracket(text: str, position: int) -> Atom:
-    """Decode one '[...]' token into an Atom."""
+def tokenize(smiles: str) -> list[Token]:
+    """Lex a SMILES string; joining the token texts reproduces the input."""
+    return [Token(m[0], _KIND_OF_GROUP[m.lastindex]) for m in _lexemes(smiles)]
+
+
+def _parse_bracket(text: str, position: int) -> tuple[str, bool, int, int]:
+    """Decode one '[...]' token into its atom invariant (element, aromatic, charge, H count)."""
     body = text[1:-1]
     if "@" in body:
         raise StereoUnsupported("chirality '@' in bracket atom", position)
@@ -224,92 +236,123 @@ def _parse_bracket(text: str, position: int) -> Atom:
             charge = -charge
     aromatic = symbol.islower()
     h_count = 0 if h_digits is None else int(h_digits or 1)
-    return Atom(symbol.upper() if aromatic else symbol, aromatic, charge, h_count)
+    return symbol.upper() if aromatic else symbol, aromatic, charge, h_count
+
+
+def _read(smiles: str):
+    """Read a SMILES string in one pass: (invariants, tokens, adjacency, bonds).
+
+    Per atom, its invariant (element, aromatic, charge, H count or -1) and its
+    output token; per atom, its (neighbor, bond code) pairs; and the bonds as
+    (a, b, code) in source order.  A lexing error anywhere in the string wins
+    over an earlier parse error, as it did when the whole string was lexed
+    before any of it was parsed.
+    """
+    invariants: list[tuple[str, bool, int, int]] = []
+    tokens: list[str] = []
+    adj: list[list[tuple[int, int]]] = []
+    bonds: list[tuple[int, int, int]] = []
+    anchor, pending = -1, 0  # the atom a bond would start from (-1: none), and the bond code read
+    branches: list[int] = []
+    rings: dict[int, tuple[int, int]] = {}
+    try:
+        for m in _lexemes(smiles):
+            group = m.lastindex
+            if group <= _BRACKET_ATOM:
+                text = m[0]
+                if group == _ATOM:
+                    invariant = _ORGANIC_INVARIANT[text]
+                else:
+                    invariant = _parse_bracket(text, m.start())
+                    text = _atom_token(*invariant)
+                idx = len(tokens)
+                invariants.append(invariant)
+                tokens.append(text)
+                if anchor < 0:
+                    adj.append([])
+                else:
+                    # A chain bond always reaches a new atom, so it is never a duplicate.
+                    code = pending or (_AROMATIC_CODE if invariant[1] and invariants[anchor][1] else _SINGLE_CODE)
+                    adj[anchor].append((idx, code))
+                    adj.append([(anchor, code)])
+                    bonds.append((anchor, idx, code))
+                anchor, pending = idx, 0
+            elif group == _RING_BOND:
+                text = m[0]
+                digit = int(text[1:]) if text[0] == "%" else int(text)
+                if anchor < 0:
+                    raise SmilesError("ring bond digit before any atom", m.start())
+                if digit not in rings:
+                    rings[digit] = (anchor, pending)
+                    pending = 0
+                    continue
+                other, other_code = rings.pop(digit)
+                if other == anchor:
+                    raise UnmatchedRingBond(digit, f"ring bond {digit} closes on its own atom")
+                if pending and other_code and pending != other_code:
+                    raise UnmatchedRingBond(digit, f"ring bond {digit} has conflicting bond orders")
+                code = pending or other_code or (
+                    _AROMATIC_CODE if invariants[other][1] and invariants[anchor][1] else _SINGLE_CODE)
+                # Scan the shorter neighbor list, so that many closures on one atom stay linear.
+                near, far = (other, anchor) if len(adj[other]) < len(adj[anchor]) else (anchor, other)
+                if any(b == far for b, _ in adj[near]):
+                    raise SmilesError(f"duplicate bond between atoms {other} and {anchor}")
+                adj[other].append((anchor, code))
+                adj[anchor].append((other, code))
+                bonds.append((other, anchor, code))
+                pending = 0
+            elif group == _BRANCH_OPEN:
+                if anchor < 0 or pending:
+                    raise SmilesError("branch must follow an atom", m.start())
+                branches.append(anchor)
+            elif group == _BRANCH_CLOSE:
+                if not branches:
+                    raise UnclosedBranch("branch close without matching open")
+                if pending:
+                    raise SmilesError("dangling bond before branch close", m.start())
+                anchor = branches.pop()
+            elif group == _BOND:
+                text = m[0]
+                if text in "/\\":
+                    raise StereoUnsupported(f"directional bond {text!r}", m.start())
+                if anchor < 0 or pending:
+                    raise SmilesError("bond symbol without a preceding atom", m.start())
+                pending = _BOND_CODE[text]
+            else:  # _DOT
+                if pending:
+                    raise SmilesError("dangling bond before fragment separator", m.start())
+                anchor = -1
+    except SmilesError:
+        tokenize(smiles)  # raises the first lexing error, if the string has one
+        raise
+    if pending:
+        raise SmilesError("dangling bond at end of input")
+    if rings:
+        raise UnmatchedRingBond(min(rings))
+    if branches:
+        raise UnclosedBranch()
+    return invariants, tokens, adj, bonds
 
 
 def parse(smiles: str) -> MolGraph:
     """Build the molecular graph a SMILES string spells out."""
-    graph = MolGraph()
-    atoms, bonds, pairs = graph.atoms, graph.bonds, graph._pairs
-    anchor: int | None = None
-    pending: BondOrder | None = None
-    branch_stack: list[int | None] = []
-    open_rings: dict[int, tuple[int, BondOrder | None]] = {}
-
-    tok_pos = 0
-    for text, kind in tokenize(smiles):
-        if kind is _ATOM or kind is _BRACKET_ATOM:
-            if kind is _ATOM:
-                aromatic = text in _AROMATIC
-                atom = Atom(element=text.upper() if aromatic else text, aromatic=aromatic)
-            else:
-                atom = _parse_bracket(text, tok_pos)
-            idx = len(atoms)
-            atoms.append(atom)
-            if anchor is not None:
-                if pending is None:
-                    pending = _AROMATIC_BOND if atom.aromatic and atoms[anchor].aromatic else _SINGLE
-                # A chain bond always reaches a new atom, so it is never a duplicate.
-                bonds.append(Bond(anchor, idx, pending))
-                pairs.add((anchor, idx))
-            anchor = idx
-            pending = None
-        elif kind is _BOND:
-            if text in "/\\":
-                raise StereoUnsupported(f"directional bond {text!r}", tok_pos)
-            if anchor is None or pending is not None:
-                raise SmilesError("bond symbol without a preceding atom", tok_pos)
-            pending = _BOND_ORDER[text]
-        elif kind is _RING_BOND:
-            digit = int(text[1:]) if text[0] == "%" else int(text)
-            if anchor is None:
-                raise SmilesError("ring bond digit before any atom", tok_pos)
-            if digit in open_rings:
-                other, other_order = open_rings.pop(digit)
-                if other == anchor:
-                    raise UnmatchedRingBond(digit, f"ring bond {digit} closes on its own atom")
-                if pending is not None and other_order is not None and pending is not other_order:
-                    raise UnmatchedRingBond(digit, f"ring bond {digit} has conflicting bond orders")
-                order = pending or other_order
-                if order is None:
-                    order = _AROMATIC_BOND if atoms[other].aromatic and atoms[anchor].aromatic else _SINGLE
-                graph.add_bond(other, anchor, order)
-            else:
-                open_rings[digit] = (anchor, pending)
-            pending = None
-        elif kind is _BRANCH_OPEN:
-            if anchor is None or pending is not None:
-                raise SmilesError("branch must follow an atom", tok_pos)
-            branch_stack.append(anchor)
-        elif kind is _BRANCH_CLOSE:
-            if not branch_stack:
-                raise UnclosedBranch("branch close without matching open")
-            if pending is not None:
-                raise SmilesError("dangling bond before branch close", tok_pos)
-            anchor = branch_stack.pop()
-        elif kind is _DOT:
-            if pending is not None:
-                raise SmilesError("dangling bond before fragment separator", tok_pos)
-            anchor = None
-        tok_pos += len(text)
-
-    if pending is not None:
-        raise SmilesError("dangling bond at end of input")
-    if open_rings:
-        raise UnmatchedRingBond(min(open_rings))
-    if branch_stack:
-        raise UnclosedBranch()
-    return graph
+    invariants, _, _, bonds = _read(smiles)
+    return MolGraph(atoms=[Atom(e, aromatic, charge, None if h < 0 else h) for e, aromatic, charge, h in invariants],
+                    bonds=[Bond(a, b, _ORDER_OF_CODE[code]) for a, b, code in bonds])
 
 
-def _coded_adjacency(graph: MolGraph) -> list[list[tuple[int, int]]]:
-    """Per atom, its (neighbor, bond code) pairs; the code is the bond order's value."""
+def _graph_lists(graph: MolGraph):
+    """A graph's (invariants, tokens, adjacency), as _read gives them for a string."""
+    invariants, tokens = [], []
+    for atom in graph.atoms:
+        invariants.append((atom.element, atom.aromatic, atom.charge, -1 if atom.h_count is None else atom.h_count))
+        tokens.append(_atom_token(atom.element, atom.aromatic, atom.charge, atom.h_count))
     adj: list[list[tuple[int, int]]] = [[] for _ in graph.atoms]
     for a, b, order in graph.bonds:
         code = order.value
         adj[a].append((b, code))
         adj[b].append((a, code))
-    return adj
+    return invariants, tokens, adj
 
 
 def _fragments(adj) -> list[list[int]]:
@@ -338,12 +381,12 @@ def _dense(keys: list) -> tuple[list[int], int]:
     return [rank_of[k] for k in keys], len(rank_of)
 
 
-def _morgan_ranks(graph: MolGraph, atoms: list[int], adj) -> list[int]:
+def _morgan_ranks(invariants: list, atoms: list[int], adj) -> list[int]:
     """Iteratively refined ranks of ``atoms``, one connected fragment, in its order.
 
-    Starts from (element, aromatic, charge, H count, degree) and refines by
-    sorted neighbor (bond code, rank) multisets until the partition stops
-    splitting.  Ranks are dense, 0-based, lowest rank first.
+    Starts from (invariant, degree), the invariant being (element, aromatic,
+    charge, H count or -1), and refines by sorted neighbor (bond code, rank)
+    multisets until the partition stops splitting.  Ranks are dense, 0-based.
 
     Everything is a list indexed by an atom's position in ``atoms``, and a
     neighbor's (bond code, rank) pair is the one int ``code * n + rank``
@@ -364,12 +407,7 @@ def _morgan_ranks(graph: MolGraph, atoms: list[int], adj) -> list[int]:
     n = len(atoms)
     position = {a: i for i, a in enumerate(atoms)}
     neighbors = [[(code * n, position[b]) for b, code in adj[a]] for a in atoms]
-    initial = []
-    for a in atoms:
-        atom = graph.atoms[a]
-        initial.append((atom.element, atom.aromatic, atom.charge, -1 if atom.h_count is None else atom.h_count,
-                        len(adj[a])))
-    ranks, count = _dense(initial)
+    ranks, count = _dense([(invariants[a], len(adj[a])) for a in atoms])
     while count < n:
         keys = []
         for i, pairs in enumerate(neighbors):
@@ -383,79 +421,78 @@ def _morgan_ranks(graph: MolGraph, atoms: list[int], adj) -> list[int]:
     return ranks
 
 
-def _atom_token(atom: Atom) -> str:
+def _atom_token(element: str, aromatic: bool, charge: int, h_count: int | None) -> str:
     bare_ok = (
-        atom.charge == 0
-        and atom.h_count is None
-        and (atom.element in _ORGANIC or atom.element in _TWO_LETTER or (atom.aromatic and atom.element.lower() in _AROMATIC))
+        charge == 0
+        and h_count is None
+        and (element in _ORGANIC or element in _TWO_LETTER or (aromatic and element.lower() in _AROMATIC))
     )
-    symbol = atom.element.lower() if atom.aromatic else atom.element
+    symbol = element.lower() if aromatic else element
     if bare_ok:
         return symbol
     parts = ["[", symbol]
-    h = atom.h_count or 0
+    h = h_count or 0
     if h > 0:
         parts.append("H" if h == 1 else f"H{h}")
-    if atom.charge:
-        sign, size = ("+", atom.charge) if atom.charge > 0 else ("-", -atom.charge)
+    if charge:
+        sign, size = ("+", charge) if charge > 0 else ("-", -charge)
         parts.append(sign if size == 1 else f"{sign}{size}")
     parts.append("]")
     return "".join(parts)
 
 
-def _write_fragment(graph: MolGraph, atoms: list[int], adj, priority: list) -> str:
-    """Emit one fragment as SMILES, visiting atoms in priority order (lowest first)."""
-    start = min(atoms, key=priority.__getitem__)
-    # Depth-first walk from the start atom.  The stack carries the bond code
-    # from the parent, and each ring bond is met once, from its later atom.
-    preorder: dict[int, int] = {}
-    children: dict[int, list[tuple[int, int]]] = {}
-    closures: dict[int, list[tuple[int, int]]] = {}
-    stack = [(start, -1, 0)]
+def _write_fragments(invariants: list, tokens: list[str], adj, priority: list, fragments: list[list[int]]) -> list[str]:
+    """Each fragment as SMILES, visiting atoms in priority order (lowest first)."""
+    n = len(tokens)
+    slot = [-1] * n  # where each atom's text sits in its fragment's output; -1 until it is reached
+    branch = [-1] * n  # where each atom's latest child sits
 
     def by_priority(pair: tuple[int, int]):
         return priority[pair[0]]
 
-    while stack:
-        a, parent, code = stack.pop()
-        if a in preorder:
-            continue
-        preorder[a] = len(preorder)
-        children[a] = []
-        if parent >= 0:
-            children[parent].append((a, code))
-        neighbors = adj[a]
-        if len(neighbors) > 1:
-            # LIFO stack: push in reverse so the best-priority child is written first.
-            neighbors = sorted(neighbors, key=by_priority, reverse=True)
-        for b, code in neighbors:
-            if b not in preorder:
-                stack.append((b, a, code))
-            elif b != parent:
-                closures.setdefault(a, []).append((b, code))
-                closures.setdefault(b, []).append((a, code))
-
-    atom_of = graph.atoms
-
-    def by_preorder(pair: tuple[int, int]) -> int:
-        return preorder[pair[0]]
-
-    digit_of: dict[tuple[int, int], int] = {}
-    in_use: set[int] = set()
-    # Explicit stack of pending atoms (int) and literal text (str), so chain
-    # length is not bounded by the recursion limit.  Atoms are written, and
-    # ring digits assigned, in the order a recursive descent would visit them.
-    out: list[str] = []
-    pending: list[int | str] = [start]
-    while pending:
-        a = pending.pop()
-        if type(a) is str:
-            out.append(a)
-            continue
-        atom = atom_of[a]
-        out.append(_atom_token(atom))
-        if a in closures:
-            for b, code in sorted(closures[a], key=by_preorder):
+    texts = []
+    for frag in fragments:
+        # Depth-first walk from the best atom, writing each atom (after the bond
+        # from its parent) as it is first reached, so slots follow preorder.  The
+        # stack carries the bond code from the parent, and each ring bond is met
+        # once, from its later atom.  Every child but the last is a parenthesized
+        # branch: when a second child is reached, the first one's subtree is
+        # complete and gets its parens.
+        out: list[str] = []
+        rings: dict[int, list[tuple[int, int, int]]] = {}
+        stack = [(min(frag, key=priority.__getitem__), -1, 0)]
+        while stack:
+            a, parent, code = stack.pop()
+            if slot[a] >= 0:
+                continue
+            text = tokens[a]
+            if parent >= 0:
+                if code != (_AROMATIC_CODE if invariants[a][1] and invariants[parent][1] else _SINGLE_CODE):
+                    text = _BOND_SYMBOL[code] + text
+                if branch[parent] >= 0:
+                    out[branch[parent]] = "(" + out[branch[parent]]
+                    out.append(")")
+                branch[parent] = len(out)
+            slot[a] = len(out)
+            out.append(text)
+            neighbors = adj[a]
+            if len(neighbors) > 1 + (parent >= 0):  # the parent is never pushed: one other needs no order
+                # LIFO stack: push in reverse so the best-priority child is written first.
+                neighbors = sorted(neighbors, key=by_priority, reverse=True)
+            for b, code in neighbors:
+                if slot[b] < 0:
+                    stack.append((b, a, code))
+                elif b != parent:
+                    rings.setdefault(a, []).append((slot[b], b, code))
+                    rings.setdefault(b, []).append((slot[a], a, code))
+        # Ring digits, assigned in output order: at each atom, its ring bonds in
+        # the output order of their other ends, each taking the lowest free digit.
+        digit_of: dict[tuple[int, int], int] = {}
+        in_use: set[int] = set()
+        for a in sorted(rings, key=slot.__getitem__):
+            aromatic = invariants[a][1]
+            pieces = [out[slot[a]]]
+            for _, b, code in sorted(rings[a]):
                 key = (a, b) if a < b else (b, a)
                 if key in digit_of:
                     digit = digit_of.pop(key)
@@ -469,18 +506,12 @@ def _write_fragment(graph: MolGraph, atoms: list[int], adj, priority: list) -> s
                         raise SmilesError("more than 99 ring bonds open at once")
                     in_use.add(digit)
                     digit_of[key] = digit
-                implicit = _AROMATIC_CODE if atom.aromatic and atom_of[b].aromatic else _SINGLE_CODE
+                implicit = _AROMATIC_CODE if aromatic and invariants[b][1] else _SINGLE_CODE
                 bond = "" if code == implicit else _BOND_SYMBOL[code]
-                out.append(bond + (str(digit) if digit < 10 else f"%{digit:02d}"))
-        kids = children[a]
-        last = len(kids) - 1
-        for k in range(last, -1, -1):
-            b, code = kids[k]
-            implicit = _AROMATIC_CODE if atom.aromatic and atom_of[b].aromatic else _SINGLE_CODE
-            bond = "" if code == implicit else _BOND_SYMBOL[code]
-            # Pushed in reverse: every child but the last is a parenthesized branch.
-            pending.extend((")", b, bond, "(") if k < last else (b, bond))
-    return "".join(out)
+                pieces.append(bond + (str(digit) if digit < 10 else f"%{digit:02d}"))
+            out[slot[a]] = "".join(pieces)
+        texts.append("".join(out))
+    return texts
 
 
 def write_smiles(graph: MolGraph, priority: list[int] | None = None) -> str:
@@ -488,9 +519,21 @@ def write_smiles(graph: MolGraph, priority: list[int] | None = None) -> str:
     if not graph.atoms:
         raise SmilesError("cannot write an empty graph")
     n = len(graph.atoms)
-    adj = _coded_adjacency(graph)
+    invariants, tokens, adj = _graph_lists(graph)
     prio = list(range(n)) if priority is None else [priority[a] * n + a for a in range(n)]
-    return ".".join(_write_fragment(graph, frag, adj, prio) for frag in _fragments(adj))
+    return ".".join(_write_fragments(invariants, tokens, adj, prio, _fragments(adj)))
+
+
+def _canonical(invariants: list, tokens: list[str], adj, fragments: list[list[int]]) -> str:
+    """The canonical core: Morgan ranks per fragment, then each fragment written from them."""
+    n = len(tokens)
+    if not n:
+        raise SmilesError("cannot canonicalize an empty graph")
+    prio = [0] * n
+    for frag in fragments:
+        for a, r in zip(frag, _morgan_ranks(invariants, frag, adj)):
+            prio[a] = r * n + a  # orders atoms by (rank, index)
+    return ".".join(sorted(_write_fragments(invariants, tokens, adj, prio, fragments)))
 
 
 def canonicalize(graph: MolGraph) -> str:
@@ -501,20 +544,15 @@ def canonicalize(graph: MolGraph) -> str:
     residual automorphism ties fall back to input order.  Fragments are
     written independently and joined by '.' in sorted order.
     """
-    if not graph.atoms:
-        raise SmilesError("cannot canonicalize an empty graph")
-    n = len(graph.atoms)
-    adj = _coded_adjacency(graph)
-    fragments = _fragments(adj)
-    prio = [0] * n
-    for frag in fragments:
-        for a, r in zip(frag, _morgan_ranks(graph, frag, adj)):
-            prio[a] = r * n + a  # orders atoms by (rank, index)
-    return ".".join(sorted(_write_fragment(graph, frag, adj, prio) for frag in fragments))
+    invariants, tokens, adj = _graph_lists(graph)
+    return _canonical(invariants, tokens, adj, _fragments(adj))
 
 
 def canonical_smiles(smiles: str) -> str:
-    return canonicalize(parse(smiles))
+    """``canonicalize(parse(smiles))``, from the reader's lists without building the graph."""
+    invariants, tokens, adj, _ = _read(smiles)
+    # Without a '.', every atom but the first bonds to one read before it: one fragment.
+    return _canonical(invariants, tokens, adj, _fragments(adj) if "." in smiles else [list(range(len(tokens)))])
 
 
 def permute_atoms(graph: MolGraph, perm: list[int]) -> MolGraph:
@@ -566,7 +604,7 @@ def build_vocabulary(corpus: list[str]) -> Vocabulary:
     texts: set[str] = set()
     for i, smiles in enumerate(corpus):
         try:
-            texts.update(tok.text for tok in tokenize(smiles))
+            texts.update(m[0] for m in _lexemes(smiles))
         except SmilesError as exc:
             exc.corpus_index = i
             raise
@@ -580,6 +618,6 @@ def encode_tokens(smiles: str, vocab: Vocabulary, max_len: int) -> list[int]:
     """Token ids padded or truncated to exactly max_len; OOV maps to UNK."""
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
-    ids = [vocab.id_of(tok.text) for tok in tokenize(smiles)][:max_len]
+    ids = [vocab.id_of(m[0]) for m in _lexemes(smiles)][:max_len]
     ids.extend([PAD_ID] * (max_len - len(ids)))
     return ids

@@ -8,6 +8,12 @@ nodes, so both sides run the same arithmetic.
 
 ``canonical_ranks`` exposes the per-atom ranks that ``canonicalize``
 computes on the way to a canonical SMILES, for the golden rank tests.
+
+``reference_parse`` is the SMILES parser that the one-pass reader
+``molseq.smiles._read`` replaced: it lexes the whole string with
+``tokenize`` first and then walks the ``Token`` list, building ``Atom`` and
+``Bond`` records as it goes.  The differential tests hold ``parse`` and
+``canonical_smiles`` to its outcomes, errors included.
 """
 
 from __future__ import annotations
@@ -29,7 +35,29 @@ from molseq.autodiff import (
     _unbroadcast,
 )
 from molseq.errors import ShapeMismatch
-from molseq.smiles import MolGraph, _coded_adjacency, _fragments, _morgan_ranks
+from molseq.smiles import (
+    _AROMATIC,
+    _BRACKET_RE,
+    Atom,
+    Bond,
+    BondOrder,
+    MolGraph,
+    SmilesError,
+    StereoUnsupported,
+    TokenKind,
+    UnclosedBranch,
+    UnexpectedCharacter,
+    UnmatchedRingBond,
+    _fragments,
+    _graph_lists,
+    _morgan_ranks,
+    tokenize,
+)
+
+_BOND_ORDER = {"-": BondOrder.SINGLE, "=": BondOrder.DOUBLE, "#": BondOrder.TRIPLE, ":": BondOrder.AROMATIC}
+_SINGLE, _AROMATIC_BOND = BondOrder.SINGLE, BondOrder.AROMATIC
+_ATOM, _BRACKET_ATOM, _BOND, _RING_BOND = TokenKind.ATOM, TokenKind.BRACKET_ATOM, TokenKind.BOND, TokenKind.RING_BOND
+_BRANCH_OPEN, _BRANCH_CLOSE, _DOT = TokenKind.BRANCH_OPEN, TokenKind.BRANCH_CLOSE, TokenKind.DOT
 
 
 def sub(a, b) -> Tensor:
@@ -125,9 +153,107 @@ def transpose(x) -> Tensor:
 
 def canonical_ranks(graph: MolGraph) -> list[int]:
     """Per-atom refined ranks (dense within each fragment)."""
-    adj = _coded_adjacency(graph)
+    invariants, _, adj = _graph_lists(graph)
     out = [0] * len(graph.atoms)
     for frag in _fragments(adj):
-        for a, r in zip(frag, _morgan_ranks(graph, frag, adj)):
+        for a, r in zip(frag, _morgan_ranks(invariants, frag, adj)):
             out[a] = r
     return out
+
+
+def _reference_bracket(text: str, position: int) -> Atom:
+    """Decode one '[...]' token into an Atom."""
+    body = text[1:-1]
+    if "@" in body:
+        raise StereoUnsupported("chirality '@' in bracket atom", position)
+    if body[:1].isdigit():
+        raise StereoUnsupported("isotope label in bracket atom", position)
+    m = _BRACKET_RE.match(body)
+    if m is None:
+        raise UnexpectedCharacter(position + 1, body[:1])
+    if m.end() != len(body):
+        raise UnexpectedCharacter(position + 1 + m.end(), body[m.end()])
+    symbol, h_digits, sign, count = m.groups()
+    charge = 0
+    if sign:
+        charge = int(count) if count.isdigit() else len(count) + 1  # "+3", or "+" repeated
+        if sign == "-":
+            charge = -charge
+    aromatic = symbol.islower()
+    h_count = 0 if h_digits is None else int(h_digits or 1)
+    return Atom(symbol.upper() if aromatic else symbol, aromatic, charge, h_count)
+
+
+def reference_parse(smiles: str) -> MolGraph:
+    """Tokenize the whole string, then walk the tokens: the parser that ``_read`` replaced."""
+    graph = MolGraph()
+    atoms, bonds, pairs = graph.atoms, graph.bonds, graph._pairs
+    anchor: int | None = None
+    pending: BondOrder | None = None
+    branch_stack: list[int | None] = []
+    open_rings: dict[int, tuple[int, BondOrder | None]] = {}
+
+    tok_pos = 0
+    for text, kind in tokenize(smiles):
+        if kind is _ATOM or kind is _BRACKET_ATOM:
+            if kind is _ATOM:
+                aromatic = text in _AROMATIC
+                atom = Atom(element=text.upper() if aromatic else text, aromatic=aromatic)
+            else:
+                atom = _reference_bracket(text, tok_pos)
+            idx = len(atoms)
+            atoms.append(atom)
+            if anchor is not None:
+                if pending is None:
+                    pending = _AROMATIC_BOND if atom.aromatic and atoms[anchor].aromatic else _SINGLE
+                # A chain bond always reaches a new atom, so it is never a duplicate.
+                bonds.append(Bond(anchor, idx, pending))
+                pairs.add((anchor, idx))
+            anchor = idx
+            pending = None
+        elif kind is _BOND:
+            if text in "/\\":
+                raise StereoUnsupported(f"directional bond {text!r}", tok_pos)
+            if anchor is None or pending is not None:
+                raise SmilesError("bond symbol without a preceding atom", tok_pos)
+            pending = _BOND_ORDER[text]
+        elif kind is _RING_BOND:
+            digit = int(text[1:]) if text[0] == "%" else int(text)
+            if anchor is None:
+                raise SmilesError("ring bond digit before any atom", tok_pos)
+            if digit in open_rings:
+                other, other_order = open_rings.pop(digit)
+                if other == anchor:
+                    raise UnmatchedRingBond(digit, f"ring bond {digit} closes on its own atom")
+                if pending is not None and other_order is not None and pending is not other_order:
+                    raise UnmatchedRingBond(digit, f"ring bond {digit} has conflicting bond orders")
+                order = pending or other_order
+                if order is None:
+                    order = _AROMATIC_BOND if atoms[other].aromatic and atoms[anchor].aromatic else _SINGLE
+                graph.add_bond(other, anchor, order)
+            else:
+                open_rings[digit] = (anchor, pending)
+            pending = None
+        elif kind is _BRANCH_OPEN:
+            if anchor is None or pending is not None:
+                raise SmilesError("branch must follow an atom", tok_pos)
+            branch_stack.append(anchor)
+        elif kind is _BRANCH_CLOSE:
+            if not branch_stack:
+                raise UnclosedBranch("branch close without matching open")
+            if pending is not None:
+                raise SmilesError("dangling bond before branch close", tok_pos)
+            anchor = branch_stack.pop()
+        elif kind is _DOT:
+            if pending is not None:
+                raise SmilesError("dangling bond before fragment separator", tok_pos)
+            anchor = None
+        tok_pos += len(text)
+
+    if pending is not None:
+        raise SmilesError("dangling bond at end of input")
+    if open_rings:
+        raise UnmatchedRingBond(min(open_rings))
+    if branch_stack:
+        raise UnclosedBranch()
+    return graph

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from molseq import smiles as sk
 from molseq.data import load_smiles_pool
 
-from reference import canonical_ranks
+from reference import canonical_ranks, reference_parse
 
 POOL = load_smiles_pool()
 
@@ -446,6 +446,12 @@ LEXER_TABLE = [
     ("[c]", [("C", True, 0, 0)]),
     ("Br[Br]", [("Br", False, 0, None), ("Br", False, 0, 0)]),
     ("[N]=[N+]=[N-]", [("N", False, 0, 0), ("N", False, 1, 0), ("N", False, -1, 0)]),
+    # A lexing error anywhere wins over an earlier parse error; a parse error
+    # with nothing wrong after it stands.
+    ("C)C$", ("UnexpectedCharacter", 3, "unexpected character '$' (column 3)")),
+    ("(C[", ("UnterminatedBracket", 2, "unterminated bracket atom (column 2)")),
+    ("C==C@", ("UnexpectedCharacter", 4, "unexpected character '@' (column 4)")),
+    ("C.(C)", ("SmilesError", 2, "branch must follow an atom (column 2)")),
 ]
 
 
@@ -470,6 +476,70 @@ class TestLexerTable:
         except sk.SmilesError:
             return
         assert "".join(tok.text for tok in tokens) == text
+
+
+def outcome(fn, *args):
+    """What a call gives: its value, or the error's class, column and message."""
+    try:
+        return fn(*args)
+    except sk.SmilesError as exc:
+        return type(exc).__name__, exc.position, str(exc)
+
+
+def parse_outcome(parser, text):
+    """A parser's outcome: the error, or the graph's atoms, bonds and endpoint pairs."""
+    graph = outcome(parser, text)
+    return (graph.atoms, graph.bonds, graph._pairs) if isinstance(graph, sk.MolGraph) else graph
+
+
+class TestReaderMatchesReference:
+    """The one-pass reader against the tokenize-then-walk parser it replaced."""
+
+    @given(st.lists(st.one_of(st.sampled_from(SMILES_PIECES), st.characters()), max_size=30).map("".join))
+    @settings(max_examples=400, deadline=None)
+    def test_same_outcome(self, text):
+        assert parse_outcome(sk.parse, text) == parse_outcome(reference_parse, text)
+        graph = outcome(reference_parse, text)
+        expected = outcome(sk.canonicalize, graph) if isinstance(graph, sk.MolGraph) else graph
+        assert outcome(sk.canonical_smiles, text) == expected
+
+    @pytest.mark.parametrize("text", [text for text, _ in LEXER_TABLE], ids=[repr(text) for text, _ in LEXER_TABLE])
+    def test_lexer_table_is_the_reference_outcome(self, text):
+        assert parse_outcome(sk.parse, text) == parse_outcome(reference_parse, text)
+
+
+class TestEntryPointsAgree:
+    """canonicalize on a graph and canonical_smiles on its SMILES give one string."""
+
+    @pytest.mark.parametrize("smiles", POOL)
+    def test_pool_and_rewrites(self, smiles):
+        graph = sk.parse(smiles)
+        rng = np.random.default_rng(len(smiles))
+        for g in (graph, *(sk.parse(sk.random_smiles(graph, rng)) for _ in range(3))):
+            assert sk.canonicalize(g) == sk.canonical_smiles(sk.write_smiles(g)) == sk.canonical_smiles(smiles)
+
+    def test_built_graphs(self):
+        graph = sk.MolGraph(atoms=[sk.Atom("N", charge=1, h_count=3), sk.Atom("C"), sk.Atom("C", h_count=2),
+                                   sk.Atom("O", charge=-1), sk.Atom("C", aromatic=True), sk.Atom("Fe", charge=2),
+                                   sk.Atom("S", h_count=0)])
+        graph.add_bond(0, 1, sk.BondOrder.SINGLE)
+        graph.add_bond(1, 2, sk.BondOrder.AROMATIC)  # aromatic bond between non-aromatic atoms
+        graph.add_bond(2, 3, sk.BondOrder.SINGLE)
+        graph.add_bond(2, 4, sk.BondOrder.DOUBLE)
+        graph.add_bond(4, 6, sk.BondOrder.SINGLE)
+        graph.add_bond(6, 1, sk.BondOrder.TRIPLE)
+        text = sk.write_smiles(graph)
+        assert ":" in text and "[NH3+]" in text and "[CH2]" in text and "[Fe+2]" in text and "[S]" in text
+        assert sk.canonicalize(graph) == sk.canonical_smiles(text)
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            assert sk.canonicalize(graph) == sk.canonical_smiles(sk.random_smiles(graph, rng))
+
+    def test_random_built_graphs(self):
+        rng = np.random.default_rng(29)
+        for _ in range(200):
+            g = random_molecule(rng, int(rng.integers(1, 12)))
+            assert sk.canonicalize(g) == sk.canonical_smiles(sk.write_smiles(g))
 
 
 class TestVocabulary:
