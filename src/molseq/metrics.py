@@ -65,23 +65,24 @@ gamma_d = d*u/(1 - d*u) of the exact value in any summation order (Higham,
 A score difference of more than four such errors has the same sign in
 both.  So when no other gallery score lies within ``4*(d+2)*eps`` of any
 relevant score, and no relevant score is NaN, the positions are those of
-today's ranking, whatever the block shape.  Otherwise that query's
-positions come from ``_fallback_positions``, which ranks by ``_rank``'s
-GEMV scores (``_neg_scores``), so exact ties, near ties and NaN scores
-keep the index-order tie-break; AP and the first hit are then computed
-from them like any other row's.
+``rank_gallery``'s ranking, by descending GEMV score with ties broken by
+ascending index, whatever the block shape.  Otherwise that query's
+positions come from ``_fallback_positions``, which ranks by
+``rank_gallery``'s GEMV scores (``_neg_scores``), so exact ties, near ties
+and NaN scores keep the index-order tie-break; AP and the first hit are
+then computed from them like any other row's.
 
 The fallback sorts only the GEMV candidates: the indices i, in ascending
 order, whose negated score x_i is at or below the worst relevant one, w.
-Their stable argsort is the first part of ``_rank``'s stable argsort of
-all of x.  Every other x_i is either above w or NaN, and both sort after
-every candidate: numbers by value, NaN after every number.  Among the
-candidates, the full sort orders by value and breaks ties by index, and so
-does the stable argsort of the candidates, because they are taken in
-index order.  Every relevant item is a candidate, so its rank among the
+Their stable argsort is the first part of ``rank_gallery``'s stable
+argsort of all of x.  Every other x_i is either above w or NaN, and both
+sort after every candidate: numbers by value, NaN after every number.
+Among the candidates, the full sort orders by value and breaks ties by
+index, and so does the stable argsort of the candidates, because they are
+taken in index order.  Every relevant item is a candidate, so its rank among the
 candidates is its position in the ranking.  If a relevant score is NaN,
 then w is NaN, the cut would be empty, and all G scores are sorted, as
-``_rank`` does.
+``rank_gallery`` does.
 """
 
 from __future__ import annotations
@@ -125,18 +126,12 @@ def _neg_scores(gallery_unit: np.ndarray, query_emb: np.ndarray) -> np.ndarray:
     return np.negative(neg_scores, out=neg_scores)
 
 
-def _rank(gallery_unit: np.ndarray, query_emb: np.ndarray) -> np.ndarray:
-    """Rows of the L2-normalized gallery best-first for one query embedding."""
-    # Stable argsort of the negated scores: ties fall back to index order.
-    return np.argsort(_neg_scores(gallery_unit, query_emb), kind="stable")
-
-
 def _fallback_positions(gallery_unit: np.ndarray, query_emb: np.ndarray, members: np.ndarray) -> np.ndarray:
-    """Positions of the gallery rows ``members`` in ``_rank``'s ranking of ``query_emb``.
+    """Positions of the gallery rows ``members`` in ``rank_gallery``'s ranking of ``query_emb``.
 
     It stable-argsorts only the GEMV scores at or below the worst relevant
     one, taken in index order; a NaN relevant score sorts them all.  The
-    module docstring shows that this keeps ``_rank``'s order.
+    module docstring shows that this keeps ``rank_gallery``'s order.
     """
     neg_scores = _neg_scores(gallery_unit, query_emb)
     worst = neg_scores[members].max()
@@ -158,7 +153,8 @@ def rank_gallery(query_emb: np.ndarray, gallery_embs: np.ndarray) -> np.ndarray:
         raise ShapeMismatch("rank_gallery", (query_emb.shape, gallery_embs.shape))
     if gallery_embs.shape[0] < 1:
         raise ShapeMismatch("rank_gallery", (gallery_embs.shape,))
-    return _rank(_normalize(gallery_embs), query_emb)
+    # Stable argsort of the negated scores: ties fall back to index order.
+    return np.argsort(_neg_scores(_normalize(gallery_embs), query_emb), kind="stable")
 
 
 def evaluate_retrieval(

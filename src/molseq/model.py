@@ -71,17 +71,15 @@ class CheckpointFormatError(ValueError):
 class Parameter:
     """One named parameter: ``value`` is a reshaped view of its ``ParameterSet``'s flat vector, at ``span``.
 
-    Assigning ``value`` writes into the vector.  ``has_velocity`` turns true
-    at the parameter's first SGD update.
+    Assigning ``value`` writes into the vector.
     """
 
-    __slots__ = ("_view", "span", "trainable", "has_velocity")
+    __slots__ = ("_view", "span", "trainable")
 
     def __init__(self, view: np.ndarray, span: slice, trainable: bool) -> None:
         self._view = view
         self.span = span
         self.trainable = trainable
-        self.has_velocity = False
 
     @property
     def value(self) -> np.ndarray:
@@ -99,23 +97,15 @@ class ParameterSet:
     """Named parameters with per-parameter trainable flags, stored in one contiguous float64 vector.
 
     ``flat`` holds every parameter, in the order added; each ``Parameter``
-    is a reshaped view of its span.  ``velocity``, the SGD velocity, is a
-    second vector with the same layout, None until the first update;
-    ``velocity_of`` reads a parameter's part of it.  ``scratch``, a third
-    vector that lives as long as ``velocity``, is ``sgd_step``'s work
-    vector, so that a step allocates no vector-sized temporaries: freeing
-    those at every step makes the allocator return and re-fault the top of
-    the heap, which slowed the whole step.
+    is a reshaped view of its span.
     """
 
     def __init__(self) -> None:
         self._params: dict[str, Parameter] = {}
         self.flat = np.empty(0)
-        self.velocity: np.ndarray | None = None
-        self.scratch: np.ndarray | None = None
 
     def add(self, name: str, value: np.ndarray, trainable: bool = True) -> None:
-        """Append a parameter to ``flat`` and rebuild every view on it; add parameters before the first ``sgd_step``."""
+        """Append a parameter to ``flat`` and rebuild every view on it."""
         if name in self._params:
             raise ValueError(f"duplicate parameter {name!r}")
         value = np.asarray(value, dtype=np.float64)
@@ -143,17 +133,6 @@ class ParameterSet:
             raise NoSuchParameter(f"no parameter matches prefix {name_prefix!r}")
         for n in matched:
             self._params[n].trainable = trainable
-
-    def velocity_of(self, name: str) -> np.ndarray | None:
-        """The view of the velocity vector at a parameter's span, or None before its first update."""
-        p = self._params[name]
-        return self.velocity[p.span].reshape(p.value.shape) if p.has_velocity else None
-
-    def drop_velocity(self) -> None:
-        """Unset every parameter's velocity and free the velocity and scratch vectors."""
-        self.velocity = self.scratch = None
-        for p in self._params.values():
-            p.has_velocity = False
 
     def as_leaves(self, names=None) -> dict[str, ad.Tensor]:
         """Fresh graph leaves for one training step; frozen params get no grad.

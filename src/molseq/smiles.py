@@ -245,8 +245,8 @@ def _read(smiles: str):
     Per atom, its invariant (element, aromatic, charge, H count or -1) and its
     output token; per atom, its (neighbor, bond code) pairs; and the bonds as
     (a, b, code) in source order.  A lexing error anywhere in the string wins
-    over an earlier parse error, as it did when the whole string was lexed
-    before any of it was parsed.
+    over an earlier parse error: on a parse error the whole string is lexed
+    first, and the first lexing error, if there is one, is raised instead.
     """
     invariants: list[tuple[str, bool, int, int]] = []
     tokens: list[str] = []

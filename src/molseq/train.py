@@ -135,8 +135,10 @@ class TrainConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.batch_p < 1 or self.batch_k < 2:
             raise ConfigError("need batch_p >= 1 and batch_k >= 2 for in-batch positives")
-        if self.learning_rate <= 0 or self.momentum < 0 or self.center_alpha <= 0 or self.center_alpha > 1:
+        if self.learning_rate <= 0 or self.center_alpha <= 0 or self.center_alpha > 1:
             raise ConfigError("rates must be positive (center_alpha in (0, 1])")
+        if math.copysign(1.0, self.momentum) < 0:  # sgd_step's -0.0 velocity start needs a clear sign bit
+            raise ConfigError(f"momentum must be >= 0 with its sign bit clear, got {self.momentum!r}")
         if min(self.w_msc, self.w_triplet, self.w_center, self.w_cls, self.margin) < 0:
             raise ConfigError("loss weights and margin must be non-negative")
         if self.temperature <= 0:
@@ -153,40 +155,38 @@ class TrainConfig:
             raise ConfigError("split_ratio must lie in (0, 1)")
 
 
-def sgd_step(params, leaves: dict[str, ad.Tensor], lr: float, momentum: float) -> None:
-    """Momentum SGD where a leaf holds a gradient g: v <- g on a first update, else momentum*v + g; p <- p - lr*v.
+def sgd_step(params, leaves: dict[str, ad.Tensor], lr: float, momentum: float, velocity: np.ndarray,
+             scratch: np.ndarray) -> None:
+    """Momentum SGD where a leaf holds a gradient g: v <- momentum*v + g; p <- p - lr*v.
 
-    The update runs in place on the flat vectors of ``params``, once per run
-    of parameters that are adjacent there, hold a gradient, and all have or
-    all lack a velocity; the run's gradients, then lr*v, go through
-    ``params.scratch``.  A first update copies g, since momentum * 0.0 + g
-    would turn a -0.0 in g into +0.0.
+    ``velocity`` and ``scratch`` are vectors in the layout of ``params.flat``.
+    The update runs in place on them, once per run of parameters that are
+    adjacent there and hold a gradient; the run's gradients, then lr*v, go
+    through ``scratch``, so that a step allocates no vector-sized
+    temporaries: freeing those at every step makes the allocator return and
+    re-fault the top of the heap, which slowed the whole step.
+
+    A velocity that starts at -0.0 needs no first-update rule.  For a finite
+    momentum with its sign bit clear, momentum * -0.0 is -0.0, and -0.0 + g
+    is g bit for bit (-0.0 + -0.0 is -0.0, -0.0 + +0.0 is +0.0, any other g
+    comes back exact), so the first update sets v to exactly g.  A +0.0
+    start would turn a -0.0 in g into +0.0.
     """
-    runs: list[tuple[list, list]] = []  # (parameters, flattened gradients) of each run
+    runs: list[list] = []  # [start, stop, flattened gradients] of each run
     for name, leaf in leaves.items():
-        if leaf.grad is None:
-            continue
-        p = params[name]
-        last = runs[-1][0][-1] if runs else None
-        if last is None or last.span.stop != p.span.start or last.has_velocity != p.has_velocity:
-            runs.append(([], []))
-        runs[-1][0].append(p)
-        runs[-1][1].append(leaf.grad.reshape(-1))
-    if runs and params.velocity is None:
-        params.velocity, params.scratch = np.zeros_like(params.flat), np.empty_like(params.flat)
-    for members, grads in runs:
-        span = slice(members[0].span.start, members[-1].span.stop)
-        v, work = params.velocity[span], params.scratch[span]
+        if leaf.grad is not None:
+            span = params[name].span
+            if not runs or runs[-1][1] != span.start:
+                runs.append([span.start, span.stop, []])
+            runs[-1][1] = span.stop
+            runs[-1][2].append(leaf.grad.reshape(-1))
+    for start, stop, grads in runs:
+        v, work = velocity[start:stop], scratch[start:stop]
         np.concatenate(grads, out=work)
-        if members[0].has_velocity:
-            v *= momentum
-            v += work
-        else:
-            v[...] = work
-            for p in members:
-                p.has_velocity = True
+        v *= momentum
+        v += work
         np.multiply(lr, v, out=work)
-        params.flat[span] -= work
+        params.flat[start:stop] -= work
 
 
 def csv_text(columns, rows) -> str:
@@ -324,10 +324,11 @@ def run_stage(config: TrainConfig, data: DatasetSplit, init: Checkpoint | None =
     """One training stage over PK batches, with periodic retrieval evals.
 
     ``init`` warm-starts the encoders: its ``mol.*`` and ``seq.*`` parameters
-    are loaded, and those the model lacks are ignored; the SGD velocity
-    starts unset, and it is dropped again when the loop ends, since nothing
-    reads it after the stage.  A ``NonFiniteValue`` raised by the loop leaves
-    with ``stage`` and ``step`` attributes, and both are named in its message.
+    are loaded, and those the model lacks are ignored.  The SGD velocity
+    and ``sgd_step``'s work vector live in the loop only: the velocity
+    starts at -0.0, and nothing reads it after the stage.  A
+    ``NonFiniteValue`` raised by the loop leaves with ``stage`` and ``step``
+    attributes, and both are named in its message.
 
     Step ``s`` trains on row ``s`` of ``batches``, the stage's PK schedule:
     one row of P*K positions in ``data.train`` per step of every epoch.  A
@@ -409,6 +410,7 @@ def run_stage(config: TrainConfig, data: DatasetSplit, init: Checkpoint | None =
         frozen_mol = model.molecule.forward_counts(counts, leaves).data
         step_names = [n for n in model.params.names() if not n.startswith("mol.")]
     steps_per_epoch = steps // config.epochs
+    velocity, scratch = np.full_like(model.params.flat, -0.0), np.empty_like(model.params.flat)
     loss_log: list[dict] = []
     history: list[dict] = []
     step = 0
@@ -432,7 +434,7 @@ def run_stage(config: TrainConfig, data: DatasetSplit, init: Checkpoint | None =
                     total, report = _objective(config, model, leaves, s_emb, v_emb, batch_labels,
                                                class_labels[idx], centers, targets, masks)
                     ad.backward(total)
-                    sgd_step(model.params, leaves, config.learning_rate, config.momentum)
+                    sgd_step(model.params, leaves, config.learning_rate, config.momentum, velocity, scratch)
                     update_centers(centers, v_emb.data, batch_labels.reshape(config.batch_p, config.batch_k))
                     report["step"] = step
                     loss_log.append(report)
@@ -445,7 +447,6 @@ def run_stage(config: TrainConfig, data: DatasetSplit, init: Checkpoint | None =
         exc.args = (f"{exc.args[0]} (stage {config.stage}, step {step})", *exc.args[1:])
         raise
 
-    model.params.drop_velocity()
     result = StageResult(config=config, model=model, vocab=vocab, centers=centers,
                          history=history, loss_log=loss_log)
     if out_dir is not None:

@@ -52,6 +52,39 @@ class TestForward:
         with pytest.raises(ShapeMismatch):
             ad.add(ad.constant(np.zeros((2, 3))), ad.constant(np.zeros((2, 4))))
 
+    @pytest.mark.parametrize("call, op, shapes", [
+        (lambda: ad.soft_target_ce(ad.constant(np.zeros(3)), ad.soft_targets((np.eye(3),), "row")),
+         "soft_target_ce", ((3,),)),
+        (lambda: ad.cosine_logits(ad.constant(np.ones((2, 3))), ad.constant(np.ones((2, 3))), leaf([0.0, 1.0])),
+         "cosine_logits", ((2, 3), (2,))),
+        (lambda: ad.soft_target_ce(ad.constant(np.zeros((2, 3))), ad.soft_targets((np.eye(3),), "row")),
+         "soft_target_ce", ((2, 3), (3, 3))),
+        (lambda: ad.batch_hard_triplet(ad.constant(np.zeros((4, 2))), np.zeros(3, dtype=int), 0.3),
+         "batch_hard_triplet", ((4, 2), (3,))),
+        (lambda: ad.half_sq_error(ad.constant(np.zeros(3)), np.zeros(2)), "half_sq_error", ((3,), (2,))),
+        (lambda: ad.weighted_sum([ad.constant(np.zeros(2))], [1.0]), "weighted_sum", ((2,),)),
+    ], ids=["not_2d", "cosine_logits_temperature_tensor", "soft_target_ce_target", "batch_hard_triplet_labels",
+            "half_sq_error", "weighted_sum_non_scalar"])
+    def test_operand_shape_checked(self, call, op, shapes):
+        with pytest.raises(ShapeMismatch) as err:
+            call()
+        assert (err.value.op, err.value.shapes) == (op, shapes)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: ad.cosine_logits(ad.constant(np.ones((2, 3))), ad.constant(np.ones((2, 3))), 0.0),
+         "temperature must be positive, got 0.0"),
+        (lambda: ad.soft_target_ce(ad.constant(np.zeros((2, 2))), ad.SoftTargets(None, None)),
+         "soft_target_ce needs at least one target matrix"),
+        (lambda: ad.weighted_sum([], []), "weighted_sum needs at least one term and one weight per term"),
+        (lambda: ad.weighted_sum([ad.constant(1.0)], [1.0, 2.0]),
+         "weighted_sum needs at least one term and one weight per term"),
+    ], ids=["cosine_logits_temperature_zero", "soft_target_ce_no_targets", "weighted_sum_empty",
+            "weighted_sum_weights"])
+    def test_argument_value_checked(self, call, message):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
+
 
 class TestBackward:
     def test_sum_of_squares(self):
@@ -273,6 +306,7 @@ def _alignment(direction):
 FD_CASES = {
     "matmul": (lambda l: ad.sum_(ad.matmul(l[0], l[1])), [(3, 4), (4, 2)]),
     "add_row": (lambda l: ad.sum_(ref.mul(ad.add(l[0], l[1]), l[0])), [(3, 4), (4,)]),
+    "add_outer": (lambda l: ad.sum_(ref.mul(ad.add(l[0], l[1]), l[2])), [(3, 1), (1, 4), (3, 4)]),
     "sub": (lambda l: ad.sum_(ref.mul(ref.sub(l[0], l[1]), ref.sub(l[0], l[1]))), [(3, 4), (3, 4)]),
     "mul_scalar": (lambda l: ad.sum_(ref.mul(l[0], l[1])), [(3, 4), ()]),
     "relu": (lambda l: ad.sum_(ad.relu(l[0])), [(5, 5)]),
@@ -324,6 +358,10 @@ class TestFiniteDifferenceCheck:
     def test_constant_function(self):
         err = ad.finite_difference_check(lambda l: ref.scale(ad.sum_(l[0]), 0.0), [np.array([1.0, 2.0])])
         assert err == 0.0
+
+    def test_non_scalar_f_rejected(self):
+        with pytest.raises(NonScalarLoss, match="^finite_difference_check requires a scalar-valued f$"):
+            ad.finite_difference_check(lambda l: l[0], [np.array([1.0, 2.0])])
 
     def test_eps_validation(self):
         with pytest.raises(ValueError):

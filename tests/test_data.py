@@ -219,6 +219,10 @@ class TestManifestErrors:
         (root / "manifest.csv").write_text("\n".join(lines) + "\n")
         return root
 
+    def test_no_manifest(self, tmp_path):
+        with pytest.raises(FileNotFoundError, match=f"^no manifest.csv under {re.escape(str(tmp_path))}$"):
+            dp.load_manifest(tmp_path)
+
     def test_schema_error_field_count(self, tmp_path):
         root = self._write(tmp_path, ["a,d0,CCO,0,0"])
         with pytest.raises(dp.SchemaError) as err:
@@ -496,6 +500,10 @@ class TestQueryGallery:
         with pytest.raises(dp.SingletonMoA):
             dp.split_query_gallery(lone + rest, seed=0)
 
+    def test_empty_test_set(self):
+        with pytest.raises(dp.EmptyInput, match="^empty test set$"):
+            dp.split_query_gallery([])
+
     def test_deterministic(self, tiny_split):
         a = dp.split_query_gallery(tiny_split.test, seed=6)
         b = dp.split_query_gallery(tiny_split.test, seed=6)
@@ -614,6 +622,15 @@ class TestPkSampling:
         with pytest.raises(dp.InsufficientClasses):
             self.pk_batch(tiny_split.train, 99, 2, "drug", seed=0, step=0)
 
+    def test_groups_need_1d_labels(self):
+        with pytest.raises(ValueError, match="^labels must be a 1-D sequence$"):
+            dp.pk_groups(np.zeros((2, 2), dtype=int))
+
+    @pytest.mark.parametrize("p, k", [(0, 2), (2, 0)])
+    def test_classes_need_p_and_k_of_1(self, tiny_split, p, k):
+        with pytest.raises(ValueError, match="^P and K must be >= 1$"):
+            dp.pk_classes(self.drug_groups(tiny_split.train), p, k)
+
     def test_full_scale_batch(self):
         spec = dp.SyntheticSpec(num_moas=8, drugs_per_moa=4, samples_per_drug=8, T=2, f=3, seed=9)
         samples = dp.generate_synthetic(spec)
@@ -630,3 +647,7 @@ class TestChoosePk:
     ])
     def test_cases(self, batch, classes, expected):
         assert dp.choose_pk(batch, classes) == expected
+
+    def test_batch_too_small(self):
+        with pytest.raises(ValueError, match="^cannot fit a PK batch of 1 with 5 classes$"):
+            dp.choose_pk(1, 5)

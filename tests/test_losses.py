@@ -58,6 +58,10 @@ class TestBuildSupervision:
         sup = ls.build_supervision([5, 5, 5, 5])
         np.testing.assert_array_equal(sup.m_class, np.ones((4, 4)))
 
+    def test_empty_labels(self):
+        with pytest.raises(ValueError, match="^labels must be a non-empty 1-D sequence$"):
+            ls.build_supervision([])
+
     @given(st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=64))
     @settings(max_examples=120, deadline=None)
     def test_properties(self, labels):

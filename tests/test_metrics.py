@@ -149,6 +149,10 @@ class TestRankGallery:
         with pytest.raises(ShapeMismatch):
             mt.rank_gallery(np.zeros(3), np.zeros((4, 2)))
 
+    def test_empty_gallery(self):
+        with pytest.raises(ShapeMismatch, match=r"^rank_gallery: incompatible shapes \(\(0, 3\),\)$"):
+            mt.rank_gallery(np.zeros(3), np.zeros((0, 3)))
+
 
 class TestEvaluateRetrieval:
     def test_hand_ap(self):

@@ -162,11 +162,12 @@ class TestFreezing:
     def _step_all(self, model, steps=5, lr=0.1):
         # Each step's scalar reads every parameter, so the graph alone decides which get a gradient.
         rng = np.random.default_rng(0)
+        velocity, scratch = np.full_like(model.params.flat, -0.0), np.empty_like(model.params.flat)
         for _ in range(steps):
             leaves = model.params.as_leaves()
             terms = [ad.half_sq_error(leaf, rng.normal(size=leaf.shape)) for leaf in leaves.values()]
             ad.backward(ad.weighted_sum(terms, [1.0] * len(terms)))
-            sgd_step(model.params, leaves, lr, 0.9)
+            sgd_step(model.params, leaves, lr, 0.9, velocity, scratch)
 
     def test_frozen_parameters_never_move(self):
         model = small_model()
@@ -210,6 +211,11 @@ class TestFlatStorage:
             assert np.shares_memory(p.value, params.flat)
         params["head.b"].value = [7.0, 8.0, 9.0]
         assert params.flat[-3:].tolist() == [7.0, 8.0, 9.0]
+
+    def test_duplicate_parameter_rejected(self):
+        params = small_model().params
+        with pytest.raises(ValueError, match="^duplicate parameter 'head.b'$"):
+            params.add("head.b", np.zeros(3))
 
     def test_added_parameter_keeps_earlier_values(self):
         model = small_model()

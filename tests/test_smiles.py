@@ -162,6 +162,24 @@ class TestParse:
             graph.add_bond(1, 0, sk.BondOrder.DOUBLE)
         assert len(graph.bonds) == 1
 
+    @pytest.mark.parametrize("a, b, message", [(0, 2, r"bond endpoint out of range: \(0, 2\)"),
+                                               (-1, 0, r"bond endpoint out of range: \(-1, 0\)"),
+                                               (1, 1, "self-loop bond")])
+    def test_bond_endpoints_checked(self, a, b, message):
+        graph = sk.MolGraph(atoms=[sk.Atom("C"), sk.Atom("O")])
+        with pytest.raises(sk.SmilesError, match=f"^{message}$"):
+            graph.add_bond(a, b, sk.BondOrder.SINGLE)
+        assert graph.bonds == []
+
+    def test_empty_graph_not_written(self):
+        with pytest.raises(sk.SmilesError, match="^cannot write an empty graph$"):
+            sk.write_smiles(sk.MolGraph())
+
+    @pytest.mark.parametrize("perm", [[0, 1], [0, 0, 1], [1, 2, 3]])
+    def test_permutation_checked(self, perm):
+        with pytest.raises(ValueError, match="^perm must be a permutation of the atom indices$"):
+            sk.permute_atoms(sk.parse("CCO"), perm)
+
     @pytest.mark.parametrize("bad", ["C/C=C/C", "C[C@H](N)C", "[13CH3]C"])
     def test_stereo_and_isotopes_rejected(self, bad):
         with pytest.raises(sk.StereoUnsupported):
@@ -452,6 +470,10 @@ LEXER_TABLE = [
     ("(C[", ("UnterminatedBracket", 2, "unterminated bracket atom (column 2)")),
     ("C==C@", ("UnexpectedCharacter", 4, "unexpected character '@' (column 4)")),
     ("C.(C)", ("SmilesError", 2, "branch must follow an atom (column 2)")),
+    # A bond symbol with no atom after it, and a ring closure whose two digits name different orders.
+    ("C=1CC-1", ("UnmatchedRingBond", None, "ring bond 1 has conflicting bond orders")),
+    ("C(C=)C", ("SmilesError", 4, "dangling bond before branch close (column 4)")),
+    ("C=.C", ("SmilesError", 2, "dangling bond before fragment separator (column 2)")),
 ]
 
 

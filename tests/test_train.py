@@ -82,6 +82,23 @@ class TestTrainConfig:
             with pytest.raises(tr.ConfigError):
                 tr.TrainConfig(**bad).validate()
 
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(class_matrix_labels="drug"), "class_matrix_labels must be 'stage' or 'moa'"),
+        (dict(eval_every=0), "eval_every must be >= 1"),
+        (dict(split_ratio=1.0), "split_ratio must lie in (0, 1)"),
+    ])
+    def test_invalid_value_message(self, overrides, message):
+        with pytest.raises(tr.ConfigError) as err:
+            tr.TrainConfig(**overrides).validate()
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("momentum", [-0.0, -0.5])
+    def test_momentum_with_sign_bit_rejected(self, momentum):
+        # sgd_step starts the velocity at -0.0, which a -0.0 momentum would turn into +0.0.
+        with pytest.raises(tr.ConfigError, match="^momentum must be >= 0 with its sign bit clear"):
+            tr.TrainConfig(momentum=momentum).validate()
+        tr.TrainConfig(momentum=0.0).validate()
+
     @pytest.mark.parametrize("line", ["margin=nan", "learning_rate=nan", "center_alpha=nan",
                                       "temperature=inf", "w_center=-inf"])
     def test_non_finite_value_rejected(self, tmp_path, line):
@@ -139,36 +156,55 @@ class TestSgdStep:
         model.params.add("p", np.array(value, dtype=np.float64))
         return model.params
 
-    def _step(self, params, grad, lr, momentum):
+    @staticmethod
+    def _state(params):
+        """A velocity at its -0.0 start and a work vector, as ``run_stage`` makes them."""
+        return np.full_like(params.flat, -0.0), np.empty_like(params.flat)
+
+    def _step(self, params, state, grad, lr, momentum):
         """One ``sgd_step`` over fresh leaves, of which only p's carries a gradient."""
         leaves = params.as_leaves()
         leaves["p"].grad = np.array(grad, dtype=np.float64)
-        tr.sgd_step(params, leaves, lr=lr, momentum=momentum)
+        tr.sgd_step(params, leaves, lr, momentum, *state)
 
     def test_plain_step(self):
         params = self._params([0.0])
-        self._step(params, [1.0], lr=0.1, momentum=0.0)
+        self._step(params, self._state(params), [1.0], lr=0.1, momentum=0.0)
         assert params["p"].value.tolist() == [-0.1]
 
     def test_zero_grad_from_rest_leaves_params(self):
         params = self._params([1.5])
-        self._step(params, [0.0], lr=0.1, momentum=0.9)
+        state = self._state(params)
+        self._step(params, state, [0.0], lr=0.1, momentum=0.9)
         assert params["p"].value.tolist() == [1.5]
-        assert params.velocity_of("p").tolist() == [0.0]
+        assert state[0][params["p"].span].tobytes() == np.array([0.0]).tobytes()
 
     def test_velocity_decays_by_momentum(self):
         params = self._params([0.0])
-        self._step(params, [2.0], lr=0.1, momentum=0.9)  # a first update sets the velocity to g
-        self._step(params, [0.0], lr=0.1, momentum=0.9)
-        assert params.velocity_of("p").tolist() == [1.8]
+        state = self._state(params)
+        self._step(params, state, [2.0], lr=0.1, momentum=0.9)  # a first update sets the velocity to g
+        self._step(params, state, [0.0], lr=0.1, momentum=0.9)
+        assert state[0][params["p"].span].tolist() == [1.8]
 
     def test_two_step_momentum_unroll(self):
         # constant grad g: v1 = g, v2 = 1.9 g; total displacement lr*g*(1 + 1.9)
         params = self._params([0.0])
+        state = self._state(params)
         g = np.array([1.0])
-        self._step(params, g, lr=0.1, momentum=0.9)
-        self._step(params, g, lr=0.1, momentum=0.9)
+        self._step(params, state, g, lr=0.1, momentum=0.9)
+        self._step(params, state, g, lr=0.1, momentum=0.9)
         assert params["p"].value[0] == pytest.approx(-0.1 * (1 + 1.9), abs=1e-15)
+
+    @pytest.mark.parametrize("momentum", [0.0, 0.5, 0.9])
+    def test_first_update_from_minus_zero_sets_velocity_to_g(self, momentum):
+        # momentum * -0.0 + g is g bit for bit, signed zeros and subnormals included.
+        g = np.array([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 1e308, -1e308])
+        value = np.random.default_rng(3).normal(size=g.size)
+        params = self._params(value)
+        state = self._state(params)
+        self._step(params, state, g, lr=0.1, momentum=momentum)
+        assert state[0][params["p"].span].tobytes() == g.tobytes()
+        assert params["p"].value.tobytes() == (value - 0.1 * g).tobytes()
 
     def test_matches_a_per_parameter_update(self):
         # Random subsets of leaves hold a gradient, so runs of adjacent parameters
@@ -178,35 +214,38 @@ class TestSgdStep:
         params = Model(ModelConfig(vocab_size=5, frame_dim=3, num_classes=3, embed_dim=4, token_dim=2,
                                    mol_hidden=3, seq_hidden=3, seed=2)).params
         params["seq.b1"].value = np.full(3, -0.0)
+        velocity, scratch = self._state(params)
         reference = {n: (p.value.copy(), None) for n, p in params.items()}
         for _ in range(8):
             leaves = params.as_leaves()
             for leaf in leaves.values():
                 if rng.random() < 0.6:
                     leaf.grad = np.where(rng.random(leaf.shape) < 0.3, -0.0, rng.normal(size=leaf.shape))
-            tr.sgd_step(params, leaves, lr=0.05, momentum=0.9)
+            tr.sgd_step(params, leaves, 0.05, 0.9, velocity, scratch)
             for name, leaf in leaves.items():
                 if leaf.grad is not None:
-                    value, velocity = reference[name]
-                    velocity = leaf.grad.copy() if velocity is None else 0.9 * velocity + leaf.grad
-                    reference[name] = (value - 0.05 * velocity, velocity)
+                    value, v = reference[name]
+                    v = leaf.grad.copy() if v is None else 0.9 * v + leaf.grad
+                    reference[name] = (value - 0.05 * v, v)
             for name, p in params.items():
-                value, velocity = reference[name]
+                value, v = reference[name]
                 assert p.value.tobytes() == value.tobytes()
-                got = params.velocity_of(name)
-                assert (None if got is None else got.tobytes()) == (None if velocity is None else velocity.tobytes())
+                # A parameter that no update has reached keeps the -0.0 start.
+                expected = np.full(p.value.shape, -0.0) if v is None else v
+                assert velocity[p.span].tobytes() == expected.tobytes()
 
     def test_frozen_untouched(self):
         # A frozen parameter's leaf needs no gradient; a leaf without one leaves its
         # parameter and velocity as they were.
         params = self._params([1.5])
-        self._step(params, [5.0], lr=0.1, momentum=0.0)  # velocity 5.0, value 1.0
+        state = self._state(params)
+        self._step(params, state, [5.0], lr=0.1, momentum=0.0)  # velocity 5.0, value 1.0
         params.set_trainable("p", False)
         leaves = params.as_leaves()
         assert not leaves["p"].requires_grad and leaves["p"].grad is None
-        tr.sgd_step(params, leaves, lr=0.1, momentum=0.0)
+        tr.sgd_step(params, leaves, 0.1, 0.0, *state)
         assert params["p"].value.tolist() == [1.0]
-        assert params.velocity_of("p").tolist() == [5.0]
+        assert state[0][params["p"].span].tolist() == [5.0]
 
 
 class TestRunStage:
@@ -226,10 +265,16 @@ class TestRunStage:
             assert (a.model.params[name].value == b.model.params[name].value).all()
 
     def test_stage_model_keeps_no_velocity(self, tiny_split):
+        # The SGD state lives in run_stage's loop; the stage's ParameterSet holds parameters only.
         result = tr.run_stage(tiny_config(), tiny_split)
         assert result.loss_log
-        assert result.model.params.velocity is None and result.model.params.scratch is None
-        assert all(result.model.params.velocity_of(n) is None for n in result.model.params.names())
+        assert set(vars(result.model.params)) == {"_params", "flat"}
+
+    @pytest.mark.parametrize("empty", ["train", "test"])
+    def test_empty_split_rejected(self, tiny_split, empty):
+        split = replace(tiny_split, **{empty: []})
+        with pytest.raises(ValueError, match="^run_stage needs non-empty train and test sets$"):
+            tr.run_stage(tiny_config(), split)
 
     def test_checkpoint_arrays_do_not_follow_the_model(self, tiny_split):
         result = tr.run_stage(tiny_config(epochs=1), tiny_split)
@@ -238,7 +283,8 @@ class TestRunStage:
         leaves = result.model.params.as_leaves()
         for leaf in leaves.values():
             leaf.grad = np.ones_like(leaf.data)
-        tr.sgd_step(result.model.params, leaves, lr=0.1, momentum=0.9)
+        flat = result.model.params.flat
+        tr.sgd_step(result.model.params, leaves, 0.1, 0.9, np.full_like(flat, -0.0), np.empty_like(flat))
         assert result.model.params["seq.w1"].value.tobytes() != saved["seq.w1"]
         assert {n: v.tobytes() for n, v in ckpt.parameters.items()} == saved
 
