@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import data
 from . import train as tr
-from .errors import ConfigError, LabelOutOfRange
+from .errors import ConfigError, DegenerateBatch, LabelOutOfRange
 from .model import load_checkpoint
 from .smiles import SmilesError, canonical_smiles, tokenize
 from .train import GRAD_TOLERANCE, TrainConfig, gradient_check_suite
@@ -37,7 +37,10 @@ def _cmd_train(args) -> int:
     config = data.read_config(args.config, TrainConfig)
     split = _load_split(args.data, config)
     init = load_checkpoint(args.init) if args.init else None
-    result = tr.run_stage(config, split, init=init, out_dir=args.out)
+    try:
+        result = tr.run_stage(config, split, init=init, out_dir=args.out)
+    except DegenerateBatch as exc:  # only a one-class PK layout, P = 1, leaves an anchor without a negative
+        raise DegenerateBatch(f"batch_p={config.batch_p}: {exc} ({args.config})") from None
     final = result.final
     print(
         f"stage={config.stage} epochs={config.epochs} "
@@ -117,7 +120,7 @@ def _cmd_linewise(args, transform) -> int:
 
 
 def _cmd_tokenize(args) -> int:
-    return _cmd_linewise(args, lambda s: " ".join(t.text for t in tokenize(s)))
+    return _cmd_linewise(args, lambda s: " ".join(tokenize(s)))
 
 
 def _cmd_canonicalize(args) -> int:

@@ -16,11 +16,13 @@ class ShapeMismatch(ValueError):
 
 
 class NonFiniteValue(ArithmeticError):
-    """An operation produced NaN or Inf."""
+    """An operation produced NaN or Inf; ``parameter`` names the model parameter that holds it, if one does."""
 
-    def __init__(self, op: str) -> None:
+    def __init__(self, op: str, parameter: str | None = None) -> None:
         self.op = op
-        super().__init__(f"{op}: result contains NaN or Inf")
+        self.parameter = parameter
+        where = "" if parameter is None else f" (parameter {parameter!r})"
+        super().__init__(f"{op}: result contains NaN or Inf{where}")
 
 
 class NonScalarLoss(ValueError):

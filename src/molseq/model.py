@@ -139,11 +139,14 @@ class ParameterSet:
 
         ``names`` (default: every parameter) are the parameters the step
         reads.  One scan of the whole vector raises ``NonFiniteValue("leaf")``
-        before any leaf is built.  The leaves are views of the vector, so the
-        step's ``sgd_step`` moves them: it runs once the step's graph is done.
+        before any leaf is built; only then is the first parameter whose span
+        holds a NaN or Inf looked for, and named.  The leaves are views of the
+        vector, so the step's ``sgd_step`` moves them: it runs once the step's
+        graph is done.
         """
         if not np.isfinite(self.flat).all():
-            raise NonFiniteValue("leaf")
+            bad = next(n for n, p in self._params.items() if not np.isfinite(p._view).all())
+            raise NonFiniteValue("leaf", bad)
         params = self._params
         return {n: ad.Tensor(params[n]._view, requires_grad=params[n].trainable, check_finite=False)
                 for n in (params if names is None else names)}

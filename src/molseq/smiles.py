@@ -6,31 +6,24 @@ rejected outright (StereoUnsupported) instead of being stripped, and no
 valence or aromaticity perception is attempted: a molecule is exactly the
 graph its SMILES spells out.
 
-One reader, ``_read``, walks a string's regex matches once and emits plain
-lists: per atom its invariant ``(element, aromatic, charge, H count or -1)``
-and output token, the int-coded adjacency, and the bonds in source order.
+One reader, ``_read``, walks a string's regex matches once and emits the
+one molecule form, the four lists of a ``Molecule``; ``parse`` returns them.
 ``canonical_smiles`` hands them straight to the canonical core (Morgan
-refinement, then the writer); ``parse`` wraps them in a ``MolGraph``, and
-``canonicalize`` feeds a graph's own lists to the same core.  ``tokenize``,
-``parse`` and ``MolGraph`` keep their public forms.
+refinement, then the writer), and ``canonicalize``, ``write_smiles``,
+``permute_atoms`` and ``random_smiles`` take a ``Molecule``.  ``tokenize``
+returns the token texts.
 """
 
 from __future__ import annotations
 
-import enum
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
-    "TokenKind",
-    "Token",
-    "BondOrder",
-    "Atom",
-    "Bond",
-    "MolGraph",
+    "Molecule",
     "Vocabulary",
     "SmilesError",
     "UnexpectedCharacter",
@@ -107,24 +100,9 @@ class StereoUnsupported(SmilesError):
         super().__init__(f"stereo/isotope markers are not supported ({what})", position)
 
 
-class TokenKind(enum.Enum):
-    ATOM = "atom"
-    BRACKET_ATOM = "bracket_atom"
-    BOND = "bond"
-    RING_BOND = "ring_bond"
-    BRANCH_OPEN = "branch_open"
-    BRANCH_CLOSE = "branch_close"
-    DOT = "dot"
-
-
-class Token(NamedTuple):
-    text: str
-    kind: TokenKind
-
-
-# One group per TokenKind, in its order, then a catch-all: finditer never skips
-# a character, and the first catch-all match is the first lexing error.
-# _read dispatches on these group numbers.
+# One group per kind of token, then a catch-all: finditer never skips a
+# character, and the first catch-all match is the first lexing error.  _read
+# dispatches on these group numbers.
 _ATOM, _BRACKET_ATOM, _BOND, _RING_BOND, _BRANCH_OPEN, _BRANCH_CLOSE, _DOT, _JUNK = range(1, 9)
 _TOKEN_RE = re.compile(
     r"(Cl|Br|[BCNOPSFIbcnops])"  # atom in the organic subset
@@ -135,67 +113,26 @@ _TOKEN_RE = re.compile(
     r"|(.)",
     re.DOTALL,
 )
-_KIND_OF_GROUP = (None, *TokenKind)
 # A bracket atom's body after the '@' and isotope checks: element or aromatic
 # symbol, optional H count, optional charge as digits or a repeated sign.
 _BRACKET_RE = re.compile(r"([A-Z][a-z]?|[bcnops])(?:H(\d*))?(?:([+-])(\d+|\3*))?")
 
-
-class BondOrder(enum.Enum):
-    SINGLE = 1
-    DOUBLE = 2
-    TRIPLE = 3
-    AROMATIC = 4
-
-
-# A bond's code is its BondOrder's value; 0 stands for "no bond symbol read".
-_BOND_CODE = {symbol: order.value for symbol, order in zip("-=#:", BondOrder)}
+# A bond's code: 1 single, 2 double, 3 triple, 4 aromatic; 0 stands for "no bond symbol read".
+_BOND_CODE = {symbol: code for code, symbol in enumerate("-=#:", start=1)}
 _BOND_SYMBOL = {code: symbol for symbol, code in _BOND_CODE.items()}
-_ORDER_OF_CODE = (None, *BondOrder)
-_SINGLE_CODE, _AROMATIC_CODE = BondOrder.SINGLE.value, BondOrder.AROMATIC.value
+_SINGLE_CODE, _AROMATIC_CODE = _BOND_CODE["-"], _BOND_CODE[":"]
 # Invariant of each organic-subset lexeme; its output token is the lexeme itself.
 _ORGANIC_INVARIANT = {s: (s.upper() if s in _AROMATIC else s, s in _AROMATIC, 0, -1)
                       for s in (*_ORGANIC, *_TWO_LETTER, *_AROMATIC)}
 
 
-@dataclass
-class Atom:
-    element: str
-    aromatic: bool = False
-    charge: int = 0
-    h_count: int | None = None  # None: implicit (organic subset); int: explicit
+class Molecule(NamedTuple):
+    """A molecule as ``_read`` gives it; atoms are list indices, and a bond code is as in ``_BOND_CODE``."""
 
-
-class Bond(NamedTuple):
-    a: int
-    b: int
-    order: BondOrder
-
-
-@dataclass
-class MolGraph:
-    """Atoms plus undirected bonds; endpoints are atom indices."""
-
-    atoms: list[Atom] = field(default_factory=list)
-    bonds: list[Bond] = field(default_factory=list)
-    # Endpoint pairs (low, high) of the bonds passed in or added by add_bond; a bond appended
-    # directly must add its own pair.
-    _pairs: set[tuple[int, int]] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self._pairs = {(min(a, b), max(a, b)) for a, b, _ in self.bonds}
-
-    def add_bond(self, a: int, b: int, order: BondOrder) -> None:
-        n = len(self.atoms)
-        if not (0 <= a < n and 0 <= b < n):
-            raise SmilesError(f"bond endpoint out of range: ({a}, {b})")
-        if a == b:
-            raise SmilesError("self-loop bond")
-        key = (min(a, b), max(a, b))
-        if key in self._pairs:
-            raise SmilesError(f"duplicate bond between atoms {a} and {b}")
-        self.bonds.append(Bond(a, b, order))
-        self._pairs.add(key)
+    invariants: list[tuple[str, bool, int, int]]  # (element, aromatic, charge, H count or -1 for implicit)
+    tokens: list[str]  # each atom's text in a written SMILES
+    adj: list[list[tuple[int, int]]]  # each atom's (neighbor, bond code) pairs
+    bonds: list[tuple[int, int, int]]  # (a, b, bond code), each bond once
 
 
 def _lexemes(smiles: str):
@@ -211,9 +148,9 @@ def _lexemes(smiles: str):
         yield m
 
 
-def tokenize(smiles: str) -> list[Token]:
-    """Lex a SMILES string; joining the token texts reproduces the input."""
-    return [Token(m[0], _KIND_OF_GROUP[m.lastindex]) for m in _lexemes(smiles)]
+def tokenize(smiles: str) -> list[str]:
+    """Lex a SMILES string into its token texts; joining them reproduces the input."""
+    return [m[0] for m in _lexemes(smiles)]
 
 
 def _parse_bracket(text: str, position: int) -> tuple[str, bool, int, int]:
@@ -240,13 +177,11 @@ def _parse_bracket(text: str, position: int) -> tuple[str, bool, int, int]:
 
 
 def _read(smiles: str):
-    """Read a SMILES string in one pass: (invariants, tokens, adjacency, bonds).
+    """Read a SMILES string in one pass into a ``Molecule``'s lists, the bonds in source order.
 
-    Per atom, its invariant (element, aromatic, charge, H count or -1) and its
-    output token; per atom, its (neighbor, bond code) pairs; and the bonds as
-    (a, b, code) in source order.  A lexing error anywhere in the string wins
-    over an earlier parse error: on a parse error the whole string is lexed
-    first, and the first lexing error, if there is one, is raised instead.
+    A lexing error anywhere in the string wins over an earlier parse error:
+    on a parse error the whole string is lexed first, and the first lexing
+    error, if there is one, is raised instead.
     """
     invariants: list[tuple[str, bool, int, int]] = []
     tokens: list[str] = []
@@ -334,25 +269,18 @@ def _read(smiles: str):
     return invariants, tokens, adj, bonds
 
 
-def parse(smiles: str) -> MolGraph:
-    """Build the molecular graph a SMILES string spells out."""
-    invariants, _, _, bonds = _read(smiles)
-    return MolGraph(atoms=[Atom(e, aromatic, charge, None if h < 0 else h) for e, aromatic, charge, h in invariants],
-                    bonds=[Bond(a, b, _ORDER_OF_CODE[code]) for a, b, code in bonds])
+def parse(smiles: str) -> Molecule:
+    """The molecule a SMILES string spells out."""
+    return Molecule(*_read(smiles))
 
 
-def _graph_lists(graph: MolGraph):
-    """A graph's (invariants, tokens, adjacency), as _read gives them for a string."""
-    invariants, tokens = [], []
-    for atom in graph.atoms:
-        invariants.append((atom.element, atom.aromatic, atom.charge, -1 if atom.h_count is None else atom.h_count))
-        tokens.append(_atom_token(atom.element, atom.aromatic, atom.charge, atom.h_count))
-    adj: list[list[tuple[int, int]]] = [[] for _ in graph.atoms]
-    for a, b, order in graph.bonds:
-        code = order.value
+def _adjacency(n: int, bonds) -> list[list[tuple[int, int]]]:
+    """Each of ``n`` atoms' (neighbor, bond code) pairs, in bond order, as ``_read`` builds them."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for a, b, code in bonds:
         adj[a].append((b, code))
         adj[b].append((a, code))
-    return invariants, tokens, adj
+    return adj
 
 
 def _fragments(adj) -> list[list[int]]:
@@ -421,19 +349,14 @@ def _morgan_ranks(invariants: list, atoms: list[int], adj) -> list[int]:
     return ranks
 
 
-def _atom_token(element: str, aromatic: bool, charge: int, h_count: int | None) -> str:
-    bare_ok = (
-        charge == 0
-        and h_count is None
-        and (element in _ORGANIC or element in _TWO_LETTER or (aromatic and element.lower() in _AROMATIC))
-    )
+def _atom_token(element: str, aromatic: bool, charge: int, h_count: int) -> str:
+    """An atom's text from its invariant; an implicit H count (-1) writes an organic-subset atom bare."""
     symbol = element.lower() if aromatic else element
-    if bare_ok:
+    if charge == 0 and h_count < 0 and (element in _ORGANIC or element in _TWO_LETTER or symbol in _AROMATIC):
         return symbol
     parts = ["[", symbol]
-    h = h_count or 0
-    if h > 0:
-        parts.append("H" if h == 1 else f"H{h}")
+    if h_count > 0:
+        parts.append("H" if h_count == 1 else f"H{h_count}")
     if charge:
         sign, size = ("+", charge) if charge > 0 else ("-", -charge)
         parts.append(sign if size == 1 else f"{sign}{size}")
@@ -514,12 +437,12 @@ def _write_fragments(invariants: list, tokens: list[str], adj, priority: list, f
     return texts
 
 
-def write_smiles(graph: MolGraph, priority: list[int] | None = None) -> str:
-    """Write a SMILES string for the graph, visiting atoms by (priority, index), lowest first."""
-    if not graph.atoms:
+def write_smiles(mol: Molecule, priority: list[int] | None = None) -> str:
+    """Write a SMILES string for the molecule, visiting atoms by (priority, index), lowest first."""
+    invariants, tokens, adj, _ = mol
+    n = len(tokens)
+    if not n:
         raise SmilesError("cannot write an empty graph")
-    n = len(graph.atoms)
-    invariants, tokens, adj = _graph_lists(graph)
     prio = list(range(n)) if priority is None else [priority[a] * n + a for a in range(n)]
     return ".".join(_write_fragments(invariants, tokens, adj, prio, _fragments(adj)))
 
@@ -536,43 +459,38 @@ def _canonical(invariants: list, tokens: list[str], adj, fragments: list[list[in
     return ".".join(sorted(_write_fragments(invariants, tokens, adj, prio, fragments)))
 
 
-def canonicalize(graph: MolGraph) -> str:
-    """Deterministic canonical SMILES for the graph.
+def canonicalize(mol: Molecule) -> str:
+    """Deterministic canonical SMILES for the molecule.
 
     The output depends only on the isomorphism class of the graph as long
     as the Morgan refinement assigns distinct ranks within each fragment;
     residual automorphism ties fall back to input order.  Fragments are
     written independently and joined by '.' in sorted order.
     """
-    invariants, tokens, adj = _graph_lists(graph)
-    return _canonical(invariants, tokens, adj, _fragments(adj))
+    return _canonical(mol.invariants, mol.tokens, mol.adj, _fragments(mol.adj))
 
 
 def canonical_smiles(smiles: str) -> str:
-    """``canonicalize(parse(smiles))``, from the reader's lists without building the graph."""
+    """``canonicalize(parse(smiles))``, with one fragment taken as given when the string has no '.'."""
     invariants, tokens, adj, _ = _read(smiles)
     # Without a '.', every atom but the first bonds to one read before it: one fragment.
     return _canonical(invariants, tokens, adj, _fragments(adj) if "." in smiles else [list(range(len(tokens)))])
 
 
-def permute_atoms(graph: MolGraph, perm: list[int]) -> MolGraph:
+def permute_atoms(mol: Molecule, perm: list[int]) -> Molecule:
     """Relabel atoms: new index perm[i] gets old atom i."""
-    if sorted(perm) != list(range(len(graph.atoms))):
+    n = len(mol.tokens)
+    if sorted(perm) != list(range(n)):
         raise ValueError("perm must be a permutation of the atom indices")
-    atoms: list[Atom | None] = [None] * len(graph.atoms)
-    for old, new in enumerate(perm):
-        a = graph.atoms[old]
-        atoms[new] = Atom(a.element, a.aromatic, a.charge, a.h_count)
-    out = MolGraph(atoms=atoms)  # type: ignore[arg-type]
-    for a, b, order in graph.bonds:
-        out.add_bond(perm[a], perm[b], order)
-    return out
+    old = sorted(range(n), key=perm.__getitem__)  # the old index of each new one
+    bonds = [(perm[a], perm[b], code) for a, b, code in mol.bonds]
+    return Molecule([mol.invariants[a] for a in old], [mol.tokens[a] for a in old], _adjacency(n, bonds), bonds)
 
 
-def random_smiles(graph: MolGraph, rng: np.random.Generator) -> str:
-    """A random rewrite of the graph: same molecule, shuffled atom order."""
-    perm = rng.permutation(len(graph.atoms)).tolist()
-    return write_smiles(permute_atoms(graph, perm), rng.permutation(len(graph.atoms)).tolist())
+def random_smiles(mol: Molecule, rng: np.random.Generator) -> str:
+    """A random rewrite of the molecule: same graph, shuffled atom order."""
+    n = len(mol.tokens)
+    return write_smiles(permute_atoms(mol, rng.permutation(n).tolist()), rng.permutation(n).tolist())
 
 
 @dataclass(frozen=True)
@@ -604,7 +522,7 @@ def build_vocabulary(corpus: list[str]) -> Vocabulary:
     texts: set[str] = set()
     for i, smiles in enumerate(corpus):
         try:
-            texts.update(m[0] for m in _lexemes(smiles))
+            texts.update(tokenize(smiles))
         except SmilesError as exc:
             exc.corpus_index = i
             raise
@@ -618,6 +536,6 @@ def encode_tokens(smiles: str, vocab: Vocabulary, max_len: int) -> list[int]:
     """Token ids padded or truncated to exactly max_len; OOV maps to UNK."""
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
-    ids = [vocab.id_of(m[0]) for m in _lexemes(smiles)][:max_len]
+    ids = [vocab.id_of(text) for text in tokenize(smiles)][:max_len]
     ids.extend([PAD_ID] * (max_len - len(ids)))
     return ids

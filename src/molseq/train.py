@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from .data import (DatasetSplit, InsufficientClasses, Sample, choose_pk, labels_of, pk_classes, pk_groups,
                    pk_sample_indices, split_query_gallery)
-from .errors import ConfigError, NonFiniteValue
+from .errors import ConfigError, DegenerateBatch, NonFiniteValue
 from .losses import (
     CenterState,
     build_supervision,
@@ -466,7 +466,9 @@ def _run_plan(plan, data: DatasetSplit, base: TrainConfig, out_dir=None) -> dict
 
     Stage ``name`` writes to ``out_dir/name``; returns the results by name.  Before any stage trains,
     each fitted config's class table must hold P classes of K samples, or ``InsufficientClasses``
-    names the stage, and then each fitted config must validate.  Consecutive stages that share the
+    names the stage; its PK layout must give every anchor a positive and a negative, or
+    ``DegenerateBatch`` names the stage (P = 1, as when the train set holds one class of the
+    stage's label kind); and then each fitted config must validate.  Consecutive stages that share the
     label kind, P, K, seed and step count train on one PK schedule, the only one kept alive.
     """
     out = Path(out_dir) if out_dir is not None else None
@@ -475,8 +477,9 @@ def _run_plan(plan, data: DatasetSplit, base: TrainConfig, out_dir=None) -> dict
     for name, cfg in configs.items():
         try:
             classes[name] = pk_classes(pk_groups(labels_of(data.train, cfg.label_kind)), cfg.batch_p, cfg.batch_k)
-        except InsufficientClasses as exc:
-            raise InsufficientClasses(f"stage {name}: {exc}") from exc
+            _pk_constants(cfg)
+        except (InsufficientClasses, DegenerateBatch) as exc:
+            raise type(exc)(f"stage {name}: {exc}") from exc
     for cfg in configs.values():
         cfg.validate()
     results: dict[str, StageResult] = {}

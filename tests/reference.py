@@ -11,9 +11,10 @@ computes on the way to a canonical SMILES, for the golden rank tests.
 
 ``reference_parse`` is the SMILES parser that the one-pass reader
 ``molseq.smiles._read`` replaced: it lexes the whole string with
-``tokenize`` first and then walks the ``Token`` list, building ``Atom`` and
-``Bond`` records as it goes.  The differential tests hold ``parse`` and
-``canonical_smiles`` to its outcomes, errors included.
+``tokenize`` first and then walks the token texts, classifying each by the
+``_TOKEN_RE`` group it matches, and emits the same ``Molecule`` record.  The
+differential tests hold ``parse`` and ``canonical_smiles`` to its outcomes,
+errors included.
 """
 
 from __future__ import annotations
@@ -37,27 +38,30 @@ from molseq.autodiff import (
 from molseq.errors import ShapeMismatch
 from molseq.smiles import (
     _AROMATIC,
+    _ATOM,
+    _BOND,
+    _BRACKET_ATOM,
     _BRACKET_RE,
-    Atom,
-    Bond,
-    BondOrder,
-    MolGraph,
+    _BRANCH_CLOSE,
+    _BRANCH_OPEN,
+    _DOT,
+    _RING_BOND,
+    _TOKEN_RE,
+    Molecule,
     SmilesError,
     StereoUnsupported,
-    TokenKind,
     UnclosedBranch,
     UnexpectedCharacter,
     UnmatchedRingBond,
+    _adjacency,
+    _atom_token,
     _fragments,
-    _graph_lists,
     _morgan_ranks,
     tokenize,
 )
 
-_BOND_ORDER = {"-": BondOrder.SINGLE, "=": BondOrder.DOUBLE, "#": BondOrder.TRIPLE, ":": BondOrder.AROMATIC}
-_SINGLE, _AROMATIC_BOND = BondOrder.SINGLE, BondOrder.AROMATIC
-_ATOM, _BRACKET_ATOM, _BOND, _RING_BOND = TokenKind.ATOM, TokenKind.BRACKET_ATOM, TokenKind.BOND, TokenKind.RING_BOND
-_BRANCH_OPEN, _BRANCH_CLOSE, _DOT = TokenKind.BRANCH_OPEN, TokenKind.BRANCH_CLOSE, TokenKind.DOT
+_BOND_ORDER = {"-": 1, "=": 2, "#": 3, ":": 4}  # bond codes
+_SINGLE, _AROMATIC_BOND = _BOND_ORDER["-"], _BOND_ORDER[":"]
 
 
 def sub(a, b) -> Tensor:
@@ -151,18 +155,17 @@ def transpose(x) -> Tensor:
     return _node("transpose", x.data.T.copy(), (x,), lambda g: (g.T.copy(),))
 
 
-def canonical_ranks(graph: MolGraph) -> list[int]:
+def canonical_ranks(mol: Molecule) -> list[int]:
     """Per-atom refined ranks (dense within each fragment)."""
-    invariants, _, adj = _graph_lists(graph)
-    out = [0] * len(graph.atoms)
-    for frag in _fragments(adj):
-        for a, r in zip(frag, _morgan_ranks(invariants, frag, adj)):
+    out = [0] * len(mol.tokens)
+    for frag in _fragments(mol.adj):
+        for a, r in zip(frag, _morgan_ranks(mol.invariants, frag, mol.adj)):
             out[a] = r
     return out
 
 
-def _reference_bracket(text: str, position: int) -> Atom:
-    """Decode one '[...]' token into an Atom."""
+def _reference_bracket(text: str, position: int) -> tuple[str, bool, int, int]:
+    """Decode one '[...]' token into an atom invariant (element, aromatic, charge, H count)."""
     body = text[1:-1]
     if "@" in body:
         raise StereoUnsupported("chirality '@' in bracket atom", position)
@@ -181,43 +184,45 @@ def _reference_bracket(text: str, position: int) -> Atom:
             charge = -charge
     aromatic = symbol.islower()
     h_count = 0 if h_digits is None else int(h_digits or 1)
-    return Atom(symbol.upper() if aromatic else symbol, aromatic, charge, h_count)
+    return symbol.upper() if aromatic else symbol, aromatic, charge, h_count
 
 
-def reference_parse(smiles: str) -> MolGraph:
+def reference_parse(smiles: str) -> Molecule:
     """Tokenize the whole string, then walk the tokens: the parser that ``_read`` replaced."""
-    graph = MolGraph()
-    atoms, bonds, pairs = graph.atoms, graph.bonds, graph._pairs
+    atoms: list[tuple[str, bool, int, int]] = []
+    bonds: list[tuple[int, int, int]] = []
+    pairs: set[tuple[int, int]] = set()
     anchor: int | None = None
-    pending: BondOrder | None = None
+    pending: int | None = None
     branch_stack: list[int | None] = []
-    open_rings: dict[int, tuple[int, BondOrder | None]] = {}
+    open_rings: dict[int, tuple[int, int | None]] = {}
 
     tok_pos = 0
-    for text, kind in tokenize(smiles):
-        if kind is _ATOM or kind is _BRACKET_ATOM:
-            if kind is _ATOM:
+    for text in tokenize(smiles):
+        kind = _TOKEN_RE.match(text).lastindex
+        if kind == _ATOM or kind == _BRACKET_ATOM:
+            if kind == _ATOM:
                 aromatic = text in _AROMATIC
-                atom = Atom(element=text.upper() if aromatic else text, aromatic=aromatic)
+                atom = (text.upper() if aromatic else text, aromatic, 0, -1)
             else:
                 atom = _reference_bracket(text, tok_pos)
             idx = len(atoms)
             atoms.append(atom)
             if anchor is not None:
                 if pending is None:
-                    pending = _AROMATIC_BOND if atom.aromatic and atoms[anchor].aromatic else _SINGLE
+                    pending = _AROMATIC_BOND if atom[1] and atoms[anchor][1] else _SINGLE
                 # A chain bond always reaches a new atom, so it is never a duplicate.
-                bonds.append(Bond(anchor, idx, pending))
+                bonds.append((anchor, idx, pending))
                 pairs.add((anchor, idx))
             anchor = idx
             pending = None
-        elif kind is _BOND:
+        elif kind == _BOND:
             if text in "/\\":
                 raise StereoUnsupported(f"directional bond {text!r}", tok_pos)
             if anchor is None or pending is not None:
                 raise SmilesError("bond symbol without a preceding atom", tok_pos)
             pending = _BOND_ORDER[text]
-        elif kind is _RING_BOND:
+        elif kind == _RING_BOND:
             digit = int(text[1:]) if text[0] == "%" else int(text)
             if anchor is None:
                 raise SmilesError("ring bond digit before any atom", tok_pos)
@@ -225,26 +230,29 @@ def reference_parse(smiles: str) -> MolGraph:
                 other, other_order = open_rings.pop(digit)
                 if other == anchor:
                     raise UnmatchedRingBond(digit, f"ring bond {digit} closes on its own atom")
-                if pending is not None and other_order is not None and pending is not other_order:
+                if pending is not None and other_order is not None and pending != other_order:
                     raise UnmatchedRingBond(digit, f"ring bond {digit} has conflicting bond orders")
                 order = pending or other_order
                 if order is None:
-                    order = _AROMATIC_BOND if atoms[other].aromatic and atoms[anchor].aromatic else _SINGLE
-                graph.add_bond(other, anchor, order)
+                    order = _AROMATIC_BOND if atoms[other][1] and atoms[anchor][1] else _SINGLE
+                if (min(other, anchor), max(other, anchor)) in pairs:
+                    raise SmilesError(f"duplicate bond between atoms {other} and {anchor}")
+                bonds.append((other, anchor, order))
+                pairs.add((min(other, anchor), max(other, anchor)))
             else:
                 open_rings[digit] = (anchor, pending)
             pending = None
-        elif kind is _BRANCH_OPEN:
+        elif kind == _BRANCH_OPEN:
             if anchor is None or pending is not None:
                 raise SmilesError("branch must follow an atom", tok_pos)
             branch_stack.append(anchor)
-        elif kind is _BRANCH_CLOSE:
+        elif kind == _BRANCH_CLOSE:
             if not branch_stack:
                 raise UnclosedBranch("branch close without matching open")
             if pending is not None:
                 raise SmilesError("dangling bond before branch close", tok_pos)
             anchor = branch_stack.pop()
-        elif kind is _DOT:
+        elif kind == _DOT:
             if pending is not None:
                 raise SmilesError("dangling bond before fragment separator", tok_pos)
             anchor = None
@@ -256,4 +264,4 @@ def reference_parse(smiles: str) -> MolGraph:
         raise UnmatchedRingBond(min(open_rings))
     if branch_stack:
         raise UnclosedBranch()
-    return graph
+    return Molecule(atoms, [_atom_token(*atom) for atom in atoms], _adjacency(len(atoms), bonds), bonds)

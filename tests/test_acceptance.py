@@ -149,7 +149,7 @@ def test_smiles_suite():
     t0 = time.monotonic()
     pool = load_smiles_pool()
     for s in pool:
-        assert "".join(t.text for t in sk.tokenize(s)) == s
+        assert "".join(sk.tokenize(s)) == s
         canon = sk.canonical_smiles(s)
         assert sk.canonical_smiles(canon) == canon  # idempotence
 

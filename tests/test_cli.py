@@ -216,6 +216,15 @@ class TestConfigValues:
         assert capsys.readouterr().err == f"error: {message} ({path})\n"
         assert not out.exists()
 
+    def test_one_class_batch_names_key_and_file(self, dataset_dir, train_config, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        out = tmp_path / "out"
+        path.write_text(train_config.read_text() + "batch_p=1\n")
+        assert main(["train", "--config", str(path), "--data", str(dataset_dir), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: batch_p=1: every anchor needs at least one positive and one negative ({path})\n")
+        assert not out.exists()
+
 
 class TestCheckpointMetadata:
     @pytest.mark.parametrize("rewrite, message", [

@@ -240,6 +240,17 @@ class TestFlatStorage:
             model.params.as_leaves()
         assert err.value.op == "leaf"
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_leaf_names_its_parameter(self, bad):
+        model = small_model()
+        name = model.params.names()[2]  # neither the first nor the last span
+        value = model.params[name].value.copy()
+        value.flat[-1] = bad
+        model.params[name].value = value
+        with pytest.raises(NonFiniteValue, match=rf"^leaf: result contains NaN or Inf \(parameter '{name}'\)$") as err:
+            model.params.as_leaves()
+        assert (err.value.op, err.value.parameter) == ("leaf", name)
+
     def test_freed_without_the_cycle_collector(self):
         # A parameter referring back to its set would make a cycle, and a finished
         # stage's vectors would then stay in memory until the cycle collector ran.

@@ -692,6 +692,18 @@ class TestStrategiesAndPipeline:
             tr.run_pipeline(split, tiny_config(batch_p=16, batch_k=4), out_dir=tmp_path / "run")
         assert not (tmp_path / "run").exists()
 
+    def test_one_class_stage_is_named_before_the_first_trains(self, tmp_path, monkeypatch):
+        # The train set holds one MoA, so fine-tuning fits P = 1, while each drug stage still draws 2 x 2.
+        samples = generate_synthetic(SyntheticSpec(num_moas=2, drugs_per_moa=3, samples_per_drug=12, T=3, f=6, seed=3))
+        split = prepare_split([s for s in samples if s.moa_label == 0], ratio=0.8, seed=3)
+        updates = []
+        monkeypatch.setattr(tr, "sgd_step", lambda *args: updates.append(args))
+        with pytest.raises(ls.DegenerateBatch,
+                           match=r"^stage finetune: every anchor needs at least one positive and one negative$"):
+            tr.run_pipeline(split, tiny_config(), out_dir=tmp_path / "run")
+        assert updates == []
+        assert not (tmp_path / "run").exists()
+
     def test_pk_autofit(self, tiny_split):
         cfg = tr.TrainConfig(epochs=2, batch_p=16, batch_k=4, embed_dim=8, token_dim=4,
                              mol_hidden=8, seq_hidden=8, eval_every=2, seed=1)
