@@ -16,11 +16,16 @@ class ShapeMismatch(ValueError):
 
 
 class NonFiniteValue(ArithmeticError):
-    """An operation produced NaN or Inf; ``parameter`` names the model parameter that holds it, if one does."""
+    """An operation produced NaN or Inf; ``parameter`` names the model parameter that holds it, if one does.
+
+    ``component`` names the training-loss term being built when it was raised (``msc``, ``triplet``,
+    ``center``, ``cls`` or ``total``), if one was.
+    """
 
     def __init__(self, op: str, parameter: str | None = None) -> None:
         self.op = op
         self.parameter = parameter
+        self.component: str | None = None
         where = "" if parameter is None else f" (parameter {parameter!r})"
         super().__init__(f"{op}: result contains NaN or Inf{where}")
 

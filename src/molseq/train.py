@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -59,10 +60,11 @@ __all__ = [
 STAGES = ("pretrain_drug", "finetune_moa")
 _SEQ_ONLY = dict(stage="pretrain_drug", use_molecule_branch=False)
 _DUAL = dict(stage="pretrain_drug", use_molecule_branch=True)
-PIPELINE = (("warmup", _SEQ_ONLY, None), ("pretrain", _DUAL, "warmup"),
-            ("finetune", dict(stage="finetune_moa", freeze_molecule_encoder=None), "pretrain"))
-STRATEGIES = {"S1": (("seq_only", _SEQ_ONLY, None),), "S2": (("dual_fresh", _DUAL, None),),
-              "S3": (("seq_only", _SEQ_ONLY, None), ("dual_warm", _DUAL, "seq_only"))}
+# A plan is a chain of (directory, config overrides): each stage warm-starts from the one before it.
+PIPELINE = (("warmup", _SEQ_ONLY), ("pretrain", _DUAL),
+            ("finetune", dict(stage="finetune_moa", freeze_molecule_encoder=None)))
+STRATEGIES = {"S1": (("seq_only", _SEQ_ONLY),), "S2": (("dual_fresh", _DUAL),),
+              "S3": (("seq_only", _SEQ_ONLY), ("dual_warm", _DUAL))}
 
 # Center-weight schedule: 0.01, then 0.02..0.1 step 0.02, then 0.1..1.0 step 0.2.
 DEFAULT_SWEEP_WEIGHTS = [0.01, 0.02, 0.04, 0.06, 0.08, 0.1, 0.3, 0.5, 0.7, 0.9]
@@ -228,11 +230,25 @@ class StageResult:
         return csv_text(("epoch", *METRIC_COLUMNS), self.history)
 
     def save(self, out_dir) -> None:
+        """Write the two CSVs, then the checkpoint, each through ``_replace_with`` so that a stop part-way
+        leaves no half-written file under a final name."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "loss_history.csv").write_text(self.loss_csv())
-        (out / "metric_history.csv").write_text(self.metrics_csv())
-        save_checkpoint(out / "checkpoint.npz", self.checkpoint)
+        _replace_with(out / "loss_history.csv", lambda tmp: tmp.write_text(self.loss_csv()))
+        _replace_with(out / "metric_history.csv", lambda tmp: tmp.write_text(self.metrics_csv()))
+        _replace_with(out / "checkpoint.npz", lambda tmp: save_checkpoint(tmp, self.checkpoint))
+
+
+def _replace_with(path: Path, write) -> None:
+    """``write(tmp)`` to a temp path beside ``path`` with its suffix (``np.savez`` appends ``.npz`` to a name
+    without one), then ``os.replace`` it onto ``path``; the temp file is removed if either raises."""
+    tmp = path.with_name(f".{path.stem}.tmp{path.suffix}")
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _pooled(samples: list[Sample]) -> np.ndarray:
@@ -276,16 +292,24 @@ def _objective(config: TrainConfig, model: Model, leaves, s_emb: ad.Tensor | Non
     The alignment term is added only when molecule embeddings ``s_emb`` are
     given.  Its targets are ``targets`` if given, else built from
     ``class_labels``; the triplet's ``masks``, if not given, from ``labels``.
+    A ``NonFiniteValue`` leaves with ``component`` set to the term being
+    built, and its message starts with that name.
     """
     components: dict[str, ad.Tensor] = {}
-    if s_emb is not None:
-        sup = build_supervision(class_labels) if targets is None else targets
-        temp = leaves["align.log_inv_temp"] if config.temperature_trainable else config.temperature
-        components["msc"] = msc_loss(similarity(s_emb, v_emb, temp), sup, config.msc_direction)
-    components["triplet"] = hard_triplet_loss(v_emb, labels, config.margin, masks)
-    components["center"] = center_loss(v_emb, labels, centers)
-    components["cls"] = classification_ce(model.head.forward(v_emb, leaves), labels)
-    return total_loss(components, config.weights())
+    try:
+        if s_emb is not None:
+            sup = build_supervision(class_labels) if targets is None else targets
+            temp = leaves["align.log_inv_temp"] if config.temperature_trainable else config.temperature
+            components["msc"] = msc_loss(similarity(s_emb, v_emb, temp), sup, config.msc_direction)
+        components["triplet"] = hard_triplet_loss(v_emb, labels, config.margin, masks)
+        components["center"] = center_loss(v_emb, labels, centers)
+        components["cls"] = classification_ce(model.head.forward(v_emb, leaves), labels)
+        return total_loss(components, config.weights())
+    except NonFiniteValue as exc:
+        # The terms are built in this order, so the failing one is the first not yet built.
+        exc.component = ("msc", "triplet", "center", "cls", "total")[len(components) + (s_emb is None)]
+        exc.args = (f"{exc.component}: {exc.args[0]}", *exc.args[1:])
+        raise
 
 
 def _pk_constants(config: TrainConfig) -> tuple[ad.SoftTargets | None, tuple[np.ndarray, np.ndarray]]:
@@ -462,7 +486,7 @@ def _fit_pk(config: TrainConfig, data: DatasetSplit) -> TrainConfig:
 
 
 def _run_plan(plan, data: DatasetSplit, base: TrainConfig, out_dir=None) -> dict[str, StageResult]:
-    """Run ``plan``, a sequence of (name, config overrides, name of the warm-start stage or None).
+    """Run ``plan``, a chain of (name, config overrides) in which each stage warm-starts from the one before.
 
     Stage ``name`` writes to ``out_dir/name``; returns the results by name.  Before any stage trains,
     each fitted config's class table must hold P classes of K samples, or ``InsufficientClasses``
@@ -472,7 +496,7 @@ def _run_plan(plan, data: DatasetSplit, base: TrainConfig, out_dir=None) -> dict
     label kind, P, K, seed and step count train on one PK schedule, the only one kept alive.
     """
     out = Path(out_dir) if out_dir is not None else None
-    configs = {name: _fit_pk(replace(base, **overrides), data) for name, overrides, _ in plan}
+    configs = {name: _fit_pk(replace(base, **overrides), data) for name, overrides in plan}
     classes = {}
     for name, cfg in configs.items():
         try:
@@ -483,15 +507,14 @@ def _run_plan(plan, data: DatasetSplit, base: TrainConfig, out_dir=None) -> dict
     for cfg in configs.values():
         cfg.validate()
     results: dict[str, StageResult] = {}
-    drawn = batches = None
-    for name, _, src in plan:
-        cfg = configs[name]
+    drawn = batches = prev = None
+    for name, cfg in configs.items():
         key = (cfg.label_kind, cfg.batch_p, cfg.batch_k, cfg.seed, _stage_steps(cfg, data.train))
         if key != drawn:
             batches = None  # let the last schedule go before the next one is drawn
             drawn, batches = key, _pk_schedule(classes[name], *key[1:])
-        results[name] = run_stage(cfg, data, init=src and results[src].checkpoint, out_dir=out and out / name,
-                                  batches=batches)
+        prev = results[name] = run_stage(cfg, data, init=prev and prev.checkpoint, out_dir=out and out / name,
+                                         batches=batches)
     return results
 
 
@@ -517,9 +540,8 @@ def run_strategy(strategy: str, data: DatasetSplit, base: TrainConfig, out_dir=N
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {tuple(STRATEGIES)}")
     plan = STRATEGIES[strategy]
-    name, _, src = plan[-1]
-    result = _run_plan(plan, data, base, out_dir)[name]
-    row = {**result.final, "strategy": strategy, "initialization": "fresh" if src is None else "s1_warm_start"}
+    result = _run_plan(plan, data, base, out_dir)[plan[-1][0]]
+    row = {**result.final, "strategy": strategy, "initialization": "fresh" if len(plan) == 1 else "s1_warm_start"}
     row.pop("epoch")
     return row, result
 

@@ -348,6 +348,24 @@ class TestRunStage:
         assert header == "step,msc,triplet,center,cls,total"
         assert result.metrics_csv().splitlines()[0] == "epoch,accuracy,rank1,rank5,rank10,map"
 
+    @pytest.mark.parametrize("saved_before", [False, True])
+    def test_failed_checkpoint_write_leaves_only_whole_files(self, tiny_split, tmp_path, monkeypatch, saved_before):
+        result = tr.run_stage(tiny_config(epochs=1), tiny_split)
+        out = tmp_path / "run"
+        if saved_before:
+            result.save(out)
+        before = {p.name: p.read_bytes() for p in out.iterdir()} if saved_before else {
+            "loss_history.csv": result.loss_csv().encode(), "metric_history.csv": result.metrics_csv().encode()}
+
+        def failing(path, ckpt):
+            path.write_bytes(b"PK\x03\x04 part of an archive")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(tr, "save_checkpoint", failing)
+        with pytest.raises(OSError, match="^disk full$"):
+            result.save(out)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_saved_checkpoint_round_trips(self, tiny_split, tmp_path):
         pre = tr.run_stage(tiny_config(epochs=2, center_alpha=0.25), tiny_split)
         cfg = tiny_config(stage="finetune_moa", epochs=2, center_alpha=0.75)
@@ -394,6 +412,18 @@ class TestRunStage:
                 tr.run_stage(tiny_config(learning_rate=1e300), tiny_split)
         assert (err.value.stage, err.value.step) == ("pretrain_drug", 1)
         assert "(stage pretrain_drug, step 1)" in str(err.value)
+
+    @pytest.mark.parametrize("overrides, op, component, step", [
+        (dict(learning_rate=1e150), "half_sq_error", "center", 1),
+        (dict(margin=1e308), "batch_hard_triplet", "triplet", 0),
+        (dict(temperature=1e-310), "cosine_logits", "msc", 0),
+    ])
+    def test_non_finite_loss_names_its_component(self, tiny_split, overrides, op, component, step):
+        with pytest.raises(NonFiniteValue) as err:
+            tr.run_stage(tiny_config(**overrides), tiny_split)
+        assert (err.value.op, err.value.component, err.value.stage, err.value.step) == (
+            op, component, "pretrain_drug", step)
+        assert str(err.value) == f"{component}: {op}: result contains NaN or Inf (stage pretrain_drug, step {step})"
 
     def test_moa_class_matrix_flag(self, tiny_split):
         cfg = tiny_config(class_matrix_labels="moa", epochs=2)
@@ -539,6 +569,25 @@ class TestStageConstants:
         assert updates == []
 
 
+class TestObjective:
+    def test_overflowing_logits_name_cls_while_msc_is_finite(self):
+        # soft_target_ce builds both the alignment and the classification term; the error names the second.
+        rng = np.random.default_rng(3)
+        model = Model(ModelConfig(vocab_size=9, frame_dim=4, num_classes=2, embed_dim=6, token_dim=4,
+                                  mol_hidden=5, seq_hidden=5))
+        model.params["head.w"].value = np.full((6, 2), 1e308)
+        s_emb, v_emb = ad.constant(rng.normal(size=(4, 6))), ad.constant(rng.uniform(0.5, 1.0, size=(4, 6)))
+        labels = np.array([0, 0, 1, 1])
+        cfg = tr.TrainConfig()
+        msc = ls.msc_loss(ls.similarity(s_emb, v_emb, cfg.temperature), ls.build_supervision(labels))
+        assert np.isfinite(msc.data)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteValue) as err:
+            tr._objective(cfg, model, model.params.as_leaves(), s_emb, v_emb, labels, labels,
+                          CenterState(rng.normal(size=(2, 6))))
+        assert (err.value.op, err.value.component) == ("soft_target_ce", "cls")
+        assert str(err.value) == "cls: soft_target_ce: result contains NaN or Inf"
+
+
 class TestEvaluate:
     @pytest.mark.parametrize("kind", ["drug", "moa"])
     def test_one_leaf_set_and_one_forward_per_call(self, tiny_split, monkeypatch, kind):
@@ -682,6 +731,17 @@ class TestStrategiesAndPipeline:
             assert (result.finetune.model.params[name].value == result.pretrain.model.params[name].value).all()
         for sub in ("warmup", "pretrain", "finetune"):
             assert (tmp_path / sub / "checkpoint.npz").exists()
+
+    def test_s1_and_s3_stages_are_the_pipeline_stages_byte_for_byte(self, tiny_split, tmp_path):
+        # Every plan is a chain from the same sequence-only stage, so S1, S3's first stage and warmup
+        # are one stage, and S3's second stage is pretrain.
+        tr.run_strategy("S1", tiny_split, tiny_config(), out_dir=tmp_path / "S1")
+        tr.run_strategy("S3", tiny_split, tiny_config(), out_dir=tmp_path / "S3")
+        tr.run_pipeline(tiny_split, tiny_config(), out_dir=tmp_path / "pipeline")
+        for a, b in [("S1/seq_only", "S3/seq_only"), ("S1/seq_only", "pipeline/warmup"),
+                     ("S3/dual_warm", "pipeline/pretrain")]:
+            for name in ("loss_history.csv", "metric_history.csv", "checkpoint.npz"):
+                assert (tmp_path / a / name).read_bytes() == (tmp_path / b / name).read_bytes(), (a, b, name)
 
     def test_every_stage_is_checked_before_the_first_trains(self, tmp_path):
         # MoA 3 keeps one drug: 10 training samples, too few for fine-tuning's 4 x 16 batch,
