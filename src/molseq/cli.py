@@ -60,7 +60,7 @@ def _cmd_eval(args) -> int:
     print(tr.csv_text(tr.METRIC_COLUMNS, [row]), end="")
     cmc_path = Path(args.cmc_out) if args.cmc_out else Path(args.ckpt).with_name("cmc.csv")
     cmc_rows = [{"rank": k + 1, "cmc": v} for k, v in enumerate(result.cmc)]
-    cmc_path.write_text(tr.csv_text(("rank", "cmc"), cmc_rows))
+    tr._replace_with(cmc_path, lambda tmp: tmp.write_text(tr.csv_text(("rank", "cmc"), cmc_rows)))
     print(f"cmc written to {cmc_path}")
     return 0
 

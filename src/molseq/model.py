@@ -104,8 +104,8 @@ class ParameterSet:
         self._params: dict[str, Parameter] = {}
         self.flat = np.empty(0)
 
-    def add(self, name: str, value: np.ndarray, trainable: bool = True) -> None:
-        """Append a parameter to ``flat`` and rebuild every view on it."""
+    def add(self, name: str, value: np.ndarray) -> None:
+        """Append a trainable parameter to ``flat`` and rebuild every view on it."""
         if name in self._params:
             raise ValueError(f"duplicate parameter {name!r}")
         value = np.asarray(value, dtype=np.float64)
@@ -113,7 +113,7 @@ class ParameterSet:
         self.flat = np.concatenate([self.flat, value.reshape(-1)])
         for p in self._params.values():
             p._view = self.flat[p.span].reshape(p._view.shape)
-        self._params[name] = Parameter(self.flat[end:].reshape(value.shape), slice(end, self.flat.size), trainable)
+        self._params[name] = Parameter(self.flat[end:].reshape(value.shape), slice(end, self.flat.size), trainable=True)
 
     def __getitem__(self, name: str) -> Parameter:
         return self._params[name]

@@ -6,12 +6,12 @@ rejected outright (StereoUnsupported) instead of being stripped, and no
 valence or aromaticity perception is attempted: a molecule is exactly the
 graph its SMILES spells out.
 
-One reader, ``_read``, walks a string's regex matches once and emits the
-one molecule form, the four lists of a ``Molecule``; ``parse`` returns them.
-``canonical_smiles`` hands them straight to the canonical core (Morgan
-refinement, then the writer), and ``canonicalize``, ``write_smiles``,
-``permute_atoms`` and ``random_smiles`` take a ``Molecule``.  ``tokenize``
-returns the token texts.
+One reader, ``parse``, walks a string's regex matches once and emits the
+one molecule form, a ``Molecule`` that holds each bond once at each of
+its two atoms.  ``canonical_smiles`` hands it straight to the canonical
+core (Morgan refinement, then the writer), and ``canonicalize``,
+``write_smiles``, ``permute_atoms`` and ``random_smiles`` take a
+``Molecule``.  ``tokenize`` returns the token texts.
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ class StereoUnsupported(SmilesError):
 
 
 # One group per kind of token, then a catch-all: finditer never skips a
-# character, and the first catch-all match is the first lexing error.  _read
+# character, and the first catch-all match is the first lexing error.  parse
 # dispatches on these group numbers.
 _ATOM, _BRACKET_ATOM, _BOND, _RING_BOND, _BRANCH_OPEN, _BRANCH_CLOSE, _DOT, _JUNK = range(1, 9)
 _TOKEN_RE = re.compile(
@@ -127,12 +127,11 @@ _ORGANIC_INVARIANT = {s: (s.upper() if s in _AROMATIC else s, s in _AROMATIC, 0,
 
 
 class Molecule(NamedTuple):
-    """A molecule as ``_read`` gives it; atoms are list indices, and a bond code is as in ``_BOND_CODE``."""
+    """A molecule as ``parse`` gives it; atoms are list indices, and a bond code is as in ``_BOND_CODE``."""
 
     invariants: list[tuple[str, bool, int, int]]  # (element, aromatic, charge, H count or -1 for implicit)
     tokens: list[str]  # each atom's text in a written SMILES
-    adj: list[list[tuple[int, int]]]  # each atom's (neighbor, bond code) pairs
-    bonds: list[tuple[int, int, int]]  # (a, b, bond code), each bond once
+    adj: list[list[tuple[int, int]]]  # each atom's (neighbor, bond code) pairs, in the order its bonds were read
 
 
 def _lexemes(smiles: str):
@@ -176,8 +175,8 @@ def _parse_bracket(text: str, position: int) -> tuple[str, bool, int, int]:
     return symbol.upper() if aromatic else symbol, aromatic, charge, h_count
 
 
-def _read(smiles: str):
-    """Read a SMILES string in one pass into a ``Molecule``'s lists, the bonds in source order.
+def parse(smiles: str) -> Molecule:
+    """The molecule a SMILES string spells out, read in one pass.
 
     A lexing error anywhere in the string wins over an earlier parse error:
     on a parse error the whole string is lexed first, and the first lexing
@@ -186,7 +185,6 @@ def _read(smiles: str):
     invariants: list[tuple[str, bool, int, int]] = []
     tokens: list[str] = []
     adj: list[list[tuple[int, int]]] = []
-    bonds: list[tuple[int, int, int]] = []
     anchor, pending = -1, 0  # the atom a bond would start from (-1: none), and the bond code read
     branches: list[int] = []
     rings: dict[int, tuple[int, int]] = {}
@@ -210,7 +208,6 @@ def _read(smiles: str):
                     code = pending or (_AROMATIC_CODE if invariant[1] and invariants[anchor][1] else _SINGLE_CODE)
                     adj[anchor].append((idx, code))
                     adj.append([(anchor, code)])
-                    bonds.append((anchor, idx, code))
                 anchor, pending = idx, 0
             elif group == _RING_BOND:
                 text = m[0]
@@ -234,7 +231,6 @@ def _read(smiles: str):
                     raise SmilesError(f"duplicate bond between atoms {other} and {anchor}")
                 adj[other].append((anchor, code))
                 adj[anchor].append((other, code))
-                bonds.append((other, anchor, code))
                 pending = 0
             elif group == _BRANCH_OPEN:
                 if anchor < 0 or pending:
@@ -266,21 +262,7 @@ def _read(smiles: str):
         raise UnmatchedRingBond(min(rings))
     if branches:
         raise UnclosedBranch()
-    return invariants, tokens, adj, bonds
-
-
-def parse(smiles: str) -> Molecule:
-    """The molecule a SMILES string spells out."""
-    return Molecule(*_read(smiles))
-
-
-def _adjacency(n: int, bonds) -> list[list[tuple[int, int]]]:
-    """Each of ``n`` atoms' (neighbor, bond code) pairs, in bond order, as ``_read`` builds them."""
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for a, b, code in bonds:
-        adj[a].append((b, code))
-        adj[b].append((a, code))
-    return adj
+    return Molecule(invariants, tokens, adj)
 
 
 def _fragments(adj) -> list[list[int]]:
@@ -439,16 +421,19 @@ def _write_fragments(invariants: list, tokens: list[str], adj, priority: list, f
 
 def write_smiles(mol: Molecule, priority: list[int] | None = None) -> str:
     """Write a SMILES string for the molecule, visiting atoms by (priority, index), lowest first."""
-    invariants, tokens, adj, _ = mol
+    invariants, tokens, adj = mol
     n = len(tokens)
     if not n:
         raise SmilesError("cannot write an empty graph")
+    if priority is not None and len(priority) != n:
+        raise ValueError(f"priority must give one value per atom, got {len(priority)} for {n} atoms")
     prio = list(range(n)) if priority is None else [priority[a] * n + a for a in range(n)]
     return ".".join(_write_fragments(invariants, tokens, adj, prio, _fragments(adj)))
 
 
-def _canonical(invariants: list, tokens: list[str], adj, fragments: list[list[int]]) -> str:
+def _canonical(mol: Molecule, fragments: list[list[int]]) -> str:
     """The canonical core: Morgan ranks per fragment, then each fragment written from them."""
+    invariants, tokens, adj = mol
     n = len(tokens)
     if not n:
         raise SmilesError("cannot canonicalize an empty graph")
@@ -467,14 +452,14 @@ def canonicalize(mol: Molecule) -> str:
     residual automorphism ties fall back to input order.  Fragments are
     written independently and joined by '.' in sorted order.
     """
-    return _canonical(mol.invariants, mol.tokens, mol.adj, _fragments(mol.adj))
+    return _canonical(mol, _fragments(mol.adj))
 
 
 def canonical_smiles(smiles: str) -> str:
     """``canonicalize(parse(smiles))``, with one fragment taken as given when the string has no '.'."""
-    invariants, tokens, adj, _ = _read(smiles)
+    mol = parse(smiles)
     # Without a '.', every atom but the first bonds to one read before it: one fragment.
-    return _canonical(invariants, tokens, adj, _fragments(adj) if "." in smiles else [list(range(len(tokens)))])
+    return _canonical(mol, _fragments(mol.adj) if "." in smiles else [list(range(len(mol.tokens)))])
 
 
 def permute_atoms(mol: Molecule, perm: list[int]) -> Molecule:
@@ -483,8 +468,8 @@ def permute_atoms(mol: Molecule, perm: list[int]) -> Molecule:
     if sorted(perm) != list(range(n)):
         raise ValueError("perm must be a permutation of the atom indices")
     old = sorted(range(n), key=perm.__getitem__)  # the old index of each new one
-    bonds = [(perm[a], perm[b], code) for a, b, code in mol.bonds]
-    return Molecule([mol.invariants[a] for a in old], [mol.tokens[a] for a in old], _adjacency(n, bonds), bonds)
+    adj = [[(perm[b], code) for b, code in mol.adj[a]] for a in old]
+    return Molecule([mol.invariants[a] for a in old], [mol.tokens[a] for a in old], adj)
 
 
 def random_smiles(mol: Molecule, rng: np.random.Generator) -> str:

@@ -568,7 +568,7 @@ def sweep_center_weight(base: TrainConfig, weights: list[float], data: DatasetSp
         rows.append({"weight": float(w), "rank1": final["rank1"], "map": final["map"],
                      "accuracy": final["accuracy"]})
     if out is not None:  # the first stage made it
-        (out / "sweep.csv").write_text(csv_text(SWEEP_COLUMNS, rows))
+        _replace_with(out / "sweep.csv", lambda tmp: tmp.write_text(csv_text(SWEEP_COLUMNS, rows)))
     return rows
 
 

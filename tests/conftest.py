@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -22,3 +24,22 @@ def tiny_split(tiny_samples):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+
+@pytest.fixture()
+def fail_text_writes(monkeypatch):
+    """``fail_text_writes(stem)``: from then on, ``Path.write_text`` to a name containing ``stem``
+    writes the first half of its text and raises ``OSError("disk full")``; other writes go through."""
+    write_text = Path.write_text
+
+    def arm(stem: str) -> None:
+        def failing(path, text, *args, **kwargs):
+            if stem not in path.name:
+                return write_text(path, text, *args, **kwargs)
+            write_text(path, text[: len(text) // 2], *args, **kwargs)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_text", failing)
+
+    return arm

@@ -10,11 +10,13 @@ nodes, so both sides run the same arithmetic.
 computes on the way to a canonical SMILES, for the golden rank tests.
 
 ``reference_parse`` is the SMILES parser that the one-pass reader
-``molseq.smiles._read`` replaced: it lexes the whole string with
+``molseq.smiles.parse`` replaced: it lexes the whole string with
 ``tokenize`` first and then walks the token texts, classifying each by the
-``_TOKEN_RE`` group it matches, and emits the same ``Molecule`` record.  The
-differential tests hold ``parse`` and ``canonical_smiles`` to its outcomes,
-errors included.
+``_TOKEN_RE`` group it matches.  It collects the bonds as ``(a, b, code)``
+in source order and hands them to ``adjacency``, which builds the
+``Molecule`` record's ``adj``: each bond at both of its atoms, in the
+order the bonds were read.  The differential tests hold ``parse`` and
+``canonical_smiles`` to its outcomes, errors included.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ from molseq.smiles import (
     UnclosedBranch,
     UnexpectedCharacter,
     UnmatchedRingBond,
-    _adjacency,
     _atom_token,
     _fragments,
     _morgan_ranks,
@@ -187,8 +188,17 @@ def _reference_bracket(text: str, position: int) -> tuple[str, bool, int, int]:
     return symbol.upper() if aromatic else symbol, aromatic, charge, h_count
 
 
+def adjacency(n: int, bonds) -> list[list[tuple[int, int]]]:
+    """Each of ``n`` atoms' (neighbor, bond code) pairs, from (a, b, code) bonds, in bond order."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for a, b, code in bonds:
+        adj[a].append((b, code))
+        adj[b].append((a, code))
+    return adj
+
+
 def reference_parse(smiles: str) -> Molecule:
-    """Tokenize the whole string, then walk the tokens: the parser that ``_read`` replaced."""
+    """Tokenize the whole string, then walk the tokens: the parser that the one-pass ``parse`` replaced."""
     atoms: list[tuple[str, bool, int, int]] = []
     bonds: list[tuple[int, int, int]] = []
     pairs: set[tuple[int, int]] = set()
@@ -264,4 +274,4 @@ def reference_parse(smiles: str) -> Molecule:
         raise UnmatchedRingBond(min(open_rings))
     if branch_stack:
         raise UnclosedBranch()
-    return Molecule(atoms, [_atom_token(*atom) for atom in atoms], _adjacency(len(atoms), bonds), bonds)
+    return Molecule(atoms, [_atom_token(*atom) for atom in atoms], adjacency(len(atoms), bonds))

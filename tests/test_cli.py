@@ -130,6 +130,22 @@ class TestTrainEval:
         assert cmc == result.cmc.tolist()
         assert cmc[0] == rank1
 
+    @pytest.mark.parametrize("saved_before", [False, True])
+    def test_failed_cmc_write_leaves_only_whole_files(self, dataset_dir, train_config, tmp_path, capsys,
+                                                      fail_text_writes, saved_before):
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(train_config), "--data", str(dataset_dir), "--out", str(out)]) == 0
+        eval_args = ["eval", "--ckpt", str(out / "checkpoint.npz"), "--data", str(dataset_dir)]
+        if saved_before:
+            assert main(eval_args) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert ("cmc.csv" in before) == saved_before
+        fail_text_writes("cmc")
+        capsys.readouterr()
+        assert main(eval_args) == 1
+        assert capsys.readouterr().err == "error: disk full\n"
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_wrong_typed_checkpoint_value_fails(self, dataset_dir, train_config, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(["train", "--config", str(train_config), "--data", str(dataset_dir), "--out", str(out)]) == 0

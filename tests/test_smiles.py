@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from molseq import smiles as sk
 from molseq.data import load_smiles_pool
 
-from reference import canonical_ranks, reference_parse
+from reference import adjacency, canonical_ranks, reference_parse
 
 POOL = load_smiles_pool()
 
@@ -20,7 +20,7 @@ C = ("C", False, 0, -1)  # an organic-subset carbon: implicit H count
 
 def molecule(atoms: list[tuple[str, bool, int, int]], bonds: list[tuple[int, int, int]]) -> sk.Molecule:
     """A hand-built molecule: atom invariants (element, aromatic, charge, H count or -1) and (a, b, code) bonds."""
-    return sk.Molecule(atoms, [sk._atom_token(*atom) for atom in atoms], sk._adjacency(len(atoms), bonds), bonds)
+    return sk.Molecule(atoms, [sk._atom_token(*atom) for atom in atoms], adjacency(len(atoms), bonds))
 
 
 def random_molecule(rng: np.random.Generator, n_atoms: int) -> sk.Molecule:
@@ -53,21 +53,30 @@ def fully_discriminated(mol: sk.Molecule) -> bool:
 
 
 def bond_codes(mol: sk.Molecule) -> dict[tuple[int, int], int]:
-    return {(min(a, b), max(a, b)): code for a, b, code in mol.bonds}
+    """Each bond once, as {(low atom, high atom): code}, read from ``adj``.
+
+    Asserts that ``adj`` holds every bond exactly once at each of its two
+    atoms, with one code, and no bond from an atom to itself.
+    """
+    ends = sorted((a, b, code) for a, pairs in enumerate(mol.adj) for b, code in pairs)
+    codes = {(a, b): code for a, b, code in ends if a < b}
+    assert ends == sorted([(a, b, code) for (a, b), code in codes.items()]
+                          + [(b, a, code) for (a, b), code in codes.items()])
+    return codes
 
 
 def brute_isomorphic(g1: sk.Molecule, g2: sk.Molecule) -> bool:
     """Exhaustive permutation check; only feasible for small molecules."""
     n = len(g1.invariants)
-    if n != len(g2.invariants) or len(g1.bonds) != len(g2.bonds):
+    bonds1, bonds2 = bond_codes(g1), bond_codes(g2)
+    if n != len(g2.invariants) or len(bonds1) != len(bonds2):
         return False
     if sorted(g1.invariants) != sorted(g2.invariants):
         return False
-    bonds2 = bond_codes(g2)
     for perm in itertools.permutations(range(n)):
         if any(g1.invariants[i] != g2.invariants[perm[i]] for i in range(n)):
             continue
-        mapped = {(min(perm[a], perm[b]), max(perm[a], perm[b])): code for a, b, code in g1.bonds}
+        mapped = {(min(perm[a], perm[b]), max(perm[a], perm[b])): code for (a, b), code in bonds1.items()}
         if mapped == bonds2:
             return True
     return False
@@ -121,12 +130,13 @@ class TestParse:
         g = sk.parse("CCO")
         assert g.invariants == [C, C, ("O", False, 0, -1)]
         assert g.tokens == ["C", "C", "O"]
-        assert g.bonds == [(0, 1, 1), (1, 2, 1)]
         assert g.adj == [[(1, 1)], [(0, 1), (2, 1)], [(1, 1)]]
 
     def test_ring_closure_triangle(self):
         g = sk.parse("C1CC1")
         assert len(g.invariants) == 3
+        # The closure bond is read last, so it ends each of its atoms' lists.
+        assert g.adj == [[(1, 1), (2, 1)], [(0, 1), (2, 1)], [(1, 1), (0, 1)]]
         assert set(bond_codes(g)) == {(0, 1), (1, 2), (0, 2)}
 
     def test_unclosed_branch(self):
@@ -163,6 +173,24 @@ class TestParse:
         with pytest.raises(ValueError, match="^perm must be a permutation of the atom indices$"):
             sk.permute_atoms(sk.parse("CCO"), perm)
 
+    @pytest.mark.parametrize("priority", [[0], [2, 1, 0, 5, 9]])
+    def test_priority_length_checked(self, priority):
+        message = f"^priority must give one value per atom, got {len(priority)} for 3 atoms$"
+        with pytest.raises(ValueError, match=message):
+            sk.write_smiles(sk.parse("CCO"), priority)
+
+    @given(st.integers(min_value=1, max_value=12).flatmap(
+        lambda n: st.tuples(st.integers(min_value=0, max_value=2**31 - 1), st.permutations(range(n)))))
+    @settings(max_examples=200, deadline=None)
+    def test_permute_maps_each_neighbor_list(self, case):
+        # Each atom keeps its neighbors, relabelled, in the order their bonds were read.
+        seed, perm = case
+        mol = random_molecule(np.random.default_rng(seed), len(perm))
+        moved = sk.permute_atoms(mol, perm)
+        for a, pairs in enumerate(mol.adj):
+            assert moved.adj[perm[a]] == [(perm[b], code) for b, code in pairs]
+            assert (moved.invariants[perm[a]], moved.tokens[perm[a]]) == (mol.invariants[a], mol.tokens[a])
+
     @pytest.mark.parametrize("bad", ["C/C=C/C", "C[C@H](N)C", "[13CH3]C"])
     def test_stereo_and_isotopes_rejected(self, bad):
         with pytest.raises(sk.StereoUnsupported):
@@ -171,13 +199,13 @@ class TestParse:
     def test_aromatic_ring(self):
         g = sk.parse("c1ccccc1")
         assert g.invariants == [("C", True, 0, -1)] * 6
-        assert [code for _, _, code in g.bonds] == [4] * 6
+        assert g.adj == [[(1, 4), (5, 4)], *([(i - 1, 4), (i + 1, 4)] for i in range(1, 5)), [(4, 4), (0, 4)]]
 
     def test_bracket_attributes(self):
         g = sk.parse("[NH4+].[O-].[Fe+2].[nH]")
         assert g.invariants == [("N", False, 1, 4), ("O", False, -1, 0), ("Fe", False, 2, 0), ("N", True, 0, 1)]
         assert g.tokens == ["[NH4+]", "[O-]", "[Fe+2]", "[nH]"]
-        assert not g.bonds
+        assert g.adj == [[], [], [], []]
 
     def test_double_minus_charge(self):
         g = sk.parse("[O--]")
@@ -189,10 +217,11 @@ class TestParse:
 
     def test_explicit_bond_orders(self):
         g = sk.parse("C=C#N")
-        assert g.bonds == [(0, 1, 2), (1, 2, 3)]
+        assert g.adj == [[(1, 2)], [(0, 2), (2, 3)], [(1, 3)]]
 
     def test_branch_bond(self):
         g = sk.parse("CC(=O)O")
+        assert g.adj == [[(1, 1)], [(0, 1), (2, 2), (3, 1)], [(1, 2)], [(1, 1)]]
         codes = bond_codes(g)
         assert codes[(1, 2)] == 2
         assert codes[(1, 3)] == 1
@@ -283,7 +312,7 @@ class TestLongChains:
         # Parsing and relabelling add one bond at a time, so each must stay linear in the bond count.
         text = "C[C+]" + "".join(f"[C+{q}]" for q in range(2, self.N))
         graph = sk.parse(text)
-        assert (len(graph.invariants), len(graph.bonds)) == (self.N, self.N - 1)
+        assert (len(graph.invariants), len(bond_codes(graph))) == (self.N, self.N - 1)
         perm = [int(i) for i in np.random.default_rng(3).permutation(self.N)]
         assert sk.canonicalize(sk.permute_atoms(graph, perm)) == text
 
@@ -320,7 +349,7 @@ class TestRingNumbers:
 
     def test_100_open_rings_raise(self):
         g = nested_rings(100)
-        assert len(g.bonds) == 301
+        assert len(bond_codes(g)) == 301
         with pytest.raises(sk.SmilesError, match="more than 99 ring bonds"):
             sk.write_smiles(g)
 

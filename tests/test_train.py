@@ -835,6 +835,18 @@ class TestSweep:
         rows = tr.sweep_center_weight(tiny_config(epochs=2), [0.5], tiny_split)
         assert len(rows) == 1 and rows[0]["weight"] == 0.5
 
+    @pytest.mark.parametrize("saved_before", [False, True])
+    def test_failed_sweep_csv_write_leaves_only_whole_files(self, tiny_split, tmp_path, fail_text_writes,
+                                                            saved_before):
+        if saved_before:
+            tr.sweep_center_weight(tiny_config(epochs=2), [0.1], tiny_split, out_dir=tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+        assert ("sweep.csv" in before) == saved_before
+        fail_text_writes("sweep")
+        with pytest.raises(OSError, match="^disk full$"):
+            tr.sweep_center_weight(tiny_config(epochs=2), [0.1], tiny_split, out_dir=tmp_path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+
     @pytest.mark.parametrize("weights", [[0.1, 0.10], [0.3, 0.1, 0.1000001]])
     def test_weights_sharing_a_directory_rejected(self, tiny_split, tmp_path, weights):
         with pytest.raises(ValueError, match="^weights must give distinct directory names"):
