@@ -11,10 +11,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import data
+from . import data, files
 from . import train as tr
 from .errors import ConfigError, DegenerateBatch, LabelOutOfRange
-from .model import load_checkpoint
 from .smiles import SmilesError, canonical_smiles, tokenize
 from .train import GRAD_TOLERANCE, TrainConfig, gradient_check_suite
 
@@ -26,7 +25,7 @@ def _load_split(dataset_dir, config: TrainConfig) -> data.DatasetSplit:
 
 
 def _cmd_gen_data(args) -> int:
-    spec = data.read_config(args.spec, data.SyntheticSpec)
+    spec = files.read_config(args.spec, data.SyntheticSpec)
     samples = data.generate_synthetic(spec)
     data.write_dataset(samples, args.out)
     print(f"wrote {len(samples)} samples ({spec.num_drugs} drugs, {spec.num_moas} MoAs) to {args.out}")
@@ -34,9 +33,9 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    config = data.read_config(args.config, TrainConfig)
+    config = files.read_config(args.config, TrainConfig)
     split = _load_split(args.data, config)
-    init = load_checkpoint(args.init) if args.init else None
+    init = files.load_checkpoint(args.init) if args.init else None
     try:
         result = tr.run_stage(config, split, init=init, out_dir=args.out)
     except DegenerateBatch as exc:  # only a one-class PK layout, P = 1, leaves an anchor without a negative
@@ -50,28 +49,28 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    ckpt = load_checkpoint(args.ckpt)
+    ckpt = files.load_checkpoint(args.ckpt)
     try:
-        config = data.config_from_json(TrainConfig, ckpt.extra_config)
+        config = files.config_from_json(TrainConfig, ckpt.extra_config)
     except ConfigError as exc:
         raise ConfigError(f"{args.ckpt}: extra_config: {exc}") from None
     split = _load_split(args.data, config)
     row, result = tr.evaluate(ckpt.build_model(), tr.eval_set(split, config.label_kind, config.seed))
-    print(tr.csv_text(tr.METRIC_COLUMNS, [row]), end="")
+    print(files.csv_text(tr.METRIC_COLUMNS, [row]), end="")
     cmc_path = Path(args.cmc_out) if args.cmc_out else Path(args.ckpt).with_name("cmc.csv")
     cmc_rows = [{"rank": k + 1, "cmc": v} for k, v in enumerate(result.cmc)]
-    tr._replace_with(cmc_path, lambda tmp: tmp.write_text(tr.csv_text(("rank", "cmc"), cmc_rows)))
+    files.replace_with(cmc_path, lambda tmp: tmp.write_text(files.csv_text(("rank", "cmc"), cmc_rows)))
     print(f"cmc written to {cmc_path}")
     return 0
 
 
 def _cmd_strategy(args) -> int:
-    config = data.read_config(args.config, TrainConfig) if args.config else TrainConfig()
+    config = files.read_config(args.config, TrainConfig) if args.config else TrainConfig()
     if args.epochs is not None:
         config.epochs = args.epochs
     split = _load_split(args.data, config)
     report, _ = tr.run_strategy(args.id, split, config, out_dir=args.out)
-    print(tr.csv_text(("strategy", "rank1", "map", "accuracy"), [report]), end="")
+    print(files.csv_text(("strategy", "rank1", "map", "accuracy"), [report]), end="")
     return 0
 
 
@@ -87,11 +86,11 @@ def _weight_list(text: str) -> list[float]:
 
 
 def _cmd_sweep(args) -> int:
-    config = data.read_config(args.config, TrainConfig) if args.config else TrainConfig()
+    config = files.read_config(args.config, TrainConfig) if args.config else TrainConfig()
     weights = _weight_list(args.weights) if args.weights is not None else tr.DEFAULT_SWEEP_WEIGHTS
     split = _load_split(args.data, config)
     rows = tr.sweep_center_weight(config, weights, split, out_dir=args.out)
-    print(tr.csv_text(tr.SWEEP_COLUMNS, rows), end="")
+    print(files.csv_text(tr.SWEEP_COLUMNS, rows), end="")
     return 0
 
 
@@ -106,7 +105,7 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_linewise(args, transform) -> int:
-    lines = data.read_lines(args.file) if args.file else data.iter_lines(sys.stdin.buffer, "<stdin>")
+    lines = files.read_lines(args.file) if args.file else files.iter_lines(sys.stdin.buffer, "<stdin>")
     for lineno, line in enumerate(lines, start=1):
         try:
             print(transform(line))

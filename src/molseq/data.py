@@ -1,14 +1,14 @@
-"""Dataset plumbing: manifest ingestion, synthetic data generation, the
-train/test split, the test set's query positions and PK batch sampling.
+"""Dataset plumbing: the dataset-directory format, synthetic data
+generation, the train/test split, the test set's query positions and PK
+batch sampling.
 
 A dataset directory holds ``manifest.csv`` (one record per line:
 ``sample_id,drug_id,smiles,drug_label,moa_label,frames_path``) and a
 ``frames/`` subdirectory with one binary file per sample: two little-endian
 uint32 (T, f) followed by T*f little-endian float64 in row-major order.
-``read_lines`` reads every text file a user gives molseq (config and spec
-files, ``manifest.csv`` and the SMILES files of ``molseq canonicalize`` and
-``molseq tokenize``) as UTF-8 with lines ended by "\n", "\r\n" or "\r";
-``iter_lines`` reads standard input by the same rules, one line at a time.
+``write_dataset`` writes the manifest last, so a directory is complete
+exactly when its manifest exists; ``load_manifest`` reads it with
+``molseq.files.read_lines``.
 ``pk_sample_indices`` draws the PK batch of one step from the class table
 ``pk_classes`` builds once per stage; a stage draws the batches of all its
 steps before the first one (``molseq.train._pk_schedule``).
@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import importlib.resources
 import math
-from collections.abc import Iterator
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError
+from .files import read_lines, replace_with
 from .smiles import SmilesError, canonical_smiles
 
 __all__ = [
@@ -51,11 +51,6 @@ __all__ = [
     "pk_classes",
     "pk_sample_indices",
     "choose_pk",
-    "parse_config",
-    "config_from_json",
-    "read_lines",
-    "iter_lines",
-    "read_config",
 ]
 
 # Scale of the per-drug direction offsets inside one MoA, before the
@@ -155,107 +150,6 @@ class SyntheticSpec:
             raise ConfigError("confounding must lie in [0, 1]")
 
 
-def _parse_bool(text: str) -> bool:
-    low = text.lower()
-    if low in ("1", "true", "yes"):
-        return True
-    if low in ("0", "false", "no"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
-
-
-# Keyed by annotation string; only a JSON config echo hands the optional field a None.
-_FIELD_PARSERS = {
-    "int": int,
-    "float": float,
-    "str": str,
-    "bool": _parse_bool,
-    "bool | None": lambda text: None if text is None else _parse_bool(text),
-}
-
-
-def parse_config(cls, entries: dict, where: str = ""):
-    """Validated ``cls`` with each ``{key: (text, at)}`` entry parsed by its field's annotated type; ``at`` ends
-    the message of a bad key or value, ``where`` that of a missing key or a failed ``validate()``, and fields
-    not named keep their defaults."""
-    types = {f.name: f.type for f in fields(cls)}
-    values = {}
-    for key, (text, at) in entries.items():
-        if key not in types:
-            raise ConfigError(f"unknown config key {key!r}{at}")
-        try:
-            values[key] = _FIELD_PARSERS[types[key]](text)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{key}: {exc}{at}") from None
-    for f in fields(cls):
-        if f.name not in values and f.default is MISSING and f.default_factory is MISSING:
-            raise ConfigError(f"missing config key {f.name!r}{where}")
-    config = cls(**values)
-    try:
-        config.validate()
-    except ConfigError as exc:
-        raise ConfigError(f"{exc}{where}") from None
-    return config
-
-
-def config_from_json(cls, data: dict):
-    """``cls`` from its ``dataclasses.asdict`` echo, each value parsed as in a config file, then validated."""
-    return parse_config(cls, {key: (None if value is None else str(value), "") for key, value in data.items()})
-
-
-def _not_utf8(raw: bytes, exc: UnicodeDecodeError, name, lineno: int, error=None) -> ValueError:
-    detail = f"byte 0x{raw[exc.start]:02x} is not UTF-8"
-    return error(lineno, detail) if error else ConfigError(f"{detail} ({name} line {lineno})")
-
-
-def read_lines(path, error=None) -> list[str]:
-    """Lines of a UTF-8 file, ended by "\n", "\r\n" or "\r" only (splitlines() would also break at \x0c, \x85,
-    \u2028 and others), without the empty one a final line end leaves.  A byte that is not UTF-8 raises
-    ``error(line, detail)``, by default a ``ConfigError`` naming the file and the line."""
-    raw = Path(path).read_bytes()
-    split = lambda text: text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    try:
-        lines = split(raw.decode("utf-8"))
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(raw, exc, path, len(split(raw[:exc.start].decode("utf-8"))), error) from None
-    return lines[:-1] if lines[-1] == "" else lines
-
-
-def iter_lines(stream, name: str) -> Iterator[str]:
-    """The lines ``read_lines`` would return for the bytes of the binary ``stream``, one at a time as they
-    arrive (lines ended by "\r" alone arrive with the next "\n" or the end of the stream); a byte that is not
-    UTF-8 raises a ``ConfigError`` naming ``name`` and the line.  "\n" and "\r" are never part of a longer
-    UTF-8 sequence, so each line decodes on its own."""
-    lineno = 0
-    for piece in stream:  # up to and including each "\n"; a "\r\n" never straddles two pieces
-        body = piece[:-1] if piece.endswith(b"\n") else piece
-        parts = body.split(b"\r")
-        if body.endswith(b"\r"):  # the "\r" of a "\r\n", or a final line end
-            parts.pop()
-        for raw in parts:
-            lineno += 1
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise _not_utf8(raw, exc, name, lineno) from None
-            yield line
-
-
-def read_config(path, cls):
-    """``cls`` from a flat key=value file; '#' comments are skipped and a repeated key's last value wins."""
-    entries: dict[str, tuple[str, str]] = {}
-    for lineno, raw in enumerate(read_lines(path), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        where = f" ({path} line {lineno})"
-        if "=" not in line:
-            raise ConfigError(f"expected key=value, got {line!r}{where}")
-        key, value = line.split("=", 1)
-        entries[key.strip()] = (value.strip(), where)
-    return parse_config(cls, entries, f" ({path})")
-
-
 def load_smiles_pool() -> list[str]:
     text = importlib.resources.files("molseq").joinpath("smiles_pool.txt").read_text()
     return [line for line in text.splitlines() if line]
@@ -332,6 +226,8 @@ def _read_frames(path: Path) -> np.ndarray:
 
 
 def write_dataset(samples: list[Sample], out_dir) -> None:
+    """Write every frame file, then ``manifest.csv`` through ``files.replace_with``, so a directory is complete
+    exactly when its manifest exists and a stop part-way never leaves a cut manifest."""
     out = Path(out_dir)
     (out / "frames").mkdir(parents=True, exist_ok=True)
     lines = []
@@ -339,7 +235,8 @@ def write_dataset(samples: list[Sample], out_dir) -> None:
         rel = f"frames/{s.sample_id}.bin"
         _write_frames(out / rel, s.frames)
         lines.append(f"{s.sample_id},{s.drug_id},{s.smiles},{s.drug_label},{s.moa_label},{rel}")
-    (out / "manifest.csv").write_text("\n".join(lines) + "\n")
+    text = "\n".join(lines) + "\n"
+    replace_with(out / "manifest.csv", lambda tmp: tmp.write_text(text))
 
 
 def load_manifest(dataset_dir) -> list[Sample]:

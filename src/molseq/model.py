@@ -1,4 +1,4 @@
-"""Toy encoders for both modalities, the linear head, and checkpoint IO.
+"""Toy encoders for both modalities and the linear head.
 
 The molecule encoder is a masked-mean-pool MLP over token embeddings; the
 sequence encoder is an MLP over concatenated mean/max temporal pooling of
@@ -9,26 +9,19 @@ parameters live in a ParameterSet keyed by dotted names ("mol.emb",
 
 from __future__ import annotations
 
-import dataclasses
-import io
-import json
-import zipfile
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .data import config_from_json
 from .errors import ConfigError, NonFiniteValue, ShapeMismatch
-from .smiles import PAD_ID, Vocabulary
+from .smiles import PAD_ID
 
 __all__ = [
     "AllPadding",
     "IdOutOfRange",
     "EmptySequence",
     "NoSuchParameter",
-    "CheckpointFormatError",
     "Parameter",
     "ParameterSet",
     "ModelConfig",
@@ -38,12 +31,7 @@ __all__ = [
     "Model",
     "pool_frames",
     "token_count_matrix",
-    "save_checkpoint",
-    "load_checkpoint",
-    "CHECKPOINT_TAG",
 ]
-
-CHECKPOINT_TAG = "molseq-checkpoint-v1"
 
 
 class AllPadding(ValueError):
@@ -60,12 +48,6 @@ class EmptySequence(ValueError):
 
 class NoSuchParameter(KeyError):
     """A parameter prefix matched nothing."""
-
-
-class CheckpointFormatError(ValueError):
-    """Checkpoint file is not an .npz archive, has a member that cannot be read, lacks its metadata or a metadata
-    key, or carries metadata that is not a JSON object, an unknown format tag, a metadata entry of the wrong JSON
-    type, a bad model config or a center_alpha outside (0, 1]."""
 
 
 class Parameter:
@@ -290,118 +272,3 @@ class Model:
             target.value = value
             loaded.append(name)
         return loaded
-
-
-@dataclass
-class Checkpoint:
-    model_config: ModelConfig
-    extra_config: dict
-    vocabulary: Vocabulary
-    parameters: dict[str, np.ndarray]
-    trainable: dict[str, bool]
-    centers: np.ndarray | None = None
-    center_alpha: float | None = None
-
-    def build_model(self) -> Model:
-        model = Model(self.model_config)
-        model.load_parameters(self.parameters)
-        for name, flag in self.trainable.items():
-            if name in model.params:
-                model.params[name].trainable = flag
-        return model
-
-
-def save_checkpoint(path, ckpt: Checkpoint) -> None:
-    """Single-file checkpoint: params + vocab + config echo + center state."""
-    meta = {
-        "format": CHECKPOINT_TAG,
-        "model_config": dataclasses.asdict(ckpt.model_config),
-        "extra_config": ckpt.extra_config,
-        "vocabulary": ckpt.vocabulary.to_json(),
-        "trainable": ckpt.trainable,
-        "center_alpha": ckpt.center_alpha,
-    }
-    arrays = {f"param/{n}": value for n, value in ckpt.parameters.items()}
-    if ckpt.centers is not None:
-        arrays["centers"] = ckpt.centers
-    np.savez(path, __meta__=np.array(json.dumps(meta)), **arrays)
-
-
-# What zipfile, zlib and numpy raise on corrupt archive bytes: a bad CRC, header or length, an unsupported
-# compression or encryption flag, a short read, a seek to a bad offset, or an array header numpy refuses
-# (object arrays included).
-_MEMBER_ERRORS = (zipfile.BadZipFile, zlib.error, EOFError, NotImplementedError, RuntimeError, ValueError, OSError,
-                  MemoryError)
-
-
-def _read_members(path) -> dict[str, np.ndarray]:
-    """Every member of the archive at ``path`` as an array, by name without ``.npy``.  Each is read whole, so its
-    CRC is checked even where a changed header promises fewer bytes; a failure is a ``CheckpointFormatError``."""
-    try:
-        with zipfile.ZipFile(path) as archive:
-            # save_checkpoint writes no member comments, and a corrupt comment length hides the members after it.
-            if any(info.comment for info in archive.infolist()):
-                raise zipfile.BadZipFile("the central directory holds a member comment")
-            return {name.removesuffix(".npy"): np.lib.format.read_array(io.BytesIO(archive.read(name)))
-                    for name in archive.namelist()}
-    except _MEMBER_ERRORS as exc:
-        raise CheckpointFormatError(f"{path}: unreadable archive member: {exc}") from None
-
-
-def load_checkpoint(path) -> Checkpoint:
-    with open(path, "rb") as fh:  # a missing file stays a FileNotFoundError
-        if not zipfile.is_zipfile(fh):
-            raise CheckpointFormatError(f"{path}: not an .npz archive")
-    members = _read_members(path)
-    if "__meta__" not in members:
-        raise CheckpointFormatError(f"{path}: no __meta__ entry")
-    try:
-        meta = json.loads(str(members["__meta__"]))
-    except json.JSONDecodeError as exc:
-        raise CheckpointFormatError(f"{path}: __meta__ is not JSON: {exc}") from None
-    if not isinstance(meta, dict):
-        raise CheckpointFormatError(f"{path}: __meta__ must be a JSON object, found {type(meta).__name__}")
-    if meta.get("format") != CHECKPOINT_TAG:
-        raise CheckpointFormatError(f"{path}: expected format {CHECKPOINT_TAG!r}, found {meta.get('format')!r}")
-    parameters = {k[len("param/") :]: v for k, v in members.items() if k.startswith("param/")}
-    centers = members.get("centers")
-    for key in ("model_config", "extra_config", "vocabulary", "trainable"):
-        if key not in meta:
-            raise CheckpointFormatError(f"{path}: __meta__ has no {key!r} entry")
-        if not isinstance(meta[key], dict):
-            raise CheckpointFormatError(f"{path}: {key} must be a JSON object, found {type(meta[key]).__name__}")
-    for key, kind, what in (("vocabulary", int, "an int id"), ("trainable", bool, "true or false")):
-        for name, value in meta[key].items():
-            if type(value) is not kind:
-                raise CheckpointFormatError(f"{path}: {key}: {name!r} must be {what}, found {value!r}")
-    center_alpha = meta.get("center_alpha")
-    if center_alpha is not None and (isinstance(center_alpha, bool) or not isinstance(center_alpha, (int, float))
-                                     or not 0 < center_alpha <= 1):
-        raise CheckpointFormatError(f"{path}: center_alpha must be null or a number in (0, 1], found {center_alpha!r}")
-    try:
-        model_config = config_from_json(ModelConfig, meta["model_config"])
-    except ConfigError as exc:
-        raise CheckpointFormatError(f"{path}: model_config: {exc}") from None
-    try:
-        vocabulary = Vocabulary.from_json(meta["vocabulary"])
-    except ValueError as exc:
-        raise CheckpointFormatError(f"{path}: vocabulary: {exc}") from None
-    ids = set(vocabulary.token_to_id.values())
-    if len(ids) < vocabulary.size or not ids <= set(range(model_config.vocab_size)):
-        raise CheckpointFormatError(f"{path}: vocabulary: ids must be distinct and below vocab_size "
-                                    f"{model_config.vocab_size}")
-    for name, param in Model(model_config).params.items():
-        if name not in parameters:
-            raise CheckpointFormatError(f"{path}: param/{name}: missing, and model_config registers it")
-        if parameters[name].shape != param.value.shape:
-            raise CheckpointFormatError(f"{path}: param/{name}: shape {parameters[name].shape}, "
-                                        f"model_config registers {param.value.shape}")
-    return Checkpoint(
-        model_config=model_config,
-        extra_config=meta["extra_config"],
-        vocabulary=vocabulary,
-        parameters=parameters,
-        trainable=meta["trainable"],
-        centers=centers,
-        center_alpha=center_alpha,
-    )

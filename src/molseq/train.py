@@ -6,14 +6,15 @@ embeddings additionally receive triplet, center and classification
 supervision on the stage's labels (drug labels while pretraining, MoA
 labels while fine-tuning).  Evaluation embeds each test sample once, with
 the sequence encoder only, mirroring inference: the query rows are scored
-against the other rows, and the head classifies every row.
+against the other rows, and the head classifies every row.  A stage's
+CSVs and checkpoint, and a sweep's table, are written in the formats of
+``molseq.files``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from . import autodiff as ad
 from .data import (DatasetSplit, InsufficientClasses, Sample, choose_pk, labels_of, pk_classes, pk_groups,
                    pk_sample_indices, split_query_gallery)
 from .errors import ConfigError, DegenerateBatch, NonFiniteValue
+from .files import Checkpoint, csv_text, replace_with, save_checkpoint
 from .losses import (
     CenterState,
     build_supervision,
@@ -35,13 +37,12 @@ from .losses import (
     update_centers,
 )
 from .metrics import RetrievalResult, accuracy, evaluate_retrieval
-from .model import Checkpoint, Model, ModelConfig, pool_frames, save_checkpoint, token_count_matrix
+from .model import Model, ModelConfig, pool_frames, token_count_matrix
 from .smiles import Vocabulary, build_vocabulary, encode_tokens
 
 __all__ = [
     "ConfigError",
     "TrainConfig",
-    "csv_text",
     "sgd_step",
     "StageResult",
     "run_stage",
@@ -191,15 +192,6 @@ def sgd_step(params, leaves: dict[str, ad.Tensor], lr: float, momentum: float, v
         params.flat[start:stop] -= work
 
 
-def csv_text(columns, rows) -> str:
-    """Header, then a line per row mapping: ints and strings via ``str``, other numbers via ``repr(float(x))``."""
-    lines = [",".join(columns)]
-    for row in rows:
-        cells = (row[c] for c in columns)
-        lines.append(",".join(str(x) if isinstance(x, (int, str)) else repr(float(x)) for x in cells))
-    return "\n".join(lines) + "\n"
-
-
 @dataclass
 class StageResult:
     config: TrainConfig
@@ -230,25 +222,13 @@ class StageResult:
         return csv_text(("epoch", *METRIC_COLUMNS), self.history)
 
     def save(self, out_dir) -> None:
-        """Write the two CSVs, then the checkpoint, each through ``_replace_with`` so that a stop part-way
+        """Write the two CSVs, then the checkpoint, each through ``files.replace_with`` so that a stop part-way
         leaves no half-written file under a final name."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        _replace_with(out / "loss_history.csv", lambda tmp: tmp.write_text(self.loss_csv()))
-        _replace_with(out / "metric_history.csv", lambda tmp: tmp.write_text(self.metrics_csv()))
-        _replace_with(out / "checkpoint.npz", lambda tmp: save_checkpoint(tmp, self.checkpoint))
-
-
-def _replace_with(path: Path, write) -> None:
-    """``write(tmp)`` to a temp path beside ``path`` with its suffix (``np.savez`` appends ``.npz`` to a name
-    without one), then ``os.replace`` it onto ``path``; the temp file is removed if either raises."""
-    tmp = path.with_name(f".{path.stem}.tmp{path.suffix}")
-    try:
-        write(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        replace_with(out / "loss_history.csv", lambda tmp: tmp.write_text(self.loss_csv()))
+        replace_with(out / "metric_history.csv", lambda tmp: tmp.write_text(self.metrics_csv()))
+        replace_with(out / "checkpoint.npz", lambda tmp: save_checkpoint(tmp, self.checkpoint))
 
 
 def _pooled(samples: list[Sample]) -> np.ndarray:
@@ -568,7 +548,7 @@ def sweep_center_weight(base: TrainConfig, weights: list[float], data: DatasetSp
         rows.append({"weight": float(w), "rank1": final["rank1"], "map": final["map"],
                      "accuracy": final["accuracy"]})
     if out is not None:  # the first stage made it
-        _replace_with(out / "sweep.csv", lambda tmp: tmp.write_text(csv_text(SWEEP_COLUMNS, rows)))
+        replace_with(out / "sweep.csv", lambda tmp: tmp.write_text(csv_text(SWEEP_COLUMNS, rows)))
     return rows
 
 

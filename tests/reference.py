@@ -17,6 +17,12 @@ in source order and hands them to ``adjacency``, which builds the
 ``Molecule`` record's ``adj``: each bond at both of its atoms, in the
 order the bonds were read.  The differential tests hold ``parse`` and
 ``canonical_smiles`` to its outcomes, errors included.
+
+``reference_read_lines`` is the text-file reader that ``molseq.files``
+replaced with one loop over the file's lines: it decodes the whole file,
+turns "\r\n" and then "\r" into "\n" and splits there.  A Hypothesis test
+holds ``files.read_lines`` and ``files.iter_lines`` to its lines and
+errors.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from molseq.autodiff import (
     _sq_dists_bwd,
     _unbroadcast,
 )
-from molseq.errors import ShapeMismatch
+from molseq.errors import ConfigError, ShapeMismatch
 from molseq.smiles import (
     _AROMATIC,
     _ATOM,
@@ -275,3 +281,16 @@ def reference_parse(smiles: str) -> Molecule:
     if branch_stack:
         raise UnclosedBranch()
     return Molecule(atoms, [_atom_token(*atom) for atom in atoms], adjacency(len(atoms), bonds))
+
+
+def reference_read_lines(raw: bytes, name, error=None) -> list[str]:
+    """The lines of the UTF-8 ``raw``, ended by "\n", "\r\n" or "\r", without the empty one a final line end
+    leaves; a byte that is not UTF-8 raises ``error(line, detail)``, by default a ``ConfigError`` naming ``name``."""
+    split = lambda text: text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    try:
+        lines = split(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        lineno = len(split(raw[:exc.start].decode("utf-8")))
+        detail = f"byte 0x{raw[exc.start]:02x} is not UTF-8"
+        raise (error(lineno, detail) if error else ConfigError(f"{detail} ({name} line {lineno})")) from None
+    return lines[:-1] if lines[-1] == "" else lines

@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from molseq.cli import main
-from molseq.data import SyntheticSpec, config_from_json, load_manifest, prepare_split, read_config
+from molseq.data import SyntheticSpec, load_manifest, prepare_split
 from molseq.errors import ConfigError
-from molseq.model import load_checkpoint, save_checkpoint
+from molseq.files import config_from_json, load_checkpoint, read_config, save_checkpoint
 from molseq.train import TrainConfig, eval_set, evaluate
 
 
@@ -340,6 +340,7 @@ class TestCheckpointMetadata:
         ("stage", "pretrain_moa", "stage must be one of ('pretrain_drug', 'finetune_moa')"),
         ("bogus", 1, "unknown config key 'bogus'"),
         ("epochs", "abc", "epochs: invalid literal for int() with base 10: 'abc'"),
+        ("use_molecule_branch", None, "use_molecule_branch: expected a boolean, got None"),
     ])
     def test_bad_config_echo_fails_naming_the_checkpoint(self, trained_checkpoint, dataset_dir, tmp_path, capsys,
                                                          key, value, message):

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from molseq import data as dp
+from molseq import files
 from molseq import smiles as sk
+from reference import reference_read_lines
 
 # Line boundaries of str.splitlines() other than "\n" and "\r"; the readers
 # keep them inside a line.
@@ -113,45 +115,45 @@ class TestGenerateSynthetic:
     def test_spec_from_file(self, tmp_path):
         path = tmp_path / "spec.txt"
         path.write_text("num_moas=3\ndrugs_per_moa=2\nseparability=1.5\n# comment\n")
-        spec = dp.read_config(path, dp.SyntheticSpec)
+        spec = files.read_config(path, dp.SyntheticSpec)
         assert (spec.num_moas, spec.drugs_per_moa, spec.separability) == (3, 2, 1.5)
         path.write_text("bogus=1\n")
         with pytest.raises(ValueError):
-            dp.read_config(path, dp.SyntheticSpec)
+            files.read_config(path, dp.SyntheticSpec)
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_spec_non_finite_separability_rejected(self, tmp_path, value):
         path = tmp_path / "spec.txt"
         path.write_text(f"separability={value}\n")
         with pytest.raises(ValueError, match="separability must be finite"):
-            dp.read_config(path, dp.SyntheticSpec)
+            files.read_config(path, dp.SyntheticSpec)
 
     def test_spec_bad_value_names_its_key(self, tmp_path):
         path = tmp_path / "spec.txt"
         path.write_text("num_moas=3\nT=abc\n")
         with pytest.raises(ValueError, match=r"^T: invalid literal for int\(\)"):
-            dp.read_config(path, dp.SyntheticSpec)
+            files.read_config(path, dp.SyntheticSpec)
 
     @pytest.mark.parametrize("char", SPLITLINES_BREAKS)
     def test_spec_lines_end_at_newline_only(self, tmp_path, char):
         path = tmp_path / "spec.txt"
         path.write_text(f"num_moas=3\n# note{char}T=abc\nT=x\n")
         with pytest.raises(ValueError) as err:
-            dp.read_config(path, dp.SyntheticSpec)
+            files.read_config(path, dp.SyntheticSpec)
         assert str(err.value) == f"T: invalid literal for int() with base 10: 'x' ({path} line 3)"
 
     def test_spec_bytes_that_are_not_utf8_name_file_and_line(self, tmp_path):
         path = tmp_path / "spec.txt"
         path.write_bytes(b"num_moas=3\rT=\xff\n")
         with pytest.raises(dp.ConfigError) as err:
-            dp.read_config(path, dp.SyntheticSpec)
+            files.read_config(path, dp.SyntheticSpec)
         assert str(err.value) == f"byte 0xff is not UTF-8 ({path} line 2)"
 
     @pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
     def test_spec_with_crlf_or_cr_lines_loads(self, tmp_path, newline):
         path = tmp_path / "spec.txt"
         path.write_bytes(newline.join([b"num_moas=3", b"# comment", b"drugs_per_moa=2", b""]))
-        spec = dp.read_config(path, dp.SyntheticSpec)
+        spec = files.read_config(path, dp.SyntheticSpec)
         assert (spec.num_moas, spec.drugs_per_moa) == (3, 2)
 
 
@@ -166,6 +168,24 @@ class TestManifestRoundTrip:
             assert back.smiles == orig.smiles  # pool entries are already canonical
             assert (back.drug_label, back.moa_label) == (orig.drug_label, orig.moa_label)
             np.testing.assert_array_equal(back.frames, orig.frames)
+
+    @pytest.mark.parametrize("written_before", [False, True])
+    def test_failed_manifest_write_leaves_only_whole_files(self, tiny_samples, tmp_path, fail_text_writes,
+                                                           written_before):
+        # Into a fresh directory, or over the same samples written before.
+        root = tmp_path / "ds"
+        root.mkdir()
+        if written_before:
+            dp.write_dataset(tiny_samples, root)
+        before = {p.name: p.read_bytes() for p in root.iterdir() if p.is_file()}
+        fail_text_writes("manifest")
+        with pytest.raises(OSError, match="^disk full$"):
+            dp.write_dataset(tiny_samples, root)
+        assert {p.name: p.read_bytes() for p in root.iterdir() if p.is_file()} == before
+        if written_before:
+            loaded = dp.load_manifest(root)
+            assert [s.sample_id for s in loaded] == [s.sample_id for s in tiny_samples]
+            assert all(np.array_equal(s.frames, t.frames) for s, t in zip(loaded, tiny_samples))
 
     def test_non_canonical_smiles_get_canonicalized(self, tmp_path):
         root = tmp_path / "ds"
@@ -547,12 +567,31 @@ class TestLineReaders:
         path = tmp_path_factory.mktemp("lines") / "in.txt"
         path.write_bytes(raw)
         try:
-            expected = dp.read_lines(path)
+            expected = files.read_lines(path)
         except dp.ConfigError as exc:
             with pytest.raises(dp.ConfigError, match=f"^{re.escape(str(exc))}$"):
-                list(dp.iter_lines(io.BytesIO(raw), str(path)))
+                list(files.iter_lines(io.BytesIO(raw), str(path)))
         else:
-            assert list(dp.iter_lines(io.BytesIO(raw), str(path))) == expected
+            assert list(files.iter_lines(io.BytesIO(raw), str(path))) == expected
+
+    # "a", the two bytes of "\u00e9" (whole, cut or swapped), both line ends and a byte that is never UTF-8.
+    @given(st.lists(st.sampled_from([b"a", b"\xc3", b"\xa9", b"\r", b"\n", b"\xff"]), max_size=16),
+           st.sampled_from([None, dp.SchemaError]))
+    @settings(max_examples=300, deadline=None)
+    def test_one_reader_reads_what_the_reference_reads(self, tmp_path_factory, pieces, error):
+        raw = b"".join(pieces)
+        path = tmp_path_factory.mktemp("lines") / "in.txt"
+        path.write_bytes(raw)
+
+        def outcome(read):
+            try:
+                return read()
+            except ValueError as exc:
+                return type(exc), str(exc), getattr(exc, "line", None)
+
+        expected = outcome(lambda: reference_read_lines(raw, path, error))
+        assert outcome(lambda: files.read_lines(path, error)) == expected
+        assert outcome(lambda: list(files.iter_lines(io.BytesIO(raw), path, error))) == expected
 
 
 class TestPkSampling:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from molseq import autodiff as ad
+from molseq import files
 from molseq import model as md
 from molseq.errors import NonFiniteValue, ShapeMismatch
 from molseq.smiles import build_vocabulary
@@ -22,11 +23,11 @@ def small_model(seed=0, include_molecule=True, num_classes=3):
     ))
 
 
-def bare_checkpoint(model, vocab, **fields) -> md.Checkpoint:
+def bare_checkpoint(model, vocab, **fields) -> files.Checkpoint:
     """A model's parameters and flags as a checkpoint record with an empty config echo."""
-    return md.Checkpoint(model_config=model.config, extra_config=fields.pop("extra_config", {}), vocabulary=vocab,
-                         parameters={n: p.value for n, p in model.params.items()},
-                         trainable={n: p.trainable for n, p in model.params.items()}, **fields)
+    return files.Checkpoint(model_config=model.config, extra_config=fields.pop("extra_config", {}), vocabulary=vocab,
+                            parameters={n: p.value for n, p in model.params.items()},
+                            trainable={n: p.trainable for n, p in model.params.items()}, **fields)
 
 
 def encode_ids(model, ids):
@@ -292,7 +293,7 @@ def saved_stage(tiny_split, tmp_path_factory):
     return result.checkpoint, out / "checkpoint.npz"
 
 
-def assert_same_checkpoint(got: md.Checkpoint, want: md.Checkpoint) -> None:
+def assert_same_checkpoint(got: files.Checkpoint, want: files.Checkpoint) -> None:
     assert got.parameters.keys() == want.parameters.keys()
     for name, value in want.parameters.items():
         assert (got.parameters[name].dtype, got.parameters[name].tobytes()) == (value.dtype, value.tobytes())
@@ -308,7 +309,7 @@ class TestCheckpoint:
         # changed length or name can hide a member, plus 300 drawn offsets.
         written, source = saved_stage
         raw = source.read_bytes()
-        assert_same_checkpoint(md.load_checkpoint(source), written)
+        assert_same_checkpoint(files.load_checkpoint(source), written)
         with zipfile.ZipFile(source) as archive:
             directory = range(archive.start_dir, len(raw))
         drawn = np.random.default_rng(0).integers(0, len(raw), 300).tolist()
@@ -318,8 +319,8 @@ class TestCheckpoint:
             flipped[offset] ^= 0xFF
             path.write_bytes(bytes(flipped))
             try:
-                loaded = md.load_checkpoint(path)
-            except md.CheckpointFormatError as err:
+                loaded = files.load_checkpoint(path)
+            except files.CheckpointFormatError as err:
                 assert str(err).startswith(f"{path}: "), (offset, str(err))
                 continue
             assert_same_checkpoint(loaded, written)
@@ -330,9 +331,9 @@ class TestCheckpoint:
         vocab = build_vocabulary(["CCO", "c1ccccc1"])
         centers = rng.normal(size=(3, 6))
         path = tmp_path / "ckpt.npz"
-        md.save_checkpoint(path, bare_checkpoint(model, vocab, extra_config={"stage": "pretrain_drug"},
-                                                 centers=centers, center_alpha=0.5))
-        ckpt = md.load_checkpoint(path)
+        files.save_checkpoint(path, bare_checkpoint(model, vocab, extra_config={"stage": "pretrain_drug"},
+                                                    centers=centers, center_alpha=0.5))
+        ckpt = files.load_checkpoint(path)
         assert ckpt.vocabulary.token_to_id == vocab.token_to_id
         assert ckpt.extra_config == {"stage": "pretrain_drug"}
         assert ckpt.center_alpha == 0.5
@@ -346,7 +347,7 @@ class TestCheckpoint:
         model = small_model()
         vocab = build_vocabulary(["CCO"])
         path = tmp_path / "ckpt.npz"
-        md.save_checkpoint(path, bare_checkpoint(model, vocab))
+        files.save_checkpoint(path, bare_checkpoint(model, vocab))
         import json
 
         import numpy as np_
@@ -357,26 +358,39 @@ class TestCheckpoint:
         meta["format"] = "something-else"
         arrays["__meta__"] = np_.array(json.dumps(meta))
         np_.savez(path, **arrays)
-        with pytest.raises(md.CheckpointFormatError):
-            md.load_checkpoint(path)
+        with pytest.raises(files.CheckpointFormatError):
+            files.load_checkpoint(path)
 
     def test_missing_meta_fails_loudly(self, tmp_path):
         path = tmp_path / "ckpt.npz"
         np.savez(path, **{"param/seq.w1": np.zeros((2, 2))})
-        with pytest.raises(md.CheckpointFormatError, match="__meta__"):
-            md.load_checkpoint(path)
+        with pytest.raises(files.CheckpointFormatError, match="__meta__"):
+            files.load_checkpoint(path)
 
     def test_unknown_model_config_key_fails_loudly(self, tmp_path):
         path = tmp_path / "ckpt.npz"
-        md.save_checkpoint(path, bare_checkpoint(small_model(), build_vocabulary(["CCO"])))
+        files.save_checkpoint(path, bare_checkpoint(small_model(), build_vocabulary(["CCO"])))
         with np.load(path) as data:
             arrays = {k: data[k] for k in data.files}
         meta = json.loads(str(arrays["__meta__"]))
         meta["model_config"]["bogus"] = 1
         arrays["__meta__"] = np.array(json.dumps(meta))
         np.savez(path, **arrays)
-        with pytest.raises(md.CheckpointFormatError, match="bogus"):
-            md.load_checkpoint(path)
+        with pytest.raises(files.CheckpointFormatError, match="bogus"):
+            files.load_checkpoint(path)
+
+    def test_null_model_config_boolean_fails_loudly(self, tmp_path):
+        path = tmp_path / "ckpt.npz"
+        files.save_checkpoint(path, bare_checkpoint(small_model(), build_vocabulary(["CCO"])))
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        meta = json.loads(str(arrays["__meta__"]))
+        meta["model_config"]["include_molecule"] = None
+        arrays["__meta__"] = np.array(json.dumps(meta))
+        np.savez(path, **arrays)
+        with pytest.raises(files.CheckpointFormatError) as err:
+            files.load_checkpoint(path)
+        assert str(err.value) == f"{path}: model_config: include_molecule: expected a boolean, got None"
 
     def test_load_parameters_shape_mismatch(self):
         model = small_model()

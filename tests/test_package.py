@@ -1,5 +1,6 @@
 """Names the package exports and names the benchmark patches, calls and reads stay resolvable."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -73,8 +74,28 @@ def test_autodiff_ships_only_the_ops_src_builds_from():
 def test_package_exports_only_its_modules():
     # Every function and class is imported from its module, as in
     # ``from molseq import train``; the package re-exports none of them.
-    assert molseq.__all__ == ["autodiff", "data", "losses", "metrics", "model", "smiles", "train", "__version__"]
+    assert molseq.__all__ == ["autodiff", "data", "files", "losses", "metrics", "model", "smiles", "train",
+                              "__version__"]
 
+
+# The layers of src/molseq, lowest first: a module imports from the layers below its own and from no other.
+LAYERS = [("errors",), ("autodiff", "smiles"), ("model",), ("files",), ("data",), ("losses", "metrics"), ("train",),
+          ("cli",)]
+
+
+def test_imports_run_down_the_layers():
+    layer = {name: i for i, names in enumerate(LAYERS) for name in names}
+    edges = set()
+    for path in (ROOT / "src" / "molseq").glob("*.py"):
+        if path.stem == "__init__":
+            continue
+        assert path.stem in layer, f"{path.name} is in no layer"
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:  # from .x import ... / from . import x
+                targets = [node.module.split(".")[0]] if node.module else [alias.name for alias in node.names]
+                edges |= {(path.stem, target) for target in targets}
+    assert {("data", "files"), ("files", "model"), ("train", "files"), ("cli", "files")} <= edges
+    assert sorted((a, b) for a, b in edges if layer[b] >= layer[a]) == []
 
 # What perfbench/worker.py reads from molseq's results and passes it by
 # keyword, beside the calls above; a rename passes every other test and then

@@ -14,11 +14,11 @@ from molseq import autodiff as ad
 from molseq import data
 from molseq import losses as ls
 from molseq import train as tr
-from molseq.data import (InsufficientClasses, SyntheticSpec, config_from_json, generate_synthetic,
-                         prepare_split, read_config)
+from molseq.data import InsufficientClasses, SyntheticSpec, generate_synthetic, prepare_split
 from molseq.errors import ConfigError, NonFiniteValue
+from molseq.files import config_from_json, load_checkpoint, read_config
 from molseq.losses import CenterState
-from molseq.model import Model, ModelConfig, ParameterSet, SequenceEncoder, load_checkpoint
+from molseq.model import Model, ModelConfig, ParameterSet, SequenceEncoder
 
 
 def tiny_config(**overrides):
@@ -143,7 +143,8 @@ class TestTrainConfig:
         assert config_from_json(tr.TrainConfig, json.loads(json.dumps(dataclasses.asdict(cfg)))) == cfg
 
     @pytest.mark.parametrize("key, value", [("epochs", "abc"), ("epochs", 2.5), ("epochs", None),
-                                            ("temperature_trainable", "maybe"), ("learning_rate", [0.1])])
+                                            ("temperature_trainable", "maybe"), ("learning_rate", [0.1]),
+                                            ("temperature_trainable", None), ("use_molecule_branch", None)])
     def test_json_wrong_typed_value_rejected(self, key, value):
         with pytest.raises(tr.ConfigError, match=f"^{key}: "):
             config_from_json(tr.TrainConfig, {**dataclasses.asdict(tr.TrainConfig()), key: value})
