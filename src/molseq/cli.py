@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import data, files
 from . import train as tr
-from .errors import ConfigError, DegenerateBatch, LabelOutOfRange
+from .errors import ConfigError, DegenerateBatch, LabelOutOfRange, ShapeMismatch
 from .smiles import SmilesError, canonical_smiles, tokenize
 from .train import GRAD_TOLERANCE, TrainConfig, gradient_check_suite
 
@@ -40,6 +40,12 @@ def _cmd_train(args) -> int:
         result = tr.run_stage(config, split, init=init, out_dir=args.out)
     except DegenerateBatch as exc:  # only a one-class PK layout, P = 1, leaves an anchor without a negative
         raise DegenerateBatch(f"batch_p={config.batch_p}: {exc} ({args.config})") from None
+    except ShapeMismatch as exc:  # the stage's widths, from the config and the data, differ from ``--init``'s
+        if not exc.op.startswith("load_parameters["):
+            raise
+        name, (want, got) = exc.op[len("load_parameters["):-1], exc.shapes
+        message = f"{args.init}: param/{name}: shape {got}, the stage's model registers {want} ({args.config})"
+        raise ValueError(message) from None
     final = result.final
     print(
         f"stage={config.stage} epochs={config.epochs} "

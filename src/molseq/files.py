@@ -38,7 +38,8 @@ CHECKPOINT_TAG = "molseq-checkpoint-v1"
 class CheckpointFormatError(ValueError):
     """Checkpoint file is not an .npz archive, has a member that cannot be read, lacks its metadata or a metadata
     key, or carries metadata that is not a JSON object, an unknown format tag, a metadata entry of the wrong JSON
-    type, a bad model config or a center_alpha outside (0, 1]."""
+    type, a bad model config, a center_alpha outside (0, 1], or a parameter or centers array that is not float64 of
+    the shape the model config gives it."""
 
 
 def replace_with(path: Path, write) -> None:
@@ -160,11 +161,9 @@ class Checkpoint:
     center_alpha: float | None = None
 
     def build_model(self) -> Model:
+        """A ``model_config`` model holding the saved parameters; ``trainable`` only records what the stage trained."""
         model = Model(self.model_config)
         model.load_parameters(self.parameters)
-        for name, flag in self.trainable.items():
-            if name in model.params:
-                model.params[name].trainable = flag
         return model
 
 
@@ -242,11 +241,17 @@ def load_checkpoint(path) -> Checkpoint:
     if len(ids) < vocabulary.size or not ids <= set(range(model_config.vocab_size)):
         raise CheckpointFormatError(f"{path}: vocabulary: ids must be distinct and below vocab_size "
                                     f"{model_config.vocab_size}")
-    for name, param in Model(model_config).params.items():
-        if name not in parameters:
-            raise CheckpointFormatError(f"{path}: param/{name}: missing, and model_config registers it")
-        if parameters[name].shape != param.value.shape:
-            raise CheckpointFormatError(f"{path}: param/{name}: shape {parameters[name].shape}, "
-                                        f"model_config registers {param.value.shape}")
+    for member, value in members.items():
+        if (member.startswith("param/") or member == "centers") and value.dtype != np.float64:
+            raise CheckpointFormatError(f"{path}: {member}: dtype {value.dtype}, expected float64")
+    shapes = {f"param/{n}": p.value.shape for n, p in Model(model_config).params.items()}
+    if centers is not None:
+        shapes["centers"] = (model_config.num_classes, model_config.embed_dim)
+    for member, shape in shapes.items():
+        if member not in members:
+            raise CheckpointFormatError(f"{path}: {member}: missing, and model_config registers it")
+        if members[member].shape != shape:
+            raise CheckpointFormatError(f"{path}: {member}: shape {members[member].shape}, model_config registers "
+                                        f"{shape}")
     return Checkpoint(model_config=model_config, extra_config=meta["extra_config"], vocabulary=vocabulary,
                       parameters=parameters, trainable=meta["trainable"], centers=centers, center_alpha=center_alpha)

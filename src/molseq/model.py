@@ -4,7 +4,7 @@ The molecule encoder is a masked-mean-pool MLP over token embeddings; the
 sequence encoder is an MLP over concatenated mean/max temporal pooling of
 per-frame features.  Both emit embeddings of a shared dimension d.  All
 parameters live in a ParameterSet keyed by dotted names ("mol.emb",
-"seq.w1", ...) so whole subtrees can be frozen by prefix.
+"seq.w1", ...), each a view of one flat float64 vector.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ __all__ = [
     "AllPadding",
     "IdOutOfRange",
     "EmptySequence",
-    "NoSuchParameter",
     "Parameter",
     "ParameterSet",
     "ModelConfig",
@@ -46,22 +45,17 @@ class EmptySequence(ValueError):
     """A frame sequence with T == 0 was passed to the sequence encoder."""
 
 
-class NoSuchParameter(KeyError):
-    """A parameter prefix matched nothing."""
-
-
 class Parameter:
     """One named parameter: ``value`` is a reshaped view of its ``ParameterSet``'s flat vector, at ``span``.
 
     Assigning ``value`` writes into the vector.
     """
 
-    __slots__ = ("_view", "span", "trainable")
+    __slots__ = ("_view", "span")
 
-    def __init__(self, view: np.ndarray, span: slice, trainable: bool) -> None:
+    def __init__(self, view: np.ndarray, span: slice) -> None:
         self._view = view
         self.span = span
-        self.trainable = trainable
 
     @property
     def value(self) -> np.ndarray:
@@ -76,7 +70,7 @@ class Parameter:
 
 
 class ParameterSet:
-    """Named parameters with per-parameter trainable flags, stored in one contiguous float64 vector.
+    """Named parameters stored in one contiguous float64 vector.
 
     ``flat`` holds every parameter, in the order added; each ``Parameter``
     is a reshaped view of its span.
@@ -87,7 +81,7 @@ class ParameterSet:
         self.flat = np.empty(0)
 
     def add(self, name: str, value: np.ndarray) -> None:
-        """Append a trainable parameter to ``flat`` and rebuild every view on it."""
+        """Append a parameter to ``flat`` and rebuild every view on it."""
         if name in self._params:
             raise ValueError(f"duplicate parameter {name!r}")
         value = np.asarray(value, dtype=np.float64)
@@ -95,7 +89,7 @@ class ParameterSet:
         self.flat = np.concatenate([self.flat, value.reshape(-1)])
         for p in self._params.values():
             p._view = self.flat[p.span].reshape(p._view.shape)
-        self._params[name] = Parameter(self.flat[end:].reshape(value.shape), slice(end, self.flat.size), trainable=True)
+        self._params[name] = Parameter(self.flat[end:].reshape(value.shape), slice(end, self.flat.size))
 
     def __getitem__(self, name: str) -> Parameter:
         return self._params[name]
@@ -109,18 +103,12 @@ class ParameterSet:
     def items(self):
         return self._params.items()
 
-    def set_trainable(self, name_prefix: str, trainable: bool) -> None:
-        matched = [n for n in self._params if n.startswith(name_prefix)]
-        if not matched:
-            raise NoSuchParameter(f"no parameter matches prefix {name_prefix!r}")
-        for n in matched:
-            self._params[n].trainable = trainable
-
     def as_leaves(self, names=None) -> dict[str, ad.Tensor]:
-        """Fresh graph leaves for one training step; frozen params get no grad.
+        """Fresh graph leaves for one training step, each of which requires a gradient.
 
         ``names`` (default: every parameter) are the parameters the step
-        reads.  One scan of the whole vector raises ``NonFiniteValue("leaf")``
+        reads and trains, adjacent in ``flat``; a frozen parameter is left
+        out.  One scan of the whole vector raises ``NonFiniteValue("leaf")``
         before any leaf is built; only then is the first parameter whose span
         holds a NaN or Inf looked for, and named.  The leaves are views of the
         vector, so the step's ``sgd_step`` moves them: it runs once the step's
@@ -130,7 +118,7 @@ class ParameterSet:
             bad = next(n for n, p in self._params.items() if not np.isfinite(p._view).all())
             raise NonFiniteValue("leaf", bad)
         params = self._params
-        return {n: ad.Tensor(params[n]._view, requires_grad=params[n].trainable, check_finite=False)
+        return {n: ad.Tensor(params[n]._view, requires_grad=True, check_finite=False)
                 for n in (params if names is None else names)}
 
 

@@ -160,12 +160,13 @@ class TrainConfig:
 
 def sgd_step(params, leaves: dict[str, ad.Tensor], lr: float, momentum: float, velocity: np.ndarray,
              scratch: np.ndarray) -> None:
-    """Momentum SGD where a leaf holds a gradient g: v <- momentum*v + g; p <- p - lr*v.
+    """Momentum SGD on every leaf: v <- momentum*v + g; p <- p - lr*v.
 
-    ``velocity`` and ``scratch`` are vectors in the layout of ``params.flat``.
-    The update runs in place on them, once per run of parameters that are
-    adjacent there and hold a gradient; the run's gradients, then lr*v, go
-    through ``scratch``, so that a step allocates no vector-sized
+    ``leaves`` are one run of parameters, adjacent and in order in
+    ``params.flat``, and every leaf holds a gradient g.  ``velocity`` and
+    ``scratch`` are vectors in the layout of ``params.flat``.  The update
+    runs in place on them, once over the run's span; the gradients, then
+    lr*v, go through ``scratch``, so that a step allocates no vector-sized
     temporaries: freeing those at every step makes the allocator return and
     re-fault the top of the heap, which slowed the whole step.
 
@@ -175,21 +176,20 @@ def sgd_step(params, leaves: dict[str, ad.Tensor], lr: float, momentum: float, v
     comes back exact), so the first update sets v to exactly g.  A +0.0
     start would turn a -0.0 in g into +0.0.
     """
-    runs: list[list] = []  # [start, stop, flattened gradients] of each run
-    for name, leaf in leaves.items():
-        if leaf.grad is not None:
-            span = params[name].span
-            if not runs or runs[-1][1] != span.start:
-                runs.append([span.start, span.stop, []])
-            runs[-1][1] = span.stop
-            runs[-1][2].append(leaf.grad.reshape(-1))
-    for start, stop, grads in runs:
-        v, work = velocity[start:stop], scratch[start:stop]
-        np.concatenate(grads, out=work)
-        v *= momentum
-        v += work
-        np.multiply(lr, v, out=work)
-        params.flat[start:stop] -= work
+    names = list(leaves)
+    span = slice(params[names[0]].span.start, params[names[-1]].span.stop)
+    v, work = velocity[span], scratch[span]
+    np.concatenate([leaf.grad.reshape(-1) for leaf in leaves.values()], out=work)
+    v *= momentum
+    v += work
+    np.multiply(lr, v, out=work)
+    params.flat[span] -= work
+
+
+def _trains(config: TrainConfig, name: str) -> bool:
+    """Whether a stage under ``config`` trains parameter ``name``: every one but ``mol.*`` when the molecule encoder
+    is frozen."""
+    return not (config.use_molecule_branch and config.resolved_freeze and name.startswith("mol."))
 
 
 @dataclass
@@ -211,7 +211,7 @@ class StageResult:
         params = self.model.params.items()
         return Checkpoint(model_config=self.model.config, extra_config=dataclasses.asdict(self.config),
                           vocabulary=self.vocab, parameters={n: p.value.copy() for n, p in params},
-                          trainable={n: p.trainable for n, p in params}, centers=self.centers.centers,
+                          trainable={n: _trains(self.config, n) for n, _ in params}, centers=self.centers.centers,
                           center_alpha=self.centers.alpha)
 
     def loss_csv(self) -> str:
@@ -379,8 +379,6 @@ def run_stage(config: TrainConfig, data: DatasetSplit, init: Checkpoint | None =
         model.params.add("align.log_inv_temp", np.array(np.log(1.0 / config.temperature)))
     if init is not None:
         model.load_parameters(init.parameters, prefixes=("mol.", "seq."))
-    if config.resolved_freeze and config.use_molecule_branch:
-        model.params.set_trainable("mol.", False)
 
     # Per-sample features are fixed; precompute them once.
     train_pooled = _pooled(train)
@@ -408,11 +406,8 @@ def run_stage(config: TrainConfig, data: DatasetSplit, init: Checkpoint | None =
     targets, masks = _pk_constants(config)
     # A frozen molecule encoder embeds each train row the same way at every step,
     # so the step reads none of its parameters.
-    frozen_mol = None
-    step_names = None
-    if config.use_molecule_branch and config.resolved_freeze:
-        frozen_mol = model.molecule.forward_counts(counts, leaves).data
-        step_names = [n for n in model.params.names() if not n.startswith("mol.")]
+    step_names = [n for n in model.params.names() if _trains(config, n)]
+    frozen_mol = None if _trains(config, "mol.") else model.molecule.forward_counts(counts, leaves).data
     steps_per_epoch = steps // config.epochs
     velocity, scratch = np.full_like(model.params.flat, -0.0), np.empty_like(model.params.flat)
     loss_log: list[dict] = []

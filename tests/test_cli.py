@@ -164,6 +164,18 @@ class TestTrainEval:
                      "--init", str(first / "checkpoint.npz"), "--out", str(again)]) == 0
         assert load_checkpoint(again / "checkpoint.npz").extra_config["epochs"] == 6
 
+    def test_init_of_other_widths_fails_naming_checkpoint_and_parameter(self, trained_checkpoint, dataset_dir,
+                                                                         train_config, tmp_path, capsys):
+        config = tmp_path / "wide.cfg"
+        config.write_text(train_config.read_text() + "embed_dim=16\n")
+        out = tmp_path / "run"
+        capsys.readouterr()
+        assert main(["train", "--config", str(config), "--data", str(dataset_dir), "--init", str(trained_checkpoint),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (f"error: {trained_checkpoint}: param/mol.w2: shape (8, 8), "
+                                           f"the stage's model registers (8, 16) ({config})\n")
+        assert not out.exists()
+
     def test_unknown_config_key_fails(self, dataset_dir, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("nonsense=1\n")
@@ -303,6 +315,20 @@ class TestCheckpointMetadata:
                      "param/seq.w1: shape (2, 2), model_config registers ", id="wrong-shape"),
         pytest.param(lambda arrays: arrays.update({"param/seq.w1": np.array([None, 1.0], dtype=object)}),
                      "unreadable archive member: Object arrays cannot be loaded", id="object-dtype"),
+        pytest.param(lambda arrays: arrays.update({"param/seq.w1": np.full(arrays["param/seq.w1"].shape, "x")}),
+                     "param/seq.w1: dtype <U1, expected float64", id="string-parameter"),
+        pytest.param(lambda arrays: arrays.update({"param/seq.w1": arrays["param/seq.w1"].astype(np.int64)}),
+                     "param/seq.w1: dtype int64, expected float64", id="int-parameter"),
+        pytest.param(lambda arrays: arrays.update({"param/seq.w1": arrays["param/seq.w1"] > 0}),
+                     "param/seq.w1: dtype bool, expected float64", id="bool-parameter"),
+        pytest.param(lambda arrays: arrays.update({"param/seq.w1": arrays["param/seq.w1"].astype(np.float32)}),
+                     "param/seq.w1: dtype float32, expected float64", id="float32-parameter"),
+        pytest.param(lambda arrays: arrays.update({"param/seq.w1": arrays["param/seq.w1"] * 1j}),
+                     "param/seq.w1: dtype complex128, expected float64", id="complex-parameter"),
+        pytest.param(lambda arrays: arrays.update(centers=np.full(arrays["centers"].shape, "x")),
+                     "centers: dtype <U1, expected float64", id="string-centers"),
+        pytest.param(lambda arrays: arrays.update(centers=np.zeros(7)),
+                     "centers: shape (7,), model_config registers (4, 8)", id="centers-wrong-shape"),
         pytest.param(lambda arrays: arrays.update(__meta__=np.array("[1, 2]")),
                      "__meta__ must be a JSON object, found list", id="meta-list"),
         pytest.param(lambda arrays: arrays.update(__meta__=np.array("not json")),

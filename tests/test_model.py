@@ -12,7 +12,6 @@ from molseq import model as md
 from molseq.errors import NonFiniteValue, ShapeMismatch
 from molseq.smiles import build_vocabulary
 from molseq import train as tr
-from molseq.train import sgd_step
 
 
 def small_model(seed=0, include_molecule=True, num_classes=3):
@@ -24,10 +23,10 @@ def small_model(seed=0, include_molecule=True, num_classes=3):
 
 
 def bare_checkpoint(model, vocab, **fields) -> files.Checkpoint:
-    """A model's parameters and flags as a checkpoint record with an empty config echo."""
+    """A model's parameters as a checkpoint record that trained every one, with an empty config echo."""
     return files.Checkpoint(model_config=model.config, extra_config=fields.pop("extra_config", {}), vocabulary=vocab,
                             parameters={n: p.value for n, p in model.params.items()},
-                            trainable={n: p.trainable for n, p in model.params.items()}, **fields)
+                            trainable=fields.pop("trainable", dict.fromkeys(model.params.names(), True)), **fields)
 
 
 def encode_ids(model, ids):
@@ -159,50 +158,6 @@ class TestClassifierHead:
             classify(model, ad.constant(np.zeros((2, 7))))
 
 
-class TestFreezing:
-    def _step_all(self, model, steps=5, lr=0.1):
-        # Each step's scalar reads every parameter, so the graph alone decides which get a gradient.
-        rng = np.random.default_rng(0)
-        velocity, scratch = np.full_like(model.params.flat, -0.0), np.empty_like(model.params.flat)
-        for _ in range(steps):
-            leaves = model.params.as_leaves()
-            terms = [ad.half_sq_error(leaf, rng.normal(size=leaf.shape)) for leaf in leaves.values()]
-            ad.backward(ad.weighted_sum(terms, [1.0] * len(terms)))
-            sgd_step(model.params, leaves, lr, 0.9, velocity, scratch)
-
-    def test_frozen_parameters_never_move(self):
-        model = small_model()
-        model.params.set_trainable("mol.", False)
-        before = {n: p.value.copy() for n, p in model.params.items()}
-        self._step_all(model, steps=100)
-        for name, p in model.params.items():
-            if name.startswith("mol."):
-                assert (p.value == before[name]).all()
-            else:
-                assert not (p.value == before[name]).all()
-
-    def test_unfreeze_resumes_updates(self):
-        model = small_model()
-        model.params.set_trainable("mol.", False)
-        self._step_all(model)
-        frozen = model.params["mol.emb"].value.copy()
-        model.params.set_trainable("mol.", True)
-        self._step_all(model)
-        assert not (model.params["mol.emb"].value == frozen).all()
-
-    def test_no_such_parameter(self):
-        model = small_model()
-        with pytest.raises(md.NoSuchParameter):
-            model.params.set_trainable("bogus.", False)
-
-    def test_as_leaves_respects_flags(self):
-        model = small_model()
-        model.params.set_trainable("seq.", False)
-        leaves = model.params.as_leaves()
-        assert not leaves["seq.w1"].requires_grad
-        assert leaves["mol.w1"].requires_grad
-
-
 class TestFlatStorage:
     def test_parameters_are_views_of_one_vector(self):
         model = small_model()
@@ -327,13 +282,14 @@ class TestCheckpoint:
 
     def test_round_trip(self, tmp_path, rng):
         model = small_model(seed=9)
-        model.params.set_trainable("mol.", False)
+        trainable = {n: not n.startswith("mol.") for n in model.params.names()}
         vocab = build_vocabulary(["CCO", "c1ccccc1"])
         centers = rng.normal(size=(3, 6))
         path = tmp_path / "ckpt.npz"
         files.save_checkpoint(path, bare_checkpoint(model, vocab, extra_config={"stage": "pretrain_drug"},
-                                                    centers=centers, center_alpha=0.5))
+                                                    trainable=trainable, centers=centers, center_alpha=0.5))
         ckpt = files.load_checkpoint(path)
+        assert ckpt.trainable == trainable
         assert ckpt.vocabulary.token_to_id == vocab.token_to_id
         assert ckpt.extra_config == {"stage": "pretrain_drug"}
         assert ckpt.center_alpha == 0.5
@@ -341,7 +297,6 @@ class TestCheckpoint:
         rebuilt = ckpt.build_model()
         for name in model.params.names():
             np.testing.assert_array_equal(rebuilt.params[name].value, model.params[name].value)
-            assert rebuilt.params[name].trainable == model.params[name].trainable
 
     def test_format_tag_mismatch_fails_loudly(self, tmp_path):
         model = small_model()

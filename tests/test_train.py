@@ -163,8 +163,8 @@ class TestSgdStep:
         return np.full_like(params.flat, -0.0), np.empty_like(params.flat)
 
     def _step(self, params, state, grad, lr, momentum):
-        """One ``sgd_step`` over fresh leaves, of which only p's carries a gradient."""
-        leaves = params.as_leaves()
+        """One ``sgd_step`` over a fresh leaf for p, the last span of ``params.flat``."""
+        leaves = params.as_leaves(["p"])
         leaves["p"].grad = np.array(grad, dtype=np.float64)
         tr.sgd_step(params, leaves, lr, momentum, *state)
 
@@ -207,46 +207,34 @@ class TestSgdStep:
         assert state[0][params["p"].span].tobytes() == g.tobytes()
         assert params["p"].value.tobytes() == (value - 0.1 * g).tobytes()
 
-    def test_matches_a_per_parameter_update(self):
-        # Random subsets of leaves hold a gradient, so runs of adjacent parameters
-        # break and mix first and later updates; -0.0 gradients on -0.0 values
-        # tell a copied first velocity from a zero-filled one.
+    @pytest.mark.parametrize("first", ["mol.emb", "seq.w1"])
+    def test_matches_a_per_parameter_update(self, first):
+        # Every leaf holds a gradient, and the leaves run from ``first`` to the last
+        # parameter: all of them, or the tail a stage with a frozen molecule encoder
+        # trains.  -0.0 gradients on -0.0 values tell a copied first velocity from a
+        # zero-filled one.
         rng = np.random.default_rng(5)
         params = Model(ModelConfig(vocab_size=5, frame_dim=3, num_classes=3, embed_dim=4, token_dim=2,
                                    mol_hidden=3, seq_hidden=3, seed=2)).params
         params["seq.b1"].value = np.full(3, -0.0)
+        names = params.names()[params.names().index(first):]
         velocity, scratch = self._state(params)
         reference = {n: (p.value.copy(), None) for n, p in params.items()}
         for _ in range(8):
-            leaves = params.as_leaves()
+            leaves = params.as_leaves(names)
             for leaf in leaves.values():
-                if rng.random() < 0.6:
-                    leaf.grad = np.where(rng.random(leaf.shape) < 0.3, -0.0, rng.normal(size=leaf.shape))
+                leaf.grad = np.where(rng.random(leaf.shape) < 0.3, -0.0, rng.normal(size=leaf.shape))
             tr.sgd_step(params, leaves, 0.05, 0.9, velocity, scratch)
             for name, leaf in leaves.items():
-                if leaf.grad is not None:
-                    value, v = reference[name]
-                    v = leaf.grad.copy() if v is None else 0.9 * v + leaf.grad
-                    reference[name] = (value - 0.05 * v, v)
+                value, v = reference[name]
+                v = leaf.grad.copy() if v is None else 0.9 * v + leaf.grad
+                reference[name] = (value - 0.05 * v, v)
             for name, p in params.items():
                 value, v = reference[name]
                 assert p.value.tobytes() == value.tobytes()
                 # A parameter that no update has reached keeps the -0.0 start.
                 expected = np.full(p.value.shape, -0.0) if v is None else v
                 assert velocity[p.span].tobytes() == expected.tobytes()
-
-    def test_frozen_untouched(self):
-        # A frozen parameter's leaf needs no gradient; a leaf without one leaves its
-        # parameter and velocity as they were.
-        params = self._params([1.5])
-        state = self._state(params)
-        self._step(params, state, [5.0], lr=0.1, momentum=0.0)  # velocity 5.0, value 1.0
-        params.set_trainable("p", False)
-        leaves = params.as_leaves()
-        assert not leaves["p"].requires_grad and leaves["p"].grad is None
-        tr.sgd_step(params, leaves, 0.1, 0.0, *state)
-        assert params["p"].value.tolist() == [1.0]
-        assert state[0][params["p"].span].tolist() == [5.0]
 
 
 class TestRunStage:
@@ -332,6 +320,15 @@ class TestRunStage:
         for name in ("mol.emb", "mol.w1", "mol.b1", "mol.w2", "mol.b2"):
             assert (fin.model.params[name].value == pre.model.params[name].value).all()
         assert not (fin.model.params["seq.w1"].value == pre.model.params["seq.w1"].value).all()
+
+    def test_frozen_pretraining_stage_keeps_the_fresh_molecule_encoder(self, tiny_split):
+        result = tr.run_stage(tiny_config(stage="pretrain_drug", freeze_molecule_encoder=True), tiny_split)
+        fresh = Model(result.model.config)
+        mol = ["mol.emb", "mol.w1", "mol.b1", "mol.w2", "mol.b2"]
+        for name in mol:
+            assert result.model.params[name].value.tobytes() == fresh.params[name].value.tobytes()
+        assert result.model.params["seq.w1"].value.tobytes() != fresh.params["seq.w1"].value.tobytes()
+        assert [n for n, flag in result.checkpoint.trainable.items() if not flag] == mol
 
     def test_sequence_only_checkpoint_warm_starts_only_seq(self, tiny_split):
         # run_stage always loads mol.* and seq.* from init; a sequence-only
