@@ -40,6 +40,9 @@ def _cmd_train(args) -> int:
         result = tr.run_stage(config, split, init=init, out_dir=args.out)
     except DegenerateBatch as exc:  # only a one-class PK layout, P = 1, leaves an anchor without a negative
         raise DegenerateBatch(f"batch_p={config.batch_p}: {exc} ({args.config})") from None
+    except data.InsufficientClasses as exc:  # the train set's class table cannot hold P classes of K samples
+        pk = f"batch_p={config.batch_p}, batch_k={config.batch_k}"
+        raise data.InsufficientClasses(f"{pk}: {exc} ({args.config})") from None
     except ShapeMismatch as exc:  # the stage's widths, from the config and the data, differ from ``--init``'s
         if not exc.op.startswith("load_parameters["):
             raise

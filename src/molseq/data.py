@@ -6,9 +6,9 @@ A dataset directory holds ``manifest.csv`` (one record per line:
 ``sample_id,drug_id,smiles,drug_label,moa_label,frames_path``) and a
 ``frames/`` subdirectory with one binary file per sample: two little-endian
 uint32 (T, f) followed by T*f little-endian float64 in row-major order.
-``write_dataset`` writes the manifest last, so a directory is complete
-exactly when its manifest exists; ``load_manifest`` reads it with
-``molseq.files.read_lines``.
+``write_dataset`` removes an old manifest first and writes the new one last,
+so a directory is complete exactly when its manifest exists (a stopped
+rewrite leaves none); ``load_manifest`` reads it with ``files.read_lines``.
 ``pk_sample_indices`` draws the PK batch of one step from the class table
 ``pk_classes`` builds once per stage; a stage draws the batches of all its
 steps before the first one (``molseq.train._pk_schedule``).
@@ -226,9 +226,10 @@ def _read_frames(path: Path) -> np.ndarray:
 
 
 def write_dataset(samples: list[Sample], out_dir) -> None:
-    """Write every frame file, then ``manifest.csv`` through ``files.replace_with``, so a directory is complete
-    exactly when its manifest exists and a stop part-way never leaves a cut manifest."""
+    """Remove an old ``manifest.csv``, write every frame file, then the manifest through ``files.replace_with``,
+    so a directory is complete exactly when its manifest exists and a stop part-way leaves no manifest at all."""
     out = Path(out_dir)
+    (out / "manifest.csv").unlink(missing_ok=True)
     (out / "frames").mkdir(parents=True, exist_ok=True)
     lines = []
     for s in samples:

@@ -7,11 +7,12 @@ valence or aromaticity perception is attempted: a molecule is exactly the
 graph its SMILES spells out.
 
 One reader, ``parse``, walks a string's regex matches once and emits the
-one molecule form, a ``Molecule`` that holds each bond once at each of
-its two atoms.  ``canonical_smiles`` hands it straight to the canonical
-core (Morgan refinement, then the writer), and ``canonicalize``,
-``write_smiles``, ``permute_atoms`` and ``random_smiles`` take a
-``Molecule``.  ``tokenize`` returns the token texts.
+one molecule form, the bare graph ``Molecule``: each atom's invariant, and
+each bond held once at each of its two atoms.  ``canonical_smiles`` hands
+it straight to the canonical core (Morgan refinement, then the writer), and
+``canonicalize``, ``write_smiles``, ``permute_atoms`` and ``random_smiles``
+take a ``Molecule``.  The writer renders each atom's text from its invariant
+with ``_atom_token``, the one renderer.  ``tokenize`` returns the token texts.
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ _BRACKET_RE = re.compile(r"([A-Z][a-z]?|[bcnops])(?:H(\d*))?(?:([+-])(\d+|\3*))?
 _BOND_CODE = {symbol: code for code, symbol in enumerate("-=#:", start=1)}
 _BOND_SYMBOL = {code: symbol for symbol, code in _BOND_CODE.items()}
 _SINGLE_CODE, _AROMATIC_CODE = _BOND_CODE["-"], _BOND_CODE[":"]
-# Invariant of each organic-subset lexeme; its output token is the lexeme itself.
+# Invariant of each organic-subset lexeme; _atom_token renders it back as the lexeme itself.
 _ORGANIC_INVARIANT = {s: (s.upper() if s in _AROMATIC else s, s in _AROMATIC, 0, -1)
                       for s in (*_ORGANIC, *_TWO_LETTER, *_AROMATIC)}
 
@@ -130,7 +131,6 @@ class Molecule(NamedTuple):
     """A molecule as ``parse`` gives it; atoms are list indices, and a bond code is as in ``_BOND_CODE``."""
 
     invariants: list[tuple[str, bool, int, int]]  # (element, aromatic, charge, H count or -1 for implicit)
-    tokens: list[str]  # each atom's text in a written SMILES
     adj: list[list[tuple[int, int]]]  # each atom's (neighbor, bond code) pairs, in the order its bonds were read
 
 
@@ -183,7 +183,6 @@ def parse(smiles: str) -> Molecule:
     error, if there is one, is raised instead.
     """
     invariants: list[tuple[str, bool, int, int]] = []
-    tokens: list[str] = []
     adj: list[list[tuple[int, int]]] = []
     anchor, pending = -1, 0  # the atom a bond would start from (-1: none), and the bond code read
     branches: list[int] = []
@@ -192,15 +191,9 @@ def parse(smiles: str) -> Molecule:
         for m in _lexemes(smiles):
             group = m.lastindex
             if group <= _BRACKET_ATOM:
-                text = m[0]
-                if group == _ATOM:
-                    invariant = _ORGANIC_INVARIANT[text]
-                else:
-                    invariant = _parse_bracket(text, m.start())
-                    text = _atom_token(*invariant)
-                idx = len(tokens)
+                invariant = _ORGANIC_INVARIANT[m[0]] if group == _ATOM else _parse_bracket(m[0], m.start())
+                idx = len(invariants)
                 invariants.append(invariant)
-                tokens.append(text)
                 if anchor < 0:
                     adj.append([])
                 else:
@@ -262,7 +255,7 @@ def parse(smiles: str) -> Molecule:
         raise UnmatchedRingBond(min(rings))
     if branches:
         raise UnclosedBranch()
-    return Molecule(invariants, tokens, adj)
+    return Molecule(invariants, adj)
 
 
 def _fragments(adj) -> list[list[int]]:
@@ -346,9 +339,9 @@ def _atom_token(element: str, aromatic: bool, charge: int, h_count: int) -> str:
     return "".join(parts)
 
 
-def _write_fragments(invariants: list, tokens: list[str], adj, priority: list, fragments: list[list[int]]) -> list[str]:
+def _write_fragments(invariants: list, adj, priority: list, fragments: list[list[int]]) -> list[str]:
     """Each fragment as SMILES, visiting atoms in priority order (lowest first)."""
-    n = len(tokens)
+    n = len(invariants)
     slot = [-1] * n  # where each atom's text sits in its fragment's output; -1 until it is reached
     branch = [-1] * n  # where each atom's latest child sits
 
@@ -370,7 +363,7 @@ def _write_fragments(invariants: list, tokens: list[str], adj, priority: list, f
             a, parent, code = stack.pop()
             if slot[a] >= 0:
                 continue
-            text = tokens[a]
+            text = _atom_token(*invariants[a])
             if parent >= 0:
                 if code != (_AROMATIC_CODE if invariants[a][1] and invariants[parent][1] else _SINGLE_CODE):
                     text = _BOND_SYMBOL[code] + text
@@ -421,27 +414,27 @@ def _write_fragments(invariants: list, tokens: list[str], adj, priority: list, f
 
 def write_smiles(mol: Molecule, priority: list[int] | None = None) -> str:
     """Write a SMILES string for the molecule, visiting atoms by (priority, index), lowest first."""
-    invariants, tokens, adj = mol
-    n = len(tokens)
+    invariants, adj = mol
+    n = len(invariants)
     if not n:
         raise SmilesError("cannot write an empty graph")
     if priority is not None and len(priority) != n:
         raise ValueError(f"priority must give one value per atom, got {len(priority)} for {n} atoms")
     prio = list(range(n)) if priority is None else [priority[a] * n + a for a in range(n)]
-    return ".".join(_write_fragments(invariants, tokens, adj, prio, _fragments(adj)))
+    return ".".join(_write_fragments(invariants, adj, prio, _fragments(adj)))
 
 
 def _canonical(mol: Molecule, fragments: list[list[int]]) -> str:
     """The canonical core: Morgan ranks per fragment, then each fragment written from them."""
-    invariants, tokens, adj = mol
-    n = len(tokens)
+    invariants, adj = mol
+    n = len(invariants)
     if not n:
         raise SmilesError("cannot canonicalize an empty graph")
     prio = [0] * n
     for frag in fragments:
         for a, r in zip(frag, _morgan_ranks(invariants, frag, adj)):
             prio[a] = r * n + a  # orders atoms by (rank, index)
-    return ".".join(sorted(_write_fragments(invariants, tokens, adj, prio, fragments)))
+    return ".".join(sorted(_write_fragments(invariants, adj, prio, fragments)))
 
 
 def canonicalize(mol: Molecule) -> str:
@@ -459,22 +452,22 @@ def canonical_smiles(smiles: str) -> str:
     """``canonicalize(parse(smiles))``, with one fragment taken as given when the string has no '.'."""
     mol = parse(smiles)
     # Without a '.', every atom but the first bonds to one read before it: one fragment.
-    return _canonical(mol, _fragments(mol.adj) if "." in smiles else [list(range(len(mol.tokens)))])
+    return _canonical(mol, _fragments(mol.adj) if "." in smiles else [list(range(len(mol.adj)))])
 
 
 def permute_atoms(mol: Molecule, perm: list[int]) -> Molecule:
     """Relabel atoms: new index perm[i] gets old atom i."""
-    n = len(mol.tokens)
+    n = len(mol.adj)
     if sorted(perm) != list(range(n)):
         raise ValueError("perm must be a permutation of the atom indices")
     old = sorted(range(n), key=perm.__getitem__)  # the old index of each new one
     adj = [[(perm[b], code) for b, code in mol.adj[a]] for a in old]
-    return Molecule([mol.invariants[a] for a in old], [mol.tokens[a] for a in old], adj)
+    return Molecule([mol.invariants[a] for a in old], adj)
 
 
 def random_smiles(mol: Molecule, rng: np.random.Generator) -> str:
     """A random rewrite of the molecule: same graph, shuffled atom order."""
-    n = len(mol.tokens)
+    n = len(mol.adj)
     return write_smiles(permute_atoms(mol, rng.permutation(n).tolist()), rng.permutation(n).tolist())
 
 

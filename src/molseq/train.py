@@ -265,13 +265,14 @@ def evaluate(model: Model, inputs: tuple[np.ndarray, np.ndarray, np.ndarray]) ->
 
 
 def _objective(config: TrainConfig, model: Model, leaves, s_emb: ad.Tensor | None, v_emb: ad.Tensor, labels,
-               class_labels, centers: CenterState, targets: ad.SoftTargets | None = None,
-               masks: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[ad.Tensor, dict[str, float]]:
+               class_labels, centers: CenterState, targets: ad.SoftTargets | None,
+               masks: tuple[np.ndarray, np.ndarray]) -> tuple[ad.Tensor, dict[str, float]]:
     """One batch's weighted training loss and per-term report.
 
     The alignment term is added only when molecule embeddings ``s_emb`` are
-    given.  Its targets are ``targets`` if given, else built from
-    ``class_labels``; the triplet's ``masks``, if not given, from ``labels``.
+    given.  Its targets are ``targets``, or, when that is None (MoA labels
+    fill the class matrix), built from ``class_labels``; the triplet mines
+    under ``masks``.  A stage passes its ``_pk_constants``.
     A ``NonFiniteValue`` leaves with ``component`` set to the term being
     built, and its message starts with that name.
     """
@@ -555,17 +556,16 @@ def sweep_center_weight(base: TrainConfig, weights: list[float], data: DatasetSp
 def _triplet_safe(rng: np.random.Generator, b: int, d: int):
     """Features whose mining decisions sit clear of ties and hinge kinks."""
     labels = np.arange(b) % 2
+    masks, anchors = ad.triplet_masks(labels), np.arange(b)
     while True:
         feats = rng.normal(scale=1.5, size=(b, d))
-        dists = ((feats[:, None, :] - feats[None, :, :]) ** 2).sum(axis=2)
+        dists, _ = ad._sq_dists(feats, feats)
         off = dists[~np.eye(b, dtype=bool)]
         gaps = np.abs(off[:, None] - off[None, :])
         if np.min(gaps[gaps > 0], initial=np.inf) < 1e-3:
             continue
-        same = labels[:, None] == labels[None, :]
-        pos = np.where(same & ~np.eye(b, dtype=bool), dists, -np.inf).max(axis=1)
-        neg = np.where(~same, dists, np.inf).min(axis=1)
-        if np.abs(pos - neg + 0.3).min() > 1e-3:
+        hard_pos, hard_neg = ad._mine_batch_hard(dists, masks)
+        if np.abs(dists[anchors, hard_pos] - dists[anchors, hard_neg] + 0.3).min() > 1e-3:
             return feats, labels
 
 
@@ -630,7 +630,9 @@ def gradient_check_suite(eps: float = 1e-5) -> list[tuple[str, float]]:
 
     checks.append(("sequence_encoder", ad.finite_difference_check(f_seq, seq_params, eps)))
 
-    # Full model composed with the training objective at the default config.
+    # Full model composed with the training objective, on the PK constants of ``labels``' 2x2 pattern.
+    config = TrainConfig(batch_p=2, batch_k=2)
+    constants = _pk_constants(config)
     head_params = [rng.normal(scale=0.5, size=model.params[n].value.shape) for n in head_names]
     tri_feats_fix, _ = _triplet_safe(rng, b, out_dim)
     full_params = mol_params + seq_params + head_params
@@ -641,7 +643,7 @@ def gradient_check_suite(eps: float = 1e-5) -> list[tuple[str, float]]:
         s_emb = model.molecule.forward_counts(counts, lv)
         # A fixed offset keeps the triplet mining clear of ties.
         v_emb = ad.add(model.sequence.forward(pooled_frames, lv), ad.constant(tri_feats_fix))
-        return _objective(TrainConfig(), model, lv, s_emb, v_emb, labels, labels, full_state)[0]
+        return _objective(config, model, lv, s_emb, v_emb, labels, labels, full_state, *constants)[0]
 
     checks.append(("full_model_total", ad.finite_difference_check(f_full, full_params, eps)))
     return checks

@@ -61,7 +61,6 @@ from molseq.smiles import (
     UnclosedBranch,
     UnexpectedCharacter,
     UnmatchedRingBond,
-    _atom_token,
     _fragments,
     _morgan_ranks,
     tokenize,
@@ -164,7 +163,7 @@ def transpose(x) -> Tensor:
 
 def canonical_ranks(mol: Molecule) -> list[int]:
     """Per-atom refined ranks (dense within each fragment)."""
-    out = [0] * len(mol.tokens)
+    out = [0] * len(mol.invariants)
     for frag in _fragments(mol.adj):
         for a, r in zip(frag, _morgan_ranks(mol.invariants, frag, mol.adj)):
             out[a] = r
@@ -280,7 +279,7 @@ def reference_parse(smiles: str) -> Molecule:
         raise UnmatchedRingBond(min(open_rings))
     if branch_stack:
         raise UnclosedBranch()
-    return Molecule(atoms, [_atom_token(*atom) for atom in atoms], adjacency(len(atoms), bonds))
+    return Molecule(atoms, adjacency(len(atoms), bonds))
 
 
 def reference_read_lines(raw: bytes, name, error=None) -> list[str]:

@@ -172,20 +172,39 @@ class TestManifestRoundTrip:
     @pytest.mark.parametrize("written_before", [False, True])
     def test_failed_manifest_write_leaves_only_whole_files(self, tiny_samples, tmp_path, fail_text_writes,
                                                            written_before):
-        # Into a fresh directory, or over the same samples written before.
+        # Into a fresh directory, or over the same samples written before: the old manifest goes
+        # first, so a failed rewrite leaves neither a cut manifest, nor a temp file, nor the old one.
         root = tmp_path / "ds"
         root.mkdir()
         if written_before:
             dp.write_dataset(tiny_samples, root)
-        before = {p.name: p.read_bytes() for p in root.iterdir() if p.is_file()}
         fail_text_writes("manifest")
         with pytest.raises(OSError, match="^disk full$"):
             dp.write_dataset(tiny_samples, root)
-        assert {p.name: p.read_bytes() for p in root.iterdir() if p.is_file()} == before
-        if written_before:
-            loaded = dp.load_manifest(root)
-            assert [s.sample_id for s in loaded] == [s.sample_id for s in tiny_samples]
-            assert all(np.array_equal(s.frames, t.frames) for s, t in zip(loaded, tiny_samples))
+        assert [p.name for p in root.iterdir() if p.is_file()] == []
+        with pytest.raises(FileNotFoundError, match="^no manifest.csv under "):
+            dp.load_manifest(root)
+
+    def test_stopped_overwrite_does_not_load_as_a_mix(self, tmp_path, monkeypatch):
+        # Seed 2's samples over seed 1's, stopped at the 11th frame file: the first ten frame files
+        # hold seed 2's frames, and the old manifest must not name them as seed 1's samples.
+        root = tmp_path / "ds"
+        spec = dict(num_moas=2, drugs_per_moa=2, samples_per_drug=5, T=3, f=4)
+        dp.write_dataset(dp.generate_synthetic(dp.SyntheticSpec(**spec, seed=1)), root)
+        write_frames, calls = dp._write_frames, []
+
+        def failing(path, frames):
+            calls.append(path)
+            if len(calls) == 11:
+                raise OSError("disk full")
+            write_frames(path, frames)
+
+        monkeypatch.setattr(dp, "_write_frames", failing)
+        with pytest.raises(OSError, match="^disk full$"):
+            dp.write_dataset(dp.generate_synthetic(dp.SyntheticSpec(**spec, seed=2)), root)
+        assert [p.name for p in root.iterdir() if p.is_file()] == []
+        with pytest.raises(FileNotFoundError, match="^no manifest.csv under "):
+            dp.load_manifest(root)
 
     def test_non_canonical_smiles_get_canonicalized(self, tmp_path):
         root = tmp_path / "ds"

@@ -20,7 +20,7 @@ C = ("C", False, 0, -1)  # an organic-subset carbon: implicit H count
 
 def molecule(atoms: list[tuple[str, bool, int, int]], bonds: list[tuple[int, int, int]]) -> sk.Molecule:
     """A hand-built molecule: atom invariants (element, aromatic, charge, H count or -1) and (a, b, code) bonds."""
-    return sk.Molecule(atoms, [sk._atom_token(*atom) for atom in atoms], adjacency(len(atoms), bonds))
+    return sk.Molecule(atoms, adjacency(len(atoms), bonds))
 
 
 def random_molecule(rng: np.random.Generator, n_atoms: int) -> sk.Molecule:
@@ -129,8 +129,13 @@ class TestParse:
     def test_linear(self):
         g = sk.parse("CCO")
         assert g.invariants == [C, C, ("O", False, 0, -1)]
-        assert g.tokens == ["C", "C", "O"]
+        assert [sk._atom_token(*inv) for inv in g.invariants] == ["C", "C", "O"]
         assert g.adj == [[(1, 1)], [(0, 1), (2, 1)], [(1, 1)]]
+
+    @pytest.mark.parametrize("lexeme", sorted(sk._ORGANIC_INVARIANT))
+    def test_organic_atom_is_written_as_read(self, lexeme):
+        # The writer renders each atom from its invariant; an organic atom comes back as its own lexeme.
+        assert sk.write_smiles(sk.parse(lexeme)) == lexeme
 
     def test_ring_closure_triangle(self):
         g = sk.parse("C1CC1")
@@ -189,7 +194,7 @@ class TestParse:
         moved = sk.permute_atoms(mol, perm)
         for a, pairs in enumerate(mol.adj):
             assert moved.adj[perm[a]] == [(perm[b], code) for b, code in pairs]
-            assert (moved.invariants[perm[a]], moved.tokens[perm[a]]) == (mol.invariants[a], mol.tokens[a])
+            assert moved.invariants[perm[a]] == mol.invariants[a]
 
     @pytest.mark.parametrize("bad", ["C/C=C/C", "C[C@H](N)C", "[13CH3]C"])
     def test_stereo_and_isotopes_rejected(self, bad):
@@ -204,7 +209,7 @@ class TestParse:
     def test_bracket_attributes(self):
         g = sk.parse("[NH4+].[O-].[Fe+2].[nH]")
         assert g.invariants == [("N", False, 1, 4), ("O", False, -1, 0), ("Fe", False, 2, 0), ("N", True, 0, 1)]
-        assert g.tokens == ["[NH4+]", "[O-]", "[Fe+2]", "[nH]"]
+        assert [sk._atom_token(*inv) for inv in g.invariants] == ["[NH4+]", "[O-]", "[Fe+2]", "[nH]"]
         assert g.adj == [[], [], [], []]
 
     def test_double_minus_charge(self):

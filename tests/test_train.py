@@ -522,7 +522,9 @@ class TestStageConstants:
             centers = CenterState(centers=rng.normal(size=(num_classes, 6)))
             targets, masks = tr._pk_constants(config)
             assert (targets is None) == (not config.use_molecule_branch or config.class_matrix_labels == "moa")
-            built = objective_bits(config, model, s0, pooled, labels, class_labels, centers)
+            # Built at the step: the class matrices from ``class_labels``, the masks from ``labels``.
+            built = objective_bits(config, model, s0, pooled, labels, class_labels, centers, None,
+                                   ad.triplet_masks(labels))
             passed = objective_bits(config, model, s0, pooled, labels, class_labels, centers, targets, masks)
             assert passed == built
 
@@ -576,12 +578,12 @@ class TestObjective:
         model.params["head.w"].value = np.full((6, 2), 1e308)
         s_emb, v_emb = ad.constant(rng.normal(size=(4, 6))), ad.constant(rng.uniform(0.5, 1.0, size=(4, 6)))
         labels = np.array([0, 0, 1, 1])
-        cfg = tr.TrainConfig()
+        cfg = tr.TrainConfig(batch_p=2, batch_k=2)  # the PK pattern of ``labels``
         msc = ls.msc_loss(ls.similarity(s_emb, v_emb, cfg.temperature), ls.build_supervision(labels))
         assert np.isfinite(msc.data)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteValue) as err:
             tr._objective(cfg, model, model.params.as_leaves(), s_emb, v_emb, labels, labels,
-                          CenterState(rng.normal(size=(2, 6))))
+                          CenterState(rng.normal(size=(2, 6))), *tr._pk_constants(cfg))
         assert (err.value.op, err.value.component) == ("soft_target_ce", "cls")
         assert str(err.value) == "cls: soft_target_ce: result contains NaN or Inf"
 
